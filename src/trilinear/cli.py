@@ -94,7 +94,7 @@ def cmd_schedule(config: RunConfig, args) -> int:
     summary_path = args.summary
     if summary_path is None and args.out is not None:
         summary_path = str(Path(args.out).with_suffix(".summary.csv"))
-    _emit(scheduler.summary_to_csv(schedule), summary_path)
+    _emit(scheduler.summary_to_csv(doc["summary"]), summary_path)
     return 0
 
 

@@ -63,7 +63,6 @@ class WaveformClass(Enum):
     ONE_QUBIT_DRIVE = "one_qubit_drive"
     TWO_QUBIT_PULSE = "two_qubit_pulse"
     READOUT_PULSE = "readout_pulse"
-    COMPENSATION = "compensation"
 
 
 SHUTTLE_PHASES = (
@@ -286,13 +285,6 @@ class Schedule:
     def total_horizontal_steps(self) -> int:
         return sum(1 for s in self.ops if s.op.kind is MicroOpKind.HORIZONTAL_STEP)
 
-    def tick_signal_sets(self) -> list[set[Signal]]:
-        per_tick: list[set[Signal]] = [set() for _ in range(self.makespan)]
-        for sop in self.ops:
-            for t in range(sop.start_tick, sop.end_tick):
-                per_tick[t] |= sop.signals
-        return per_tick
-
 
 @dataclass(frozen=True)
 class WaveformUsage:
@@ -327,9 +319,11 @@ class _Job:
     owner: Cell
     participants: tuple[Cell, ...]
     ops: list[MicroOp]
+    op_signals: list[frozenset[Signal]]
     offsets: list[int]
     total_ticks: int
     corridor: frozenset[SiteCoord]
+    clashes_parked: bool
     signals_by_tick: list[frozenset[Signal]]
     partner: Optional[Cell] = None
     gate_end_offset: Optional[int] = None
@@ -337,33 +331,38 @@ class _Job:
 
 def _build_job(index: int, owner: Cell, ops: list[MicroOp], layout: TrilinearLayout,
                participants: tuple[Cell, ...], partner: Optional[Cell],
-               partner_home: Optional[SiteCoord]) -> _Job:
+               homes: dict[Cell, SiteCoord], occupied: set[SiteCoord]) -> _Job:
+    # Ops run back to back, so each tick carries exactly one op's signals.
     offsets: list[int] = []
-    t = 0
-    for op in ops:
-        offsets.append(t)
-        t += op.duration_ticks
-    signals_by_tick: list[set[Signal]] = [set() for _ in range(t)]
+    op_signals: list[frozenset[Signal]] = []
+    signals_by_tick: list[frozenset[Signal]] = []
     gate_end = None
     corridor: set[SiteCoord] = set()
-    for op, off in zip(ops, offsets):
+    for op in ops:
         sigs = signals_for_op(layout, op)
-        for tick in range(off, off + op.duration_ticks):
-            signals_by_tick[tick] |= sigs
+        offsets.append(len(signals_by_tick))
+        op_signals.append(sigs)
+        signals_by_tick.extend([sigs] * op.duration_ticks)
         corridor.update(op.sites)
         if op.kind is MicroOpKind.TWO_QUBIT_GATE:
-            gate_end = off + op.duration_ticks
-    if partner_home is not None:
-        corridor.add(partner_home)
+            gate_end = len(signals_by_tick)
+    if partner is not None:
+        corridor.add(homes[partner])
+    # Homes never move and grid_to_site is injective, so the homes of the
+    # qubits idle during this job are the same set at every tick: its clash
+    # with them is fixed once here instead of in every admission check.
+    parked = occupied - {homes[c] for c in participants}
     return _Job(
         index=index,
         owner=owner,
         participants=participants,
         ops=ops,
+        op_signals=op_signals,
         offsets=offsets,
-        total_ticks=t,
+        total_ticks=len(signals_by_tick),
         corridor=frozenset(corridor),
-        signals_by_tick=[frozenset(s) for s in signals_by_tick],
+        clashes_parked=not parked.isdisjoint(corridor),
+        signals_by_tick=signals_by_tick,
         partner=partner,
         gate_end_offset=gate_end,
     )
@@ -398,12 +397,12 @@ def compile(  # noqa: A001 - mirrors re.compile naming
                           durations.single_qubit_pulse,
                           freq_class=site_class(site).value, param=cop.rotation)
             jobs.append(_build_job(index, cop.cell, [mop], layout,
-                                   (cop.cell,), None, None))
+                                   (cop.cell,), None, homes, occupied))
         elif isinstance(cop, Measure):
             site = homes[cop.cell]
             mop = MicroOp(MicroOpKind.READOUT, (site,), durations.readout)
             jobs.append(_build_job(index, cop.cell, [mop], layout,
-                                   (cop.cell,), None, None))
+                                   (cop.cell,), None, homes, occupied))
         else:
             blocked = occupied - {homes[cop.cell_a], homes[cop.cell_b]}
             plan = plan_two_qubit(layout, cop.cell_a, cop.cell_b, defects,
@@ -411,11 +410,10 @@ def compile(  # noqa: A001 - mirrors re.compile naming
             mover = plan.qubit
             partner = cop.cell_b if mover == cop.cell_a else cop.cell_a
             jobs.append(_build_job(index, mover, list(plan.ops), layout,
-                                   (mover, partner), partner, homes[partner]))
+                                   (mover, partner), partner, homes, occupied))
 
     for job in jobs:
-        for op in job.ops:
-            need = signals_for_op(layout, op)
+        for op, need in zip(job.ops, job.op_signals):
             if len(need) > mux.n_ac_inputs:
                 raise MuxInfeasible(
                     f"micro-op {op.kind.value} needs {len(need)} waveforms, "
@@ -447,10 +445,9 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     def _admissible(job: _Job, t: int) -> bool:
         if serialize and active:
             return False
-        if not _ready(job):
+        if job.clashes_parked or not _ready(job):
             return False
-        parked = {homes[c] for c in cells if c not in job.participants}
-        if job.corridor & (active_corridor | parked):
+        if not job.corridor.isdisjoint(active_corridor):
             return False
         for off in range(job.total_ticks):
             new = job.signals_by_tick[off]
@@ -462,11 +459,11 @@ def compile(  # noqa: A001 - mirrors re.compile naming
         return True
 
     def _commit(job: _Job, t: int) -> None:
-        for op, off in zip(job.ops, job.offsets):
+        for op, sigs, off in zip(job.ops, job.op_signals, job.offsets):
             partner = job.partner if op.kind is MicroOpKind.TWO_QUBIT_GATE else None
             scheduled.append(ScheduledOp(
                 qubit=job.owner, op=op, start_tick=t + off, partner=partner,
-                signals=signals_for_op(layout, op),
+                signals=sigs,
             ))
         for off, sigs in enumerate(job.signals_by_tick):
             if sigs:
@@ -696,18 +693,10 @@ def validate_schedule(
 # ----------------------------------------------------------------------
 # Serialization
 
-def schedule_summary(schedule: Schedule) -> dict:
-    return {
-        "makespan": schedule.makespan,
-        "total_shuttle_steps": schedule.total_horizontal_steps,
-        "max_waveform_classes": waveform_usage(schedule).max_distinct,
-    }
-
-
-def summary_to_csv(schedule: Schedule) -> str:
-    s = schedule_summary(schedule)
+def summary_to_csv(summary: dict) -> str:
+    """The `summary` block of a schedule_to_json document as CSV."""
     return ("makespan,total_shuttle_steps,max_waveform_classes\r\n"
-            f"{s['makespan']},{s['total_shuttle_steps']},{s['max_waveform_classes']}\r\n")
+            "{makespan},{total_shuttle_steps},{max_waveform_classes}\r\n".format_map(summary))
 
 
 def schedule_to_json(schedule: Schedule) -> dict:
@@ -717,7 +706,7 @@ def schedule_to_json(schedule: Schedule) -> dict:
         if sop.partner is not None:
             entry["partner"] = list(sop.partner)
         ticks[sop.start_tick].append(entry)
-    per_tick = schedule.tick_signal_sets()
+    usage = waveform_usage(schedule)
     return {
         "schema_version": SCHEMA_VERSION,
         "makespan": schedule.makespan,
@@ -728,6 +717,10 @@ def schedule_to_json(schedule: Schedule) -> dict:
         "ticks": [
             {"tick": t, "ops": ticks[t]} for t in sorted(ticks)
         ],
-        "waveforms_per_tick": [sorted(signal_str(s) for s in sigs) for sigs in per_tick],
-        "summary": schedule_summary(schedule),
+        "waveforms_per_tick": [sorted({signal_str(s) for s in sigs}) for sigs in usage.per_tick],
+        "summary": {
+            "makespan": schedule.makespan,
+            "total_shuttle_steps": schedule.total_horizontal_steps,
+            "max_waveform_classes": usage.max_distinct,
+        },
     }

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .errors import InvalidGrid, InvalidSite
@@ -35,6 +36,9 @@ class Row(Enum):
     UPPER = "U"
     MIDDLE = "M"
     LOWER = "L"
+
+    # Members are singletons, so the C-level identity hash is a valid hash.
+    __hash__ = object.__hash__
 
 
 # Display / canonical sort order (top to bottom).
@@ -138,24 +142,27 @@ class TrilinearLayout:
                 f"m_rows must be in [1, cols], got {self.m_rows} for {self.grid.cols} cols"
             )
 
+    # The extents below derive from the frozen fields only, so each is
+    # computed once per instance (stored in __dict__, outside eq/hash/repr).
+
     # Axis extent of one grid row once distributed over m_rows sub-rows.
-    @property
+    @cached_property
     def block_width(self) -> int:
         return -(-self.grid.cols // self.m_rows)
 
-    @property
+    @cached_property
     def shift(self) -> int:
         return self.block_width // 2
 
-    @property
+    @cached_property
     def upper_len(self) -> int:
         return ((self.grid.rows + 1) // 2) * self.block_width
 
-    @property
+    @cached_property
     def lower_len(self) -> int:
         return (self.grid.rows // 2) * self.block_width
 
-    @property
+    @cached_property
     def length(self) -> int:
         # The head-tail join of a loop absorbs the lower-row overhang.
         if self.loop:

@@ -1,6 +1,8 @@
 """CLI pipeline: subcommands, determinism, error JSON, round trips."""
 
+import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -164,3 +166,61 @@ def test_module_entry_point(cfg, tmp_path):
     )
     assert result.returncode == 0
     assert "100,trilinear,5,10,0.5" in result.stdout
+
+
+def _seeded_circuit(rng, rows, cols, n_ops, avoid=frozenset()):
+    """n_ops random 1q/2q/meas ops on same-row and neighbouring-row pairs."""
+    cells = [(r, c) for r in range(rows) for c in range(cols) if (r, c) not in avoid]
+    ops = []
+    while len(ops) < n_ops:
+        kind = rng.choice(("1q", "2q", "2q", "meas"))
+        a = rng.choice(cells)
+        if kind == "2q":
+            b = rng.choice([c for c in cells if c != a and abs(c[0] - a[0]) <= 1])
+            ops.append({"op": "2q", "cells": [list(a), list(b)]})
+        elif kind == "1q":
+            ops.append({"op": "1q", "cells": [list(a)], "param": "x90"})
+        else:
+            ops.append({"op": "meas", "cells": [list(a)]})
+    return {"schema_version": 1, "ops": ops}
+
+
+# sha256 of the schedule JSON and summary CSV on two fixed inputs. The
+# outputs are promised byte-identical across refactors; a digest may only
+# change together with a deliberate change to the schedules themselves.
+GOLDEN_SCHEDULES = {
+    "grid16": ("8e88e49661e3177a2a3c917a2b64e29b8188c58977e8e9a434436c4275bbdcc4",
+               "3bedc5051033e36a307522d5a2fb0524963c14ae6c8fbaec8634ba801007dd10"),
+    "loop8_dead_middle": ("ff89bff781a88887efc669ccde5557ed12ce733d4a54992a471d2361bee773f1",
+                          "058140469d5c3e001ed59c0eeef34e439b305a5fb858b9aa07daad1e56d6f18c"),
+}
+
+
+def _golden_inputs(name):
+    if name == "grid16":
+        config = {"grid": {"rows": 16, "cols": 16}}
+        return config, _seeded_circuit(random.Random(16), 16, 16, 200), None
+    config = {"grid": {"rows": 8, "cols": 8}, "loop": True,
+              "mux": {"n_ac_inputs": 5, "readout_coexists_with_shuttle": False}}
+    defects = {"sites": [["M", 9]], "barriers": []}
+    # (2,1) and (1,5) sit at axis 9, cut off from the Middle row: sacrificed.
+    avoid = {(2, 1), (1, 5)}
+    return config, _seeded_circuit(random.Random(8), 8, 8, 80, avoid), defects
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCHEDULES))
+def test_schedule_outputs_match_golden_digests(name, tmp_path):
+    config, circuit, defects = _golden_inputs(name)
+    cfg_path, circ_path = tmp_path / "config.json", tmp_path / "circuit.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    circ_path.write_text(json.dumps(circuit), encoding="utf-8")
+    argv = ["schedule", "--config", str(cfg_path), "--circuit", str(circ_path),
+            "--out", str(tmp_path / "sched.json")]
+    if defects is not None:
+        defects_path = tmp_path / "defects.json"
+        defects_path.write_text(json.dumps(defects), encoding="utf-8")
+        argv += ["--defects", str(defects_path)]
+    assert main(argv) == 0
+    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                    for f in ("sched.json", "sched.summary.csv"))
+    assert digests == GOLDEN_SCHEDULES[name]

@@ -1,5 +1,8 @@
 """Grid mapping, inverse mapping, and layout serialization."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,8 @@ from trilinear.topology import (
     layout_from_json,
     layout_to_json,
     site_class,
+    site_from_obj,
+    site_to_obj,
 )
 
 from _oracles import expected_site
@@ -171,3 +176,36 @@ def test_defect_validation(lay44):
         barriers=[(SiteCoord(Row.UPPER, 0), SiteCoord(Row.MIDDLE, 1))])
     with pytest.raises(tl.InvalidSite):
         diagonal.validate_against(lay44)
+
+
+@pytest.mark.parametrize("site", [SiteCoord(Row.UPPER, 3), SiteCoord(Row.MIDDLE, 0),
+                                  SiteCoord(Row.LOWER, 7, 2)])
+def test_rebuilt_site_is_same_key(site):
+    """A site rebuilt from JSON or a pickle is equal, hashes alike and finds
+    the original's set and dict entries."""
+    for copy in (site_from_obj(site_to_obj(site)), pickle.loads(pickle.dumps(site))):
+        assert copy == site
+        assert hash(copy) == hash(site)
+        assert copy in {site}
+        assert {site: "here"}[copy] == "here"
+    assert SiteCoord(Row.UPPER, 3) != SiteCoord(Row.LOWER, 3)
+
+
+def test_layout_identity_ignores_cached_extents():
+    fresh = tl.map_to_trilinear(tl.GridSpec(6, 5), m_rows=2)
+    read = tl.map_to_trilinear(tl.GridSpec(6, 5), m_rows=2)
+    assert (read.block_width, read.shift, read.upper_len, read.lower_len,
+            read.length) == (3, 1, 9, 9, 10)
+    assert read == fresh
+    assert hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh)
+    assert len({read, fresh}) == 1
+
+
+def test_replaced_layout_recomputes_length():
+    flat = tl.map_to_trilinear(tl.GridSpec(4, 4))
+    assert flat.length == 10
+    looped = dataclasses.replace(flat, loop=True)
+    assert looped.length == 8
+    assert flat.length == 10
+    assert looped == tl.map_to_trilinear(tl.GridSpec(4, 4), loop=True)
