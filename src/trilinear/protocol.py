@@ -10,9 +10,11 @@ ledger phase at zero after every completed operation.
 
 State is tracked symbolically: occupancy, per-qubit rotation logs, and a
 Z-phase ledger (accumulated plus compensation). Operations are pure: they
-return a new state, leaving the input untouched. Planning is occupancy
-blind like the router; composing many protocol operations in parallel is
-the scheduler's concern.
+return a new state, leaving the input untouched. A pulse costs time in the
+qubits it rotates, not the array size: qubits are indexed by resonance
+class, and copies share rotation logs. Planning is occupancy blind like
+the router; composing many protocol operations in parallel is the
+scheduler's concern.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from . import router
 from .errors import NoAdjacentEmpty, Partitioned
 from .router import DEFAULT_DURATIONS, Durations, MicroOp, MicroOpKind, move_op
 from .topology import (
@@ -55,7 +58,9 @@ NO_PHASES = PhaseConfig()
 
 @dataclass
 class ArrayState:
-    """Occupancy, rotation logs and the virtual-Z ledger."""
+    """Occupancy, rotation logs and the virtual-Z ledger. `_move` keeps the
+    `by_class` index in step; copies share log lists, so a log is replaced
+    (`_log_rotation`), never appended to in place."""
 
     layout: TrilinearLayout
     occupancy: dict[SiteCoord, QubitId] = field(default_factory=dict)
@@ -63,6 +68,8 @@ class ArrayState:
     accumulated_phase: dict[QubitId, float] = field(default_factory=dict)
     compensation: dict[QubitId, float] = field(default_factory=dict)
     rotation_log: dict[QubitId, list] = field(default_factory=dict)
+    by_class: dict[SiteClass, set[QubitId]] = field(
+        default_factory=lambda: {cls: set() for cls in SiteClass})
 
     def copy(self) -> "ArrayState":
         return ArrayState(
@@ -71,7 +78,8 @@ class ArrayState:
             position=dict(self.position),
             accumulated_phase=dict(self.accumulated_phase),
             compensation=dict(self.compensation),
-            rotation_log={q: list(log) for q, log in self.rotation_log.items()},
+            rotation_log=dict(self.rotation_log),
+            by_class={cls: set(qs) for cls, qs in self.by_class.items()},
         )
 
     def qubit_at(self, site: SiteCoord) -> Optional[QubitId]:
@@ -81,16 +89,22 @@ class ArrayState:
         return (self.accumulated_phase[qubit] + self.compensation[qubit]) % TWO_PI
 
     def qubits_on_class(self, cls: SiteClass) -> set[QubitId]:
-        return {q for q, s in self.position.items() if site_class(s) is cls}
+        return set(self.by_class[cls])
 
     def _move(self, qubit: QubitId, dst: SiteCoord, phases: PhaseConfig) -> None:
         src = self.position[qubit]
         del self.occupancy[src]
         self.occupancy[dst] = qubit
         self.position[qubit] = dst
+        self.by_class[site_class(src)].remove(qubit)
+        self.by_class[site_class(dst)].add(qubit)
         phase = phases.hop_phase(site_class(dst))
         self.accumulated_phase[qubit] += phase
         self.compensation[qubit] -= phase
+
+    def _log_rotation(self, cls: SiteClass, rotation) -> None:
+        for qubit in self.by_class[cls]:
+            self.rotation_log[qubit] = self.rotation_log[qubit] + [rotation]
 
 
 def init_half_filled(layout: TrilinearLayout, defects: DefectMap = NO_DEFECTS) -> ArrayState:
@@ -110,6 +124,7 @@ def init_half_filled(layout: TrilinearLayout, defects: DefectMap = NO_DEFECTS) -
         state.accumulated_phase[qid] = 0.0
         state.compensation[qid] = 0.0
         state.rotation_log[qid] = []
+        state.by_class[SiteClass.MAGNET].add(qid)
         qid += 1
     return state
 
@@ -118,15 +133,8 @@ def apply_global_esr(state: ArrayState, target_class: SiteClass, rotation) -> Ar
     """Globally drive one resonance class: every qubit parked or in transit
     on a site of that class logs the rotation; all others are untouched."""
     new = state.copy()
-    for qubit in sorted(new.qubits_on_class(target_class)):
-        new.rotation_log[qubit].append(rotation)
+    new._log_rotation(target_class, rotation)
     return new
-
-
-def resonant_bystanders(state: ArrayState, target_class: SiteClass,
-                        intended: Iterable[QubitId]) -> set[QubitId]:
-    """Qubits a global pulse would rotate beyond the intended targets."""
-    return state.qubits_on_class(target_class) - set(intended)
 
 
 def _pulse_op(target_class: SiteClass, rotation, site: SiteCoord,
@@ -176,8 +184,7 @@ def addressed_single_qubit_gate(
     new._move(qubit, target, phases)
 
     ops.append(_pulse_op(SiteClass.BARE, rotation, target, durations))
-    for q in sorted(new.qubits_on_class(SiteClass.BARE)):
-        new.rotation_log[q].append(rotation)
+    new._log_rotation(SiteClass.BARE, rotation)
 
     ops.append(move_op(layout, target, home, durations))
     new._move(qubit, home, phases)
@@ -242,7 +249,8 @@ def readout(
     target = min(usable, key=lambda s: (layout.axis_distance(home.axis, s.axis), s.axis))
 
     ops: list[MicroOp] = []
-    path = _row_path(layout, home, target, defects)
+    path = ([home] if home == target
+            else router.shortest_shuttle_path(layout, home, target, defects))
     for a, b in zip(path, path[1:]):
         ops.append(move_op(layout, a, b, durations))
     ops.append(MicroOp(MicroOpKind.READOUT, (target,), durations.readout))
@@ -256,16 +264,6 @@ def readout(
     new.accumulated_phase[qubit] += hop_phase
     new.compensation[qubit] -= hop_phase
     return ops, new
-
-
-def _row_path(layout: TrilinearLayout, src: SiteCoord, dst: SiteCoord,
-              defects: DefectMap) -> list[SiteCoord]:
-    """Straight same-row walk, taking the shorter way around on loops."""
-    from .router import shortest_shuttle_path
-
-    if src == dst:
-        return [src]
-    return shortest_shuttle_path(layout, src, dst, defects)
 
 
 # ----------------------------------------------------------------------

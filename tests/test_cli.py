@@ -10,7 +10,7 @@ import pytest
 
 import trilinear as tl
 from trilinear.cli import main
-from trilinear.topology import layout_from_json
+from trilinear.topology import SiteClass, layout_from_json, site_class
 
 
 @pytest.fixture
@@ -224,3 +224,36 @@ def test_schedule_outputs_match_golden_digests(name, tmp_path):
     digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                     for f in ("sched.json", "sched.summary.csv"))
     assert digests == GOLDEN_SCHEDULES[name]
+
+
+# sha256 of the simulate event log and report on a fixed input: an 8x8
+# loop, 200 seeded x90/meas ops in a 3:1 mix on qubit-hosting cells, and
+# non-zero hop phases so the Z ledger is exercised.
+GOLDEN_SIMULATE = ("7e67ea087adad03184e0374f81eb27891ad956df16110ce940c2c88aa7a5523a",
+                   "4dfa11864ac4545890c0b624d2a1bf0cf5b6f1380f5a8dff50c7ae863f8b645d")
+
+
+def test_simulate_outputs_match_golden_digests(tmp_path):
+    config = {"grid": {"rows": 8, "cols": 8}, "loop": True,
+              "protocol": {"hop_phase_magnet": 0.37, "hop_phase_bare": 0.81}}
+    layout = tl.map_to_trilinear(tl.GridSpec(8, 8), loop=True)
+    live = [(r, c) for r in range(8) for c in range(8)
+            if site_class(layout.grid_to_site((r, c))) is SiteClass.MAGNET]
+    rng = random.Random(200)
+    kinds = ["1q"] * 150 + ["meas"] * 50
+    rng.shuffle(kinds)
+    ops = []
+    for kind in kinds:
+        cell = list(rng.choice(live))
+        if kind == "1q":
+            ops.append({"op": "1q", "cells": [cell], "param": "x90"})
+        else:
+            ops.append({"op": "meas", "cells": [cell]})
+    cfg_path, circ_path = tmp_path / "config.json", tmp_path / "circuit.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    circ_path.write_text(json.dumps({"schema_version": 1, "ops": ops}), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg_path), "--circuit", str(circ_path),
+                 "--out", str(tmp_path / "events.jsonl")]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                    for f in ("events.jsonl", "events.report.json"))
+    assert digests == GOLDEN_SIMULATE

@@ -1,6 +1,10 @@
 """Half-filled initialization, global-drive addressability, readout."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trilinear as tl
 from trilinear import protocol as proto
@@ -154,3 +158,56 @@ def test_default_fixture_spacing(lay88):
     fixture = ReadoutFixture.from_spacing(lay88)
     assert fixture.spacing == 4
     assert fixture.upper_axes[0] == 0
+
+
+# ----------------------------------------------------------------------
+# Class index and purity under random op sequences
+
+LAY48_LOOP = tl.map_to_trilinear(tl.GridSpec(4, 8), loop=True)
+HOP_PHASES = PhaseConfig(hop_phase_magnet=0.3, hop_phase_bare=0.7)
+
+
+def _snapshot(state):
+    return copy.deepcopy((state.occupancy, state.position, state.accumulated_phase,
+                          state.compensation, state.rotation_log))
+
+
+def _assert_index_matches_scan(state):
+    for cls in SiteClass:
+        scan = {q for q, s in state.position.items() if site_class(s) is cls}
+        assert state.qubits_on_class(cls) == scan
+
+
+def _step(state, kind, a, b):
+    """Apply one op picked by (kind, a, b); return the next state."""
+    qubit = sorted(state.position)[a % len(state.position)]
+    if kind == "move":
+        free = [s for s in LAY48_LOOP.sites() if state.qubit_at(s) is None]
+        new = state.copy()
+        new._move(qubit, free[b % len(free)], HOP_PHASES)
+        return new
+    if kind == "gate":
+        try:
+            return proto.addressed_single_qubit_gate(state, qubit, f"r{b}", HOP_PHASES)[1]
+        except tl.NoAdjacentEmpty:
+            return state
+    if kind == "esr":
+        return proto.apply_global_esr(state, list(SiteClass)[b % 2], f"r{b}")
+    fixture = ReadoutFixture.from_spacing(LAY48_LOOP, 1 + b % 8)
+    return proto.readout(state, qubit, fixture, phases=HOP_PHASES)[1]
+
+
+@given(st.lists(st.tuples(st.sampled_from(["move", "gate", "esr", "readout"]),
+                          st.integers(0, 255), st.integers(0, 255)), max_size=40))
+@settings(max_examples=80, deadline=None)
+def test_class_index_and_purity_under_random_ops(steps):
+    state = proto.init_half_filled(LAY48_LOOP)
+    _assert_index_matches_scan(state)
+    for kind, a, b in steps:
+        before = _snapshot(state)
+        new = _step(state, kind, a, b)
+        # A copy shares log lists with its input: an in-place append shows here.
+        assert _snapshot(state) == before
+        _assert_index_matches_scan(state)
+        _assert_index_matches_scan(new)
+        state = new
