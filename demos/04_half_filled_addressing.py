@@ -45,4 +45,4 @@ target = state.qubit_at(SiteCoord(Row.UPPER, 2))
 ops, after = proto.readout(state, target, fixture)
 moves = sum(1 for op in ops if op.is_move)
 print(f"readout of qubit {target}: {moves} shuttle moves, "
-      f"sensors at axes {fixture.upper_axes}")
+      f"sensors at axes {fixture.axes}")

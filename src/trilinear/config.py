@@ -18,9 +18,6 @@ from .router import Durations
 from .scheduler import MuxConfig
 from .topology import GridSpec, TrilinearLayout
 
-SCHEMA_VERSION = 1
-
-
 def _expect_mapping(doc, path: str) -> dict:
     if doc is None:
         return {}
@@ -119,7 +116,6 @@ def config_from_json(doc: dict) -> RunConfig:
         two_qubit_gate=_get_int(dur_doc, "two_qubit_gate", 2, "durations"),
         single_qubit_pulse=_get_int(dur_doc, "single_qubit_pulse", 4, "durations"),
         readout=_get_int(dur_doc, "readout", 10, "durations"),
-        idle=_get_int(dur_doc, "idle", 1, "durations"),
         intra_stack_transfer=_get_int(dur_doc, "intra_stack_transfer", 1, "durations"),
     )
 
@@ -152,43 +148,3 @@ def load_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} line {exc.lineno}: {exc.msg}") from exc
     return config_from_json(doc)
-
-
-def config_to_json(config: RunConfig) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "grid": {"rows": config.grid.rows, "cols": config.grid.cols},
-        "pitch_nm": config.pitch_nm,
-        "loop": config.loop,
-        "m_rows": config.m_rows,
-        "mux": {
-            "n_ac_inputs": config.mux.n_ac_inputs,
-            "n_dc_inputs": config.mux.n_dc_inputs,
-            "gates_per_dc_input": config.mux.gates_per_dc_input,
-            "dc_refresh_interval_s": config.mux.dc_refresh_interval_s,
-            "dc_hold_time_s": config.mux.dc_hold_time_s,
-            "readout_coexists_with_shuttle": config.mux.readout_coexists_with_shuttle,
-        },
-        "fidelity": {
-            "f_step": config.fidelity.f_step,
-            "f_transfer": config.fidelity.f_transfer,
-            "f_1q": config.fidelity.f_1q,
-            "f_2q": config.fidelity.f_2q,
-            "f_readout": config.fidelity.f_readout,
-        },
-        "durations": {
-            "horizontal_step": config.durations.horizontal_step,
-            "vertical_transfer": config.durations.vertical_transfer,
-            "two_qubit_gate": config.durations.two_qubit_gate,
-            "single_qubit_pulse": config.durations.single_qubit_pulse,
-            "readout": config.durations.readout,
-            "idle": config.durations.idle,
-            "intra_stack_transfer": config.durations.intra_stack_transfer,
-        },
-        "protocol": {
-            "hop_phase_magnet": config.hop_phase_magnet,
-            "hop_phase_bare": config.hop_phase_bare,
-            **({"set_spacing": config.set_spacing} if config.set_spacing else {}),
-        },
-        "seed": config.seed,
-    }

@@ -147,7 +147,6 @@ class FidelityModel:
             MicroOpKind.SINGLE_QUBIT_PULSE: self.f_1q,
             MicroOpKind.TWO_QUBIT_GATE: self.f_2q,
             MicroOpKind.READOUT: self.f_readout,
-            MicroOpKind.IDLE: 1.0,
         }[kind]
 
 

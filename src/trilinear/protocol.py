@@ -29,7 +29,6 @@ from .router import DEFAULT_DURATIONS, Durations, MicroOp, MicroOpKind, move_op
 from .topology import (
     NO_DEFECTS,
     DefectMap,
-    Row,
     SiteClass,
     SiteCoord,
     TrilinearLayout,
@@ -180,13 +179,13 @@ def addressed_single_qubit_gate(
     new = state.copy()
     ops: list[MicroOp] = []
 
-    ops.append(move_op(layout, home, target, durations))
+    ops.append(move_op(home, target, durations))
     new._move(qubit, target, phases)
 
     ops.append(_pulse_op(SiteClass.BARE, rotation, target, durations))
     new._log_rotation(SiteClass.BARE, rotation)
 
-    ops.append(move_op(layout, target, home, durations))
+    ops.append(move_op(target, home, durations))
     new._move(qubit, home, phases)
 
     return ops, new
@@ -196,12 +195,11 @@ def addressed_single_qubit_gate(
 class ReadoutFixture:
     """Charge-sensor positions along both outer rows.
 
-    Sensors sit at fixed axis positions on each side; a readout shuttles
+    Sensors sit at the same axis positions on each side; a readout shuttles
     the qubit along its own row to the nearest sensor dot.
     """
 
-    upper_axes: tuple[int, ...]
-    lower_axes: tuple[int, ...]
+    axes: tuple[int, ...]
     spacing: int
 
     def __post_init__(self) -> None:
@@ -212,11 +210,7 @@ class ReadoutFixture:
     def from_spacing(cls, layout: TrilinearLayout, spacing: Optional[int] = None) -> "ReadoutFixture":
         if spacing is None:
             spacing = max(1, layout.grid.cols // 2)
-        axes = tuple(range(0, layout.length, spacing))
-        return cls(upper_axes=axes, lower_axes=axes, spacing=spacing)
-
-    def axes_for_row(self, row: Row) -> tuple[int, ...]:
-        return self.upper_axes if row is Row.UPPER else self.lower_axes
+        return cls(axes=tuple(range(0, layout.length, spacing)), spacing=spacing)
 
 
 def readout(
@@ -240,7 +234,7 @@ def readout(
     home = state.position[qubit]
     candidates = [
         SiteCoord(home.row, axis, home.subrow)
-        for axis in fixture.axes_for_row(home.row)
+        for axis in fixture.axes
         if layout.in_bounds(SiteCoord(home.row, axis, home.subrow))
     ]
     usable = [s for s in candidates if not defects.is_dead(s)]
@@ -252,11 +246,11 @@ def readout(
     path = ([home] if home == target
             else router.shortest_shuttle_path(layout, home, target, defects))
     for a, b in zip(path, path[1:]):
-        ops.append(move_op(layout, a, b, durations))
+        ops.append(move_op(a, b, durations))
     ops.append(MicroOp(MicroOpKind.READOUT, (target,), durations.readout))
     back = path[::-1]
     for a, b in zip(back, back[1:]):
-        ops.append(move_op(layout, a, b, durations))
+        ops.append(move_op(a, b, durations))
 
     new = state.copy()
     hop_phase = sum(phases.hop_phase(site_class(s)) for s in path[1:])

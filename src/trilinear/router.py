@@ -44,7 +44,6 @@ class MicroOpKind(Enum):
     TWO_QUBIT_GATE = "two_qubit_gate"
     SINGLE_QUBIT_PULSE = "single_qubit_pulse"
     READOUT = "readout"
-    IDLE = "idle"
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,6 @@ class Durations:
     two_qubit_gate: int = 2
     single_qubit_pulse: int = 4
     readout: int = 10
-    idle: int = 1
     # Sub-row hop inside a stacked outer row (m_rows > 1).
     intra_stack_transfer: int = 1
 
@@ -69,7 +67,7 @@ class MicroOp:
     """One primitive action.
 
     `sites` semantics by kind: moves carry (src, dst); a two-qubit gate
-    carries (mover site, partner site); pulses/readout/idle carry the one
+    carries (mover site, partner site); pulses and readout carry the one
     site they act on. `freq_class` tags single-qubit pulses with the
     resonance class they drive ("magnet" or "bare"); `param` carries the
     rotation for pulses.
@@ -116,7 +114,7 @@ class MicroOp:
         )
 
 
-def move_op(layout: TrilinearLayout, src: SiteCoord, dst: SiteCoord,
+def move_op(src: SiteCoord, dst: SiteCoord,
             durations: Durations = DEFAULT_DURATIONS) -> MicroOp:
     """Move micro-op between two adjacent sites, typed by geometry."""
     if src.row == dst.row and src.subrow == dst.subrow:
@@ -232,17 +230,6 @@ class ShuttlePlan:
             "duration_ticks": self.duration_ticks,
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "ShuttlePlan":
-        return cls(
-            qubit=tuple(doc["qubit"]),
-            ops=tuple(MicroOp.from_obj(o) for o in doc["ops"]),
-            horizontal_steps=int(doc["horizontal_steps"]),
-            vertical_transfers=int(doc["vertical_transfers"]),
-            shuttle_steps=int(doc["shuttle_steps"]),
-            one_way=bool(doc.get("one_way", False)),
-        )
-
 
 def _counts(ops: Iterable[MicroOp]) -> tuple[int, int]:
     h = sum(1 for op in ops if op.kind is MicroOpKind.HORIZONTAL_STEP)
@@ -250,9 +237,8 @@ def _counts(ops: Iterable[MicroOp]) -> tuple[int, int]:
     return h, v
 
 
-def _path_ops(layout: TrilinearLayout, path: list[SiteCoord],
-              durations: Durations) -> list[MicroOp]:
-    return [move_op(layout, a, b, durations) for a, b in zip(path, path[1:])]
+def _path_ops(path: list[SiteCoord], durations: Durations) -> list[MicroOp]:
+    return [move_op(a, b, durations) for a, b in zip(path, path[1:])]
 
 
 def _stack_descent(layout: TrilinearLayout, outer: SiteCoord) -> list[SiteCoord]:
@@ -309,11 +295,11 @@ def gate_shuttle_plan(
         layout, entry, gate_pos, defects, blocked | {partner_site}
     )
 
-    out_ops = _path_ops(layout, descent, durations) + _path_ops(layout, leg, durations)
+    out_ops = _path_ops(descent, durations) + _path_ops(leg, durations)
     gate = MicroOp(MicroOpKind.TWO_QUBIT_GATE, (gate_pos, partner_site),
                    durations.two_qubit_gate)
     back_path = list(reversed(leg)) + list(reversed(descent))[1:]
-    back_ops = _path_ops(layout, back_path, durations)
+    back_ops = _path_ops(back_path, durations)
 
     ops = tuple(out_ops + [gate] + back_ops)
     h, v = _counts(ops)
@@ -436,86 +422,60 @@ class Reconfiguration:
         return not self.repurposed_sites and not self.sacrificed_qubits
 
 
-def _reaches_middle(layout: TrilinearLayout, start: SiteCoord, defects: DefectMap,
-                    fabric: set[SiteCoord]) -> bool:
-    """True if `start` can reach an alive Middle site through free fabric."""
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for nb in layout.site_neighbors(cur):
-            if nb in seen or defects.is_dead(nb) or defects.barrier_dead(cur, nb):
-                continue
-            if nb.row is Row.MIDDLE:
-                return True
-            if nb not in fabric:
-                continue
-            seen.add(nb)
-            queue.append(nb)
-    return False
-
-
-def _alive_components(layout: TrilinearLayout, defects: DefectMap) -> dict[SiteCoord, int]:
-    comp: dict[SiteCoord, int] = {}
-    next_id = 0
-    for site in layout.sites():
-        if defects.is_dead(site) or site in comp:
-            continue
-        comp[site] = next_id
-        queue = deque([site])
-        while queue:
-            cur = queue.popleft()
-            for nb in layout.site_neighbors(cur):
-                if nb in comp or defects.is_dead(nb) or defects.barrier_dead(cur, nb):
-                    continue
-                comp[nb] = next_id
-                queue.append(nb)
-        next_id += 1
-    return comp
-
-
 def reconfigure_for_defects(layout: TrilinearLayout,
                             defects: DefectMap = NO_DEFECTS) -> Reconfiguration:
     """Repurpose outer dots stranded from the Middle row; report the cost.
 
-    An alive outer dot whose every route into the Middle row runs through
-    dead sites, dead barriers, or other qubits' dots cannot shuttle, so it
-    is converted to a shuttling waypoint and its qubit (if the dot was
-    mapped) is sacrificed. Repurposing is computed to a fixpoint since a
-    freed dot can restore access for its neighbors. Raises Unrecoverable
-    when the defects sever the alive lattice between surviving qubits on
-    a non-loop layout.
+    An alive outer dot can shuttle only if it sits on sub-row 0 and both
+    its Middle neighbour and the barrier to it are alive. Every other
+    alive outer dot is converted to a shuttling waypoint and its qubit (if
+    the dot was mapped) is sacrificed. The rule is local: a dot with a
+    live link to the Middle row is never repurposed, so the repurposed
+    dots never offer a way into the Middle row and repurposing one dot
+    cannot restore access for another. On stacked layouts (m_rows > 1)
+    this repurposes every alive dot off sub-row 0, since access to the
+    Middle row through a stack is not modelled. Raises Unrecoverable when
+    the defects sever the alive lattice between surviving qubits.
     """
     defects.validate_against(layout)
-    outer = [s for s in layout.outer_sites() if not defects.is_dead(s)]
     repurposed: set[SiteCoord] = set()
-    changed = True
-    while changed:
-        changed = False
-        for site in outer:
-            if site in repurposed:
-                continue
-            if not _reaches_middle(layout, site, defects, repurposed):
-                repurposed.add(site)
-                changed = True
+    for site in layout.outer_sites():
+        if defects.is_dead(site):
+            continue
+        middle = SiteCoord(Row.MIDDLE, site.axis)
+        if (site.subrow != 0 or defects.is_dead(middle)
+                or defects.barrier_dead(site, middle)):
+            repurposed.add(site)
 
     sacrificed = set()
+    survivors = set()
     for cell in layout.grid.cells():
         site = layout.grid_to_site(cell)
         if defects.is_dead(site) or site in repurposed:
             sacrificed.add(cell)
+        else:
+            survivors.add(site)
 
-    # Survivors must all live in one alive-lattice component.
-    comp = _alive_components(layout, defects)
-    survivor_comps = {
-        comp[layout.grid_to_site(cell)]
-        for cell in layout.grid.cells()
-        if cell not in sacrificed
-    }
-    if len(survivor_comps) > 1:
+    # Survivors must all live in one alive-lattice component: flood the
+    # alive lattice from each survivor not yet reached.
+    components = 0
+    while survivors:
+        components += 1
+        start = survivors.pop()
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            cur = queue.popleft()
+            for nb in layout.site_neighbors(cur):
+                if nb in seen or defects.is_dead(nb) or defects.barrier_dead(cur, nb):
+                    continue
+                seen.add(nb)
+                queue.append(nb)
+        survivors -= seen
+    if components > 1:
         raise Unrecoverable(
             "defects sever the array; surviving qubits span "
-            f"{len(survivor_comps)} disconnected components"
+            f"{components} disconnected components"
         )
 
     return Reconfiguration(

@@ -197,7 +197,7 @@ class Circuit:
                 seen.setdefault(cell)
         return list(seen)
 
-    def validate_against(self, layout: TrilinearLayout, defects: DefectMap = NO_DEFECTS,
+    def validate_against(self, layout: TrilinearLayout,
                          sacrificed: frozenset[Cell] = frozenset()) -> None:
         from .router import rows_compatible
 
@@ -207,8 +207,6 @@ class Circuit:
                     raise CircuitError(f"op {i}: cell {cell} outside grid")
                 if cell in sacrificed:
                     raise CircuitError(f"op {i}: cell {cell} is sacrificed to defects")
-                if defects.is_dead(layout.grid_to_site(cell)):
-                    raise CircuitError(f"op {i}: cell {cell} sits on a dead dot")
             if isinstance(op, TwoQubit):
                 if op.cell_a == op.cell_b:
                     raise UnsupportedPair(f"op {i}: two-qubit op needs distinct cells")
@@ -383,7 +381,7 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     already needs more distinct waveforms than the AC budget.
     """
     recon = reconfigure_for_defects(layout, defects)
-    circuit.validate_against(layout, defects, recon.sacrificed_qubits)
+    circuit.validate_against(layout, recon.sacrificed_qubits)
 
     cells = circuit.cells()
     homes = {cell: layout.grid_to_site(cell) for cell in cells}

@@ -214,9 +214,6 @@ class TrilinearLayout:
             return None
         return (r, c)
 
-    def is_mapped(self, site: SiteCoord) -> bool:
-        return self.site_to_grid(site) is not None
-
     # ------------------------------------------------------------------
     # site lattice
 

@@ -84,3 +84,42 @@ def bfs_distance(g: nx.Graph, a: Node, b: Node):
 def as_node(site) -> Node:
     """Package SiteCoord -> oracle node tuple."""
     return (site.row.value, site.axis, site.subrow)
+
+
+def reconfiguration(rows: int, cols: int, loop: bool = False, m_rows: int = 1,
+                    dead_sites=(), dead_barriers=()):
+    """Stranded dots by their fixed-point definition.
+
+    An alive outer dot is stranded when, in the lattice restricted to that
+    dot, the dots already repurposed and the Middle row, it reaches no
+    Middle node. Stranded dots are repurposed and the search repeats until
+    nothing changes. Returns (repurposed nodes, sacrificed cells, number of
+    alive-lattice components that hold a surviving qubit).
+    """
+    g = site_graph(rows, cols, loop, m_rows, dead_sites, dead_barriers)
+    middle = {n for n in g if n[0] == "M"}
+    outer = sorted(n for n in g if n[0] != "M")
+    repurposed: set[Node] = set()
+    changed = True
+    while changed:
+        changed = False
+        for dot in outer:
+            if dot in repurposed:
+                continue
+            fabric = g.subgraph(middle | repurposed | {dot})
+            if not middle & nx.node_connected_component(fabric, dot):
+                repurposed.add(dot)
+                changed = True
+
+    dead = set(dead_sites)
+    sacrificed = set()
+    survivors = set()
+    for r in range(rows):
+        for c in range(cols):
+            node = expected_site(rows, cols, (r, c), loop, m_rows)
+            if node in dead or node in repurposed:
+                sacrificed.add((r, c))
+            else:
+                survivors.add(node)
+    components = sum(1 for comp in nx.connected_components(g) if comp & survivors)
+    return repurposed, sacrificed, components

@@ -119,7 +119,7 @@ def test_half_filling_preserved_by_protocol_ops(state8):
 # Readout
 
 def test_readout_zero_steps_when_adjacent(state8):
-    fixture = ReadoutFixture(upper_axes=(0,), lower_axes=(0,), spacing=4)
+    fixture = ReadoutFixture(axes=(0,), spacing=4)
     qubit = state8.qubit_at(SiteCoord(Row.UPPER, 0))
     ops, new = proto.readout(state8, qubit, fixture)
     kinds = [op.kind.value for op in ops]
@@ -129,7 +129,7 @@ def test_readout_zero_steps_when_adjacent(state8):
 
 def test_readout_two_steps_each_way(state8):
     fixture = ReadoutFixture.from_spacing(state8.layout, 4)
-    assert fixture.upper_axes == (0, 4)
+    assert fixture.axes == (0, 4)
     qubit = state8.qubit_at(SiteCoord(Row.UPPER, 2))
     ops, new = proto.readout(state8, qubit, fixture)
     steps = [op for op in ops if op.is_move]
@@ -147,7 +147,7 @@ def test_readout_accrues_and_compensates_phase(state8):
 
 
 def test_readout_all_sensors_dead(state8):
-    fixture = ReadoutFixture(upper_axes=(0, 4), lower_axes=(0, 4), spacing=4)
+    fixture = ReadoutFixture(axes=(0, 4), spacing=4)
     dead = DefectMap.of(sites=[SiteCoord(Row.UPPER, 0), SiteCoord(Row.UPPER, 4)])
     qubit = state8.qubit_at(SiteCoord(Row.UPPER, 2))
     with pytest.raises(tl.Partitioned):
@@ -157,7 +157,7 @@ def test_readout_all_sensors_dead(state8):
 def test_default_fixture_spacing(lay88):
     fixture = ReadoutFixture.from_spacing(lay88)
     assert fixture.spacing == 4
-    assert fixture.upper_axes[0] == 0
+    assert fixture.axes[0] == 0
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ import trilinear as tl
 from trilinear.router import MicroOpKind
 from trilinear.topology import DefectMap, Row, SiteCoord
 
-from _oracles import as_node, bfs_distance, site_graph
+from _oracles import as_node, bfs_distance, expected_dims, reconfiguration, site_graph
 
 
 def M(axis):
@@ -262,7 +262,7 @@ def test_dead_vertical_barrier_strands_one_dot(lay88):
 
 def test_full_cut_unrecoverable_and_is_partitioned(lay88):
     cut = DefectMap.of(sites=[SiteCoord(Row.UPPER, 10), M(10), SiteCoord(Row.LOWER, 10)])
-    with pytest.raises(tl.Unrecoverable):
+    with pytest.raises(tl.Unrecoverable, match="span 2 disconnected components"):
         tl.reconfigure_for_defects(lay88, cut)
     with pytest.raises(tl.Partitioned):
         tl.reconfigure_for_defects(lay88, cut)
@@ -278,3 +278,50 @@ def test_full_cut_recoverable_on_loop(lay44_loop):
     }
     assert recon.sacrificed_qubits == mapped_at_cut
     assert 1 <= len(recon.sacrificed_qubits) <= 3
+
+
+def _site(node):
+    row, axis, sub = node
+    return SiteCoord(Row(row), axis, sub)
+
+
+@st.composite
+def defect_layouts(draw):
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(2, 9))
+    m_rows, loop = draw(st.integers(1, min(3, cols))), draw(st.booleans())
+    g = site_graph(rows, cols, loop, m_rows)
+    nodes = sorted(g.nodes)
+    edges = sorted(tuple(sorted(e)) for e in g.edges)
+    dead_sites = set(draw(st.lists(st.sampled_from(nodes), max_size=5)))
+    dead_barriers = set(draw(st.lists(st.sampled_from(edges), max_size=4)))
+    # Only a whole dead column, or every barrier across one axis gap, can
+    # sever the lattice between survivors.
+    length = expected_dims(rows, cols, loop, m_rows)[4]
+    for cut in draw(st.lists(st.integers(0, length - 1), max_size=2)):
+        if draw(st.booleans()):
+            dead_sites |= {n for n in nodes if n[1] == cut}
+        else:
+            gap = {cut, (cut + 1) % length}
+            dead_barriers |= {e for e in edges if {e[0][1], e[1][1]} == gap}
+    return rows, cols, loop, m_rows, sorted(dead_sites), sorted(dead_barriers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(defect_layouts())
+def test_reconfiguration_matches_fixed_point_oracle(case):
+    rows, cols, loop, m_rows, dead_sites, dead_barriers = case
+    layout = tl.map_to_trilinear(tl.GridSpec(rows, cols), loop=loop, m_rows=m_rows)
+    defects = DefectMap.of(
+        sites=[_site(n) for n in dead_sites],
+        barriers=[(_site(a), _site(b)) for a, b in dead_barriers],
+    )
+    repurposed, sacrificed, components = reconfiguration(
+        rows, cols, loop, m_rows, dead_sites, dead_barriers)
+    if components > 1:
+        with pytest.raises(tl.Unrecoverable,
+                           match=f"span {components} disconnected components$"):
+            tl.reconfigure_for_defects(layout, defects)
+        return
+    recon = tl.reconfigure_for_defects(layout, defects)
+    assert {as_node(s) for s in recon.repurposed_sites} == repurposed
+    assert recon.sacrificed_qubits == sacrificed

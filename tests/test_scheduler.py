@@ -271,7 +271,7 @@ def test_one_phase_class_counts_once_across_qubits(lay88):
     sig = frozenset({("shuttle_phase_2", "east")})
     sites = [SiteCoord(Row.MIDDLE, i) for i in range(3)]
     ops = tuple(
-        ScheduledOp((0, i), MicroOp(MicroOpKind.IDLE, (s,)), 0, signals=sig)
+        ScheduledOp((0, i), MicroOp(MicroOpKind.SINGLE_QUBIT_PULSE, (s,)), 0, signals=sig)
         for i, s in enumerate(sites)
     )
     schedule = Schedule(ops=ops, makespan=1,
