@@ -88,13 +88,13 @@ def cmd_schedule(config: RunConfig, args) -> int:
     defects = _load_defects(args.defects, layout)
     circuit = scheduler.circuit_from_json(_load_json_file(args.circuit, "circuit"))
     schedule = scheduler.compile(circuit, layout, defects, config.mux, config.durations)
-    doc = scheduler.schedule_to_json(schedule)
-    doc["seed"] = args.seed if args.seed is not None else config.seed
-    _emit(_dump_json(doc), args.out)
+    seed = args.seed if args.seed is not None else config.seed
+    text, summary = scheduler.schedule_to_json(schedule, seed)
+    _emit(text, args.out)
     summary_path = args.summary
     if summary_path is None and args.out is not None:
         summary_path = str(Path(args.out).with_suffix(".summary.csv"))
-    _emit(scheduler.summary_to_csv(doc["summary"]), summary_path)
+    _emit(scheduler.summary_to_csv(summary), summary_path)
     return 0
 
 

@@ -7,7 +7,7 @@ Validation reports the full field path of the first offending entry, e.g.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -18,11 +18,14 @@ from .router import Durations
 from .scheduler import MuxConfig
 from .topology import GridSpec, TrilinearLayout
 
-def _expect_mapping(doc, path: str) -> dict:
+def _expect_mapping(doc, path: str, *known: str) -> dict:
     if doc is None:
         return {}
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object")
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}: unknown key")
     return doc
 
 
@@ -82,14 +85,17 @@ class RunConfig:
 
 
 def config_from_json(doc: dict) -> RunConfig:
-    doc = _expect_mapping(doc, "config")
-    grid_doc = _expect_mapping(doc.get("grid"), "grid")
+    doc = _expect_mapping(doc, "config", "grid", "pitch_nm", "loop", "m_rows", "mux",
+                          "fidelity", "durations", "protocol", "seed")
+    grid_doc = _expect_mapping(doc.get("grid"), "grid", "rows", "cols")
     grid = GridSpec(
         rows=_get_int(grid_doc, "rows", 8, "grid"),
         cols=_get_int(grid_doc, "cols", 8, "grid", minimum=2),
     )
 
-    mux_doc = _expect_mapping(doc.get("mux"), "mux")
+    mux_doc = _expect_mapping(doc.get("mux"), "mux", "n_ac_inputs", "n_dc_inputs",
+                              "gates_per_dc_input", "dc_refresh_interval_s", "dc_hold_time_s",
+                              "readout_coexists_with_shuttle")
     mux = MuxConfig(
         n_ac_inputs=_get_int(mux_doc, "n_ac_inputs", 8, "mux"),
         n_dc_inputs=_get_int(mux_doc, "n_dc_inputs", 1, "mux"),
@@ -100,26 +106,19 @@ def config_from_json(doc: dict) -> RunConfig:
             mux_doc, "readout_coexists_with_shuttle", True, "mux"),
     )
 
-    fid_doc = _expect_mapping(doc.get("fidelity"), "fidelity")
-    fidelity = FidelityModel(
-        f_step=_get_float(fid_doc, "f_step", 1.0, "fidelity", 0.0, 1.0),
-        f_transfer=_get_float(fid_doc, "f_transfer", 1.0, "fidelity", 0.0, 1.0),
-        f_1q=_get_float(fid_doc, "f_1q", 1.0, "fidelity", 0.0, 1.0),
-        f_2q=_get_float(fid_doc, "f_2q", 1.0, "fidelity", 0.0, 1.0),
-        f_readout=_get_float(fid_doc, "f_readout", 1.0, "fidelity", 0.0, 1.0),
-    )
+    # Every FidelityModel and Durations field is a config key with that default.
+    fid_fields = fields(FidelityModel)
+    fid_doc = _expect_mapping(doc.get("fidelity"), "fidelity", *(f.name for f in fid_fields))
+    fidelity = FidelityModel(**{
+        f.name: _get_float(fid_doc, f.name, f.default, "fidelity", 0.0, 1.0) for f in fid_fields})
 
-    dur_doc = _expect_mapping(doc.get("durations"), "durations")
-    durations = Durations(
-        horizontal_step=_get_int(dur_doc, "horizontal_step", 1, "durations"),
-        vertical_transfer=_get_int(dur_doc, "vertical_transfer", 1, "durations"),
-        two_qubit_gate=_get_int(dur_doc, "two_qubit_gate", 2, "durations"),
-        single_qubit_pulse=_get_int(dur_doc, "single_qubit_pulse", 4, "durations"),
-        readout=_get_int(dur_doc, "readout", 10, "durations"),
-        intra_stack_transfer=_get_int(dur_doc, "intra_stack_transfer", 1, "durations"),
-    )
+    dur_fields = fields(Durations)
+    dur_doc = _expect_mapping(doc.get("durations"), "durations", *(f.name for f in dur_fields))
+    durations = Durations(**{f.name: _get_int(dur_doc, f.name, f.default, "durations")
+                             for f in dur_fields})
 
-    proto_doc = _expect_mapping(doc.get("protocol"), "protocol")
+    proto_doc = _expect_mapping(doc.get("protocol"), "protocol",
+                                "hop_phase_magnet", "hop_phase_bare", "set_spacing")
     set_spacing = proto_doc.get("set_spacing")
     if set_spacing is not None:
         set_spacing = _get_int(proto_doc, "set_spacing", 1, "protocol")

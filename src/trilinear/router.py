@@ -241,7 +241,7 @@ def _path_ops(path: list[SiteCoord], durations: Durations) -> list[MicroOp]:
     return [move_op(a, b, durations) for a, b in zip(path, path[1:])]
 
 
-def _stack_descent(layout: TrilinearLayout, outer: SiteCoord) -> list[SiteCoord]:
+def _stack_descent(outer: SiteCoord) -> list[SiteCoord]:
     """Column of sites from an outer dot down its sub-row stack into Middle."""
     sites = [SiteCoord(outer.row, outer.axis, s) for s in range(outer.subrow, -1, -1)]
     sites.append(SiteCoord(Row.MIDDLE, outer.axis, 0))
@@ -280,13 +280,13 @@ def gate_shuttle_plan(
     if defects.is_dead(mover_site) or defects.is_dead(partner_site):
         raise Partitioned(f"gate endpoint site is dead ({mover}, {partner})")
 
-    descent = _stack_descent(layout, mover_site)
+    descent = _stack_descent(mover_site)
     _check_column(layout, descent, defects, blocked | {partner_site}, skip_first=True)
     entry = descent[-1]
 
     # Gate happens from the partner's inward lattice neighbor; a dead
     # barrier there kills the exchange coupling as well as the transfer.
-    ascent_to_partner = _stack_descent(layout, partner_site)
+    ascent_to_partner = _stack_descent(partner_site)
     gate_pos = ascent_to_partner[1]
     if defects.barrier_dead(gate_pos, partner_site):
         raise Partitioned(f"barrier at the gate site {gate_pos}-{partner_site} is dead")

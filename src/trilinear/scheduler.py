@@ -25,6 +25,7 @@ one class.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -299,12 +300,12 @@ class WaveformUsage:
 def waveform_usage(schedule: Schedule) -> WaveformUsage:
     """Histogram the signals driven each tick; the max distinct count over
     ticks is the schedule's AC-input requirement."""
-    multisets: list[Counter] = [Counter() for _ in range(schedule.makespan)]
+    multisets: list[list[Signal]] = [[] for _ in range(schedule.makespan)]
     for sop in schedule.ops:
         for t in range(sop.start_tick, sop.end_tick):
-            multisets[t].update(sop.signals)
-    per_tick = tuple(tuple(sorted(m.elements())) for m in multisets)
-    distinct = tuple(len(m) for m in multisets)
+            multisets[t] += sop.signals
+    per_tick = tuple(tuple(sorted(m)) for m in multisets)
+    distinct = tuple(len(set(m)) for m in multisets)
     return WaveformUsage(per_tick=per_tick, distinct_per_tick=distinct)
 
 
@@ -697,28 +698,67 @@ def summary_to_csv(summary: dict) -> str:
             "{makespan},{total_shuttle_steps},{max_waveform_classes}\r\n".format_map(summary))
 
 
-def schedule_to_json(schedule: Schedule) -> dict:
-    ticks: dict[int, list[dict]] = defaultdict(list)
-    for sop in schedule.ops:
-        entry = {"qubit": list(sop.qubit), **sop.op.to_obj()}
-        if sop.partner is not None:
-            entry["partner"] = list(sop.partner)
-        ticks[sop.start_tick].append(entry)
+def _dump(obj, depth: int) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) nested `depth` levels deep; exact,
+    as the indent follows each newline and JSON strings hold no raw newline."""
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _block(brackets: str, items: list[str], depth: int) -> str:
+    """A JSON array or object of encoded items, `depth` levels deep."""
+    inner = "\n" + "  " * (depth + 1)
+    return (brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth
+            + brackets[1]) if items else brackets
+
+
+def schedule_to_json(schedule: Schedule, seed: int) -> tuple[str, dict]:
+    """The schedule document as JSON text, plus its `summary` block.
+
+    The text is json.dumps(doc, sort_keys=True, indent=2) + "\\n", written in
+    one pass; with `indent` set that stdlib encoder runs in pure Python. Each
+    distinct cell, site tuple and signal multiset is encoded once per call.
+    """
     usage = waveform_usage(schedule)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "makespan": schedule.makespan,
-        "initial_positions": [
-            {"cell": list(cell), "site": site_to_obj(site)}
-            for cell, site in schedule.initial_positions
-        ],
-        "ticks": [
-            {"tick": t, "ops": ticks[t]} for t in sorted(ticks)
-        ],
-        "waveforms_per_tick": [sorted({signal_str(s) for s in sigs}) for sigs in usage.per_tick],
-        "summary": {
-            "makespan": schedule.makespan,
-            "total_shuttle_steps": schedule.total_horizontal_steps,
-            "max_waveform_classes": usage.max_distinct,
-        },
-    }
+    summary = {"makespan": schedule.makespan, "max_waveform_classes": usage.max_distinct,
+               "total_shuttle_steps": schedule.total_horizontal_steps}
+    # Leaf texts by value. Each type of key sits at one depth only; the one
+    # key two types share, (), is "[]" at any depth.
+    memo: dict = {}
+
+    def leaf(key, make) -> str:
+        return memo.get(key) or memo.setdefault(key, make())
+
+    def flat(values, depth: int) -> str:
+        return _block("[]", [str(x) if type(x) is int else json.dumps(x) for x in values], depth)
+
+    ticks: dict[int, list[str]] = defaultdict(list)
+    for sop in schedule.ops:
+        op = sop.op
+        fields = [f'"duration_ticks": {op.duration_ticks}']
+        if op.freq_class is not None:
+            fields.append(f'"freq_class": {json.dumps(op.freq_class)}')
+        fields.append(f'"kind": {leaf(op.kind, lambda: json.dumps(op.kind.value))}')
+        if op.param is not None:
+            fields.append(f'"param": {_dump(op.param, 5)}')
+        if sop.partner is not None:
+            fields.append(f'"partner": {leaf(sop.partner, lambda: flat(sop.partner, 5))}')
+        fields.append(f'"qubit": {leaf(sop.qubit, lambda: flat(sop.qubit, 5))}')
+        fields.append('"sites": ' + leaf(op.sites, lambda: _block(
+            "[]", [flat(site_to_obj(s), 6) for s in op.sites], 5)))
+        ticks[sop.start_tick].append(_block("{}", fields, 4))
+    return _block("{}", [
+        '"initial_positions": ' + _block("[]", [
+            _block("{}", [f'"cell": {flat(c, 3)}', f'"site": {flat(site_to_obj(s), 3)}'], 2)
+            for c, s in schedule.initial_positions], 1),
+        f'"makespan": {schedule.makespan}',
+        f'"schema_version": {SCHEMA_VERSION}',
+        f'"seed": {seed}',
+        f'"summary": {_dump(summary, 1)}',
+        '"ticks": ' + _block("[]", [
+            _block("{}", [f'"ops": {_block("[]", ticks[t], 3)}', f'"tick": {t}'], 2)
+            for t in sorted(ticks)], 1),
+        '"waveforms_per_tick": ' + _block("[]", [
+            leaf(sigs, lambda: _block("[]", [
+                json.dumps(x) for x in sorted({signal_str(s) for s in sigs})], 2))
+            for sigs in usage.per_tick], 1),
+    ], 0) + "\n", summary

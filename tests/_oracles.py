@@ -123,3 +123,40 @@ def reconfiguration(rows: int, cols: int, loop: bool = False, m_rows: int = 1,
                 survivors.add(node)
     components = sum(1 for comp in nx.connected_components(g) if comp & survivors)
     return repurposed, sacrificed, components
+
+
+def schedule_document(schedule) -> dict:
+    """The schedule JSON document as a dict tree, built field by field.
+
+    json.dumps(doc | {"seed": seed}, sort_keys=True, indent=2) + "\\n" of it is
+    the reference text for the one-pass writer `scheduler.schedule_to_json`.
+    """
+    from collections import defaultdict
+
+    from trilinear.scheduler import SCHEMA_VERSION, signal_str, waveform_usage
+    from trilinear.topology import site_to_obj
+
+    ticks: dict[int, list[dict]] = defaultdict(list)
+    for sop in schedule.ops:
+        entry = {"qubit": list(sop.qubit), **sop.op.to_obj()}
+        if sop.partner is not None:
+            entry["partner"] = list(sop.partner)
+        ticks[sop.start_tick].append(entry)
+    usage = waveform_usage(schedule)
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "makespan": schedule.makespan,
+        "initial_positions": [
+            {"cell": list(cell), "site": site_to_obj(site)}
+            for cell, site in schedule.initial_positions
+        ],
+        "ticks": [
+            {"tick": t, "ops": ticks[t]} for t in sorted(ticks)
+        ],
+        "waveforms_per_tick": [sorted({signal_str(s) for s in sigs}) for sigs in usage.per_tick],
+        "summary": {
+            "makespan": schedule.makespan,
+            "total_shuttle_steps": schedule.total_horizontal_steps,
+            "max_waveform_classes": usage.max_distinct,
+        },
+    }

@@ -10,6 +10,8 @@ import pytest
 
 import trilinear as tl
 from trilinear.cli import main
+from trilinear.config import config_from_json
+from trilinear.errors import ConfigError
 from trilinear.topology import SiteClass, layout_from_json, site_class
 
 
@@ -142,6 +144,39 @@ def test_config_error_is_machine_readable(tmp_path, capsys):
     assert "grid.cols" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"mux": {"n_ac_input": 2}, "durations": {"readuot": 3}}, "mux.n_ac_input: unknown key"),
+    ({"durations": {"readuot": 3}}, "durations.readuot: unknown key"),
+    ({"grid": {"rows": 4, "cols": 4}, "seeed": 1}, "config.seeed: unknown key"),
+    ({"protocol": {"hop_phase": 0.1}}, "protocol.hop_phase: unknown key"),
+])
+def test_config_rejects_unknown_keys(doc, message):
+    with pytest.raises(ConfigError) as info:
+        config_from_json(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"durations": {"readout": 0}}, "durations.readout: must be >= 1, got 0"),
+    ({"durations": {"two_qubit_gate": 1.5}}, "durations.two_qubit_gate: expected an integer, got 1.5"),
+    ({"fidelity": {"f_1q": 2}}, "fidelity.f_1q: must be <= 1.0, got 2.0"),
+])
+def test_config_value_errors_name_the_field(doc, message):
+    with pytest.raises(ConfigError) as info:
+        config_from_json(doc)
+    assert str(info.value) == message
+
+
+def test_config_reads_every_documented_key():
+    config = config_from_json({
+        "fidelity": {"f_step": 0.5, "f_transfer": 0.6, "f_1q": 0.7, "f_2q": 0.8, "f_readout": 0.9},
+        "durations": {"horizontal_step": 2, "vertical_transfer": 3, "two_qubit_gate": 4,
+                      "single_qubit_pulse": 5, "readout": 6, "intra_stack_transfer": 7},
+    })
+    assert config.fidelity == tl.metrics.FidelityModel(0.5, 0.6, 0.7, 0.8, 0.9)
+    assert config.durations == tl.Durations(2, 3, 4, 5, 6, 7)
+
+
 def test_partitioned_route_error_json(cfg, tmp_path, capsys):
     defects = tmp_path / "defects.json"
     defects.write_text(json.dumps({
@@ -193,13 +228,28 @@ GOLDEN_SCHEDULES = {
                "3bedc5051033e36a307522d5a2fb0524963c14ae6c8fbaec8634ba801007dd10"),
     "loop8_dead_middle": ("ff89bff781a88887efc669ccde5557ed12ce733d4a54992a471d2361bee773f1",
                           "058140469d5c3e001ed59c0eeef34e439b305a5fb858b9aa07daad1e56d6f18c"),
+    "loop6x7_mixed_params": ("bc320b062cb7c432db3170a13de0a9cc960e5dd3ea2cfd12740c422b524fc1b3",
+                             "c9d830005be2e9cdd9acd576399890a8de33537f1d7fa443261c7735c8959e9c"),
 }
+
+# 1q params of mixed JSON types, cycled over the 1q ops of the third golden case.
+_MIXED_PARAMS = (0.5, 1e-07, -0.0, 3, True, {"theta": 1.5707963267948966, "axis": "y"},
+                 [1, 2.5, None], 1e+16, "\u03c9/2")
 
 
 def _golden_inputs(name):
     if name == "grid16":
         config = {"grid": {"rows": 16, "cols": 16}}
         return config, _seeded_circuit(random.Random(16), 16, 16, 200), None
+    if name == "loop6x7_mixed_params":
+        config = {"grid": {"rows": 6, "cols": 7}, "loop": True, "seed": 987654321}
+        defects = {"sites": [["M", 10]], "barriers": []}
+        # (2,3) and (3,0) sit next to the dead Middle dot: sacrificed.
+        circuit = _seeded_circuit(random.Random(67), 6, 7, 60, {(2, 3), (3, 0)})
+        ones = [op for op in circuit["ops"] if op["op"] == "1q"]
+        for i, op in enumerate(ones):
+            op["param"] = _MIXED_PARAMS[i % len(_MIXED_PARAMS)]
+        return config, circuit, defects
     config = {"grid": {"rows": 8, "cols": 8}, "loop": True,
               "mux": {"n_ac_inputs": 5, "readout_coexists_with_shuttle": False}}
     defects = {"sites": [["M", 9]], "barriers": []}

@@ -1,8 +1,11 @@
 """Compilation soundness, collision rules, mux budgets, DC refresh."""
 
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import trilinear as tl
 from trilinear import scheduler as sch
@@ -18,7 +21,10 @@ from trilinear.scheduler import (
     validate_schedule,
     waveform_usage,
 )
+from trilinear.errors import TrilinearError
 from trilinear.topology import DefectMap, Row, SiteCoord
+
+from _oracles import schedule_document
 
 
 def compile_ok(circuit, layout, **kw):
@@ -353,3 +359,50 @@ def _random_circuit(rng, layout, n_ops, avoid=frozenset()):
                     ops.append(TwoQubit(a, rng.choice(pool)))
                     break
     return sch.Circuit(tuple(ops))
+
+
+# ----------------------------------------------------------------------
+# Schedule JSON writer against the json.dumps oracle
+
+_SPECIAL_PARAMS = (1e-07, 1e+16, -0.0, float("nan"), float("inf"), 2**70, "x90",
+                   'say "hi" \\ there', "two\nlines\ttab", "\u03c9/2 \U0001f600", "\x00\x1f\x7f")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from(_SPECIAL_PARAMS),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rng_seed=st.integers(0, 2**32), rows=st.integers(2, 5), cols=st.integers(2, 7),
+       loop=st.booleans(), max_dead=st.integers(0, 3), n_ops=st.integers(0, 12),
+       params=st.lists(_JSON, min_size=1, max_size=6),
+       seed=st.integers(-2**70, 2**70) | st.sampled_from((0, 2**63)))
+@example(rng_seed=0, rows=2, cols=2, loop=False, max_dead=0, n_ops=0, params=[None], seed=0)
+def test_schedule_json_matches_json_dumps_oracle(rng_seed, rows, cols, loop, max_dead, n_ops,
+                                                 params, seed):
+    rng = random.Random(rng_seed)
+    layout = tl.map_to_trilinear(tl.GridSpec(rows, cols), loop=loop)
+    defects = _random_defects(rng, layout, max_dead)
+    try:
+        sacrificed = tl.reconfigure_for_defects(layout, defects).sacrificed_qubits
+    except TrilinearError:
+        defects, sacrificed = DefectMap(), frozenset()
+    live = [c for c in layout.grid.cells() if c not in sacrificed]
+    ops = list(_random_circuit(rng, layout, n_ops, sacrificed).ops) if n_ops and live else []
+    # Non-string params of every JSON type, cycled over the 1q ops.
+    ones = [i for i, op in enumerate(ops) if isinstance(op, OneQubit)]
+    for k, i in enumerate(ones):
+        ops[i] = OneQubit(ops[i].cell, params[k % len(params)])
+    try:
+        schedule = sch.compile(sch.Circuit(tuple(ops)), layout, defects)
+    except TrilinearError:  # a pair the defects cut off: keep the 1q and meas ops
+        ops = [op for op in ops if not isinstance(op, TwoQubit)]
+        schedule = sch.compile(sch.Circuit(tuple(ops)), layout, defects)
+    doc = schedule_document(schedule)
+    text, summary = sch.schedule_to_json(schedule, seed)
+    assert text == json.dumps(doc | {"seed": seed}, sort_keys=True, indent=2) + "\n"
+    assert summary == doc["summary"]
+    if not ops:
+        assert '"ticks": []' in text and '"waveforms_per_tick": []' in text
