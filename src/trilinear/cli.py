@@ -88,8 +88,7 @@ def cmd_schedule(config: RunConfig, args) -> int:
     defects = _load_defects(args.defects, layout)
     circuit = scheduler.circuit_from_json(_load_json_file(args.circuit, "circuit"))
     schedule = scheduler.compile(circuit, layout, defects, config.mux, config.durations)
-    seed = args.seed if args.seed is not None else config.seed
-    text, summary = scheduler.schedule_to_json(schedule, seed)
+    text, summary = scheduler.schedule_to_json(schedule, config.seed)
     _emit(text, args.out)
     summary_path = args.summary
     if summary_path is None and args.out is not None:
@@ -275,7 +274,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config)
+        config = load_config(args.config, args.seed)
         return args.func(config, args)
     except ConfigError as exc:
         sys.stderr.write(_dump_json({"error": {"kind": "ConfigError", "message": str(exc)}}))

@@ -138,7 +138,8 @@ def config_from_json(doc: dict) -> RunConfig:
     )
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | Path, seed: Optional[int] = None) -> RunConfig:
+    """Read a config file; a given `seed` overrides the file's, checked alike."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -146,4 +147,6 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} line {exc.lineno}: {exc.msg}") from exc
+    if seed is not None and isinstance(doc, dict):
+        doc = {**doc, "seed": seed}
     return config_from_json(doc)

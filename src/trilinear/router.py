@@ -10,6 +10,10 @@ Routing is occupancy-blind: only dead sites, dead barriers and the sites
 the caller explicitly blocks constrain a path. Collisions between
 concurrently moving qubits are the scheduler's concern.
 
+Path search and the reconfiguration flood run over `layout.lattice`'s
+internal int site ids, whose ascending order is the tie-break; `SiteCoord`
+stays at the API, in JSON and in the schedule validator.
+
 Step accounting: `horizontal_steps` counts HorizontalStep micro-ops only;
 `vertical_transfers` counts row/sub-row transfers; `shuttle_steps` counts
 every move inside the two shuttle legs (detours around dead middle sites
@@ -147,17 +151,14 @@ def _height(site: SiteCoord) -> int:
 # ----------------------------------------------------------------------
 # Shortest paths
 
-# BFS expansion preference: Middle-row travel first, then lower axis.
-_BFS_RANK = {Row.MIDDLE: 0, Row.UPPER: 1, Row.LOWER: 2}
-
-
-def _bfs_key(site: SiteCoord) -> tuple[int, int, int]:
-    return (_BFS_RANK[site.row], site.axis, site.subrow)
-
-
-def usable(layout: TrilinearLayout, site: SiteCoord, defects: DefectMap,
-           blocked: frozenset[SiteCoord] = frozenset()) -> bool:
-    return layout.in_bounds(site) and not defects.is_dead(site) and site not in blocked
+def _defect_ids(layout: TrilinearLayout,
+                defects: DefectMap) -> tuple[set[int], set[tuple[int, int]]]:
+    """Ids of the dead sites, and cut id pairs both ways, inside the layout."""
+    index = layout.lattice.index
+    dead = {index[s] for s in defects.dead_sites if s in index}
+    cut = {(index[a], index[b]) for pair in defects.dead_barriers
+           for a, b in (pair, pair[::-1]) if a in index and b in index}
+    return dead, cut
 
 
 def shortest_shuttle_path(
@@ -180,22 +181,29 @@ def shortest_shuttle_path(
             raise Partitioned(f"path endpoint {end} is unusable")
     if src == dst:
         return [src]
-    parent: dict[SiteCoord, SiteCoord] = {src: src}
-    queue = deque([src])
+    sites, index, neighbors = layout.lattice
+    dead, cut = _defect_ids(layout, defects)
+    start, goal = index[src], index[dst]
+    # parent[i]: -1 unreached, -2 unusable, else the id that reached i.
+    parent = [-1] * len(sites)
+    for i in dead:
+        parent[i] = -2
+    parent[start] = start
+    queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for nb in sorted(layout.site_neighbors(cur), key=_bfs_key):
-            if nb in parent or not usable(layout, nb, defects, blocked):
+        for nb in neighbors[cur]:
+            if parent[nb] != -1 or (cur, nb) in cut:
                 continue
-            if defects.barrier_dead(cur, nb):
+            if blocked and sites[nb] in blocked:
+                parent[nb] = -2
                 continue
             parent[nb] = cur
-            if nb == dst:
-                path = [dst]
-                while path[-1] != src:
+            if nb == goal:
+                path = [goal]
+                while path[-1] != start:
                     path.append(parent[path[-1]])
-                path.reverse()
-                return path
+                return [sites[i] for i in reversed(path)]
             queue.append(nb)
     raise Partitioned(f"no shuttle path from {src} to {dst}")
 
@@ -253,7 +261,7 @@ def _check_column(layout: TrilinearLayout, column: list[SiteCoord], defects: Def
     for i, site in enumerate(column):
         if i == 0 and skip_first:
             continue
-        if not usable(layout, site, defects, blocked):
+        if not layout.in_bounds(site) or defects.is_dead(site) or site in blocked:
             raise Partitioned(f"vertical access through {site} is unusable")
     for a, b in zip(column, column[1:]):
         if defects.barrier_dead(a, b):
@@ -438,40 +446,32 @@ def reconfigure_for_defects(layout: TrilinearLayout,
     the defects sever the alive lattice between surviving qubits.
     """
     defects.validate_against(layout)
-    repurposed: set[SiteCoord] = set()
-    for site in layout.outer_sites():
-        if defects.is_dead(site):
-            continue
-        middle = SiteCoord(Row.MIDDLE, site.axis)
-        if (site.subrow != 0 or defects.is_dead(middle)
-                or defects.barrier_dead(site, middle)):
-            repurposed.add(site)
+    sites, index, neighbors = layout.lattice
+    dead, cut = _defect_ids(layout, defects)
+    # Outer ids follow the Middle row's, and a Middle id is its axis.
+    repurposed = {i for i in range(layout.length, len(sites)) if i not in dead and (
+        sites[i].subrow or sites[i].axis in dead or (i, sites[i].axis) in cut)}
 
-    sacrificed = set()
-    survivors = set()
-    for cell in layout.grid.cells():
-        site = layout.grid_to_site(cell)
-        if defects.is_dead(site) or site in repurposed:
-            sacrificed.add(cell)
-        else:
-            survivors.add(site)
+    homes = {cell: index[layout.grid_to_site(cell)] for cell in layout.grid.cells()}
+    sacrificed = {cell for cell, i in homes.items() if i in dead or i in repurposed}
+    survivors = [i for cell, i in homes.items() if cell not in sacrificed]
 
-    # Survivors must all live in one alive-lattice component: flood the
-    # alive lattice from each survivor not yet reached.
+    # Survivors must share one alive-lattice component: flood from each
+    # survivor not yet reached. Dead sites start out reached.
+    reached = [i in dead for i in range(len(sites))]
     components = 0
-    while survivors:
+    for i in survivors:
+        if reached[i]:
+            continue
         components += 1
-        start = survivors.pop()
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nb in layout.site_neighbors(cur):
-                if nb in seen or defects.is_dead(nb) or defects.barrier_dead(cur, nb):
-                    continue
-                seen.add(nb)
-                queue.append(nb)
-        survivors -= seen
+        reached[i] = True
+        stack = [i]
+        while stack:
+            cur = stack.pop()
+            for nb in neighbors[cur]:
+                if not reached[nb] and (cur, nb) not in cut:
+                    reached[nb] = True
+                    stack.append(nb)
     if components > 1:
         raise Unrecoverable(
             "defects sever the array; surviving qubits span "
@@ -479,6 +479,6 @@ def reconfigure_for_defects(layout: TrilinearLayout,
         )
 
     return Reconfiguration(
-        repurposed_sites=frozenset(repurposed),
+        repurposed_sites=frozenset(sites[i] for i in repurposed),
         sacrificed_qubits=frozenset(sacrificed),
     )

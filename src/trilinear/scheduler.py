@@ -241,21 +241,6 @@ def circuit_from_json(doc) -> Circuit:
     return Circuit(tuple(ops))
 
 
-def circuit_to_json(circuit: Circuit) -> dict:
-    ops = []
-    for op in circuit.ops:
-        if isinstance(op, OneQubit):
-            obj = {"op": "1q", "cells": [list(op.cell)]}
-            if op.rotation is not None:
-                obj["param"] = op.rotation
-        elif isinstance(op, TwoQubit):
-            obj = {"op": "2q", "cells": [list(op.cell_a), list(op.cell_b)]}
-        else:
-            obj = {"op": "meas", "cells": [list(op.cell)]}
-        ops.append(obj)
-    return {"schema_version": SCHEMA_VERSION, "ops": ops}
-
-
 # ----------------------------------------------------------------------
 # Schedules
 
@@ -321,7 +306,7 @@ class _Job:
     op_signals: list[frozenset[Signal]]
     offsets: list[int]
     total_ticks: int
-    corridor: frozenset[SiteCoord]
+    corridor: int   # bitmask over layout.lattice ids
     clashes_parked: bool
     signals_by_tick: list[frozenset[Signal]]
     partner: Optional[Cell] = None
@@ -330,27 +315,25 @@ class _Job:
 
 def _build_job(index: int, owner: Cell, ops: list[MicroOp], layout: TrilinearLayout,
                participants: tuple[Cell, ...], partner: Optional[Cell],
-               homes: dict[Cell, SiteCoord], occupied: set[SiteCoord]) -> _Job:
+               home_bits: dict[Cell, int], occupied: int) -> _Job:
     # Ops run back to back, so each tick carries exactly one op's signals.
     offsets: list[int] = []
     op_signals: list[frozenset[Signal]] = []
     signals_by_tick: list[frozenset[Signal]] = []
     gate_end = None
-    corridor: set[SiteCoord] = set()
+    ids = layout.lattice.index
+    corridor = 0
     for op in ops:
         sigs = signals_for_op(layout, op)
         offsets.append(len(signals_by_tick))
         op_signals.append(sigs)
         signals_by_tick.extend([sigs] * op.duration_ticks)
-        corridor.update(op.sites)
+        for site in op.sites:
+            corridor |= 1 << ids[site]
         if op.kind is MicroOpKind.TWO_QUBIT_GATE:
             gate_end = len(signals_by_tick)
     if partner is not None:
-        corridor.add(homes[partner])
-    # Homes never move and grid_to_site is injective, so the homes of the
-    # qubits idle during this job are the same set at every tick: its clash
-    # with them is fixed once here instead of in every admission check.
-    parked = occupied - {homes[c] for c in participants}
+        corridor |= home_bits[partner]
     return _Job(
         index=index,
         owner=owner,
@@ -359,8 +342,11 @@ def _build_job(index: int, owner: Cell, ops: list[MicroOp], layout: TrilinearLay
         op_signals=op_signals,
         offsets=offsets,
         total_ticks=len(signals_by_tick),
-        corridor=frozenset(corridor),
-        clashes_parked=not parked.isdisjoint(corridor),
+        corridor=corridor,
+        # Homes never move and grid_to_site is injective, so the homes of the
+        # qubits idle during this job are the same set at every tick: its clash
+        # with them is fixed once here instead of in every admission check.
+        clashes_parked=bool(corridor & occupied & ~sum(home_bits[c] for c in participants)),
         signals_by_tick=signals_by_tick,
         partner=partner,
         gate_end_offset=gate_end,
@@ -387,6 +373,8 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     cells = circuit.cells()
     homes = {cell: layout.grid_to_site(cell) for cell in cells}
     occupied = set(homes.values())
+    home_bits = {cell: 1 << layout.lattice.index[site] for cell, site in homes.items()}
+    occupied_bits = sum(home_bits.values())
 
     jobs: list[_Job] = []
     for index, cop in enumerate(circuit.ops):
@@ -396,12 +384,12 @@ def compile(  # noqa: A001 - mirrors re.compile naming
                           durations.single_qubit_pulse,
                           freq_class=site_class(site).value, param=cop.rotation)
             jobs.append(_build_job(index, cop.cell, [mop], layout,
-                                   (cop.cell,), None, homes, occupied))
+                                   (cop.cell,), None, home_bits, occupied_bits))
         elif isinstance(cop, Measure):
             site = homes[cop.cell]
             mop = MicroOp(MicroOpKind.READOUT, (site,), durations.readout)
             jobs.append(_build_job(index, cop.cell, [mop], layout,
-                                   (cop.cell,), None, homes, occupied))
+                                   (cop.cell,), None, home_bits, occupied_bits))
         else:
             blocked = occupied - {homes[cop.cell_a], homes[cop.cell_b]}
             plan = plan_two_qubit(layout, cop.cell_a, cop.cell_b, defects,
@@ -409,7 +397,7 @@ def compile(  # noqa: A001 - mirrors re.compile naming
             mover = plan.qubit
             partner = cop.cell_b if mover == cop.cell_a else cop.cell_a
             jobs.append(_build_job(index, mover, list(plan.ops), layout,
-                                   (mover, partner), partner, homes, occupied))
+                                   (mover, partner), partner, home_bits, occupied_bits))
 
     for job in jobs:
         for op, need in zip(job.ops, job.op_signals):
@@ -438,15 +426,16 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     scheduled: list[ScheduledOp] = []
     # Active jobs: index -> (start, partner_release_tick, end_tick)
     active: dict[int, tuple[int, Optional[int], int]] = {}
-    active_corridor: set[SiteCoord] = set()
-    corridor_refs: Counter = Counter()
+    # Admission keeps active corridors pairwise disjoint, so one mask holds
+    # them all and a job's end clears exactly its own bits.
+    active_corridor = 0
 
     def _admissible(job: _Job, t: int) -> bool:
         if serialize and active:
             return False
         if job.clashes_parked or not _ready(job):
             return False
-        if not job.corridor.isdisjoint(active_corridor):
+        if job.corridor & active_corridor:
             return False
         for off in range(job.total_ticks):
             new = job.signals_by_tick[off]
@@ -458,6 +447,7 @@ def compile(  # noqa: A001 - mirrors re.compile naming
         return True
 
     def _commit(job: _Job, t: int) -> None:
+        nonlocal active_corridor
         for op, sigs, off in zip(job.ops, job.op_signals, job.offsets):
             partner = job.partner if op.kind is MicroOpKind.TWO_QUBIT_GATE else None
             scheduled.append(ScheduledOp(
@@ -469,9 +459,7 @@ def compile(  # noqa: A001 - mirrors re.compile naming
                 tick_signals[t + off] |= sigs
         release = t + job.gate_end_offset if job.gate_end_offset is not None else None
         active[job.index] = (t, release, t + job.total_ticks)
-        for site in job.corridor:
-            corridor_refs[site] += 1
-        active_corridor.update(job.corridor)
+        active_corridor |= job.corridor
 
     def _pop(cell: Cell, index: int) -> None:
         if queues[cell][heads[cell]] == index:
@@ -501,10 +489,7 @@ def compile(  # noqa: A001 - mirrors re.compile naming
                 _pop(job.owner, idx)
                 if job.partner is not None and active[idx][1] is not None:
                     _pop(job.partner, idx)
-                for site in job.corridor:
-                    corridor_refs[site] -= 1
-                    if corridor_refs[site] == 0:
-                        active_corridor.discard(site)
+                active_corridor &= ~job.corridor
                 del active[idx]
 
     makespan = max((s.end_tick for s in scheduled), default=0)

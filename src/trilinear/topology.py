@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import InvalidGrid, InvalidSite
 
@@ -118,6 +118,14 @@ def neighbors_2d(grid: GridSpec, cell: Cell) -> list[Cell]:
     return out
 
 
+class Lattice(NamedTuple):
+    """A layout's sites by dense int id, and each site's neighbour ids."""
+
+    sites: tuple[SiteCoord, ...]
+    index: dict[SiteCoord, int]
+    neighbors: tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class TrilinearLayout:
     """Three-row shuttling layout for a 2D qubit grid.
@@ -168,10 +176,6 @@ class TrilinearLayout:
         if self.loop:
             return max(self.upper_len, self.lower_len)
         return max(self.upper_len, self.lower_len + self.shift)
-
-    @property
-    def length_nm(self) -> float:
-        return self.length * self.pitch_nm
 
     # ------------------------------------------------------------------
     # cell <-> site mapping
@@ -236,10 +240,6 @@ class TrilinearLayout:
             if site.row is not Row.MIDDLE:
                 yield site
 
-    def middle_sites(self) -> Iterator[SiteCoord]:
-        for axis in range(self.length):
-            yield SiteCoord(Row.MIDDLE, axis)
-
     def step_axis(self, axis: int, delta: int) -> Optional[int]:
         """Axis one step over; wraps on loops, None off a non-loop end."""
         nxt = axis + delta
@@ -276,6 +276,29 @@ class TrilinearLayout:
 
     def adjacent(self, a: SiteCoord, b: SiteCoord) -> bool:
         return b in self.site_neighbors(a)
+
+    @cached_property
+    def lattice(self) -> Lattice:
+        """Sites by dense int id in the router's tie-break order (Middle, where
+        id = axis, then Upper, then Lower; each by axis, then sub-row), and
+        each site's `site_neighbors` as ascending ids."""
+        n, m = self.length, self.m_rows
+        along = [sorted({self.step_axis(a, d) for d in (-1, 1)} - {a, None}) for a in range(n)]
+        sites, neighbors = [], []
+        for row, base, subrows in ((Row.MIDDLE, 0, 1), (Row.UPPER, n, m),
+                                   (Row.LOWER, n + n * m, m)):
+            for axis in range(n):
+                for sub in range(subrows):
+                    sites.append(SiteCoord(row, axis, sub))
+                    nbs = [base + a * subrows + sub for a in along[axis]]
+                    if row is Row.MIDDLE:
+                        nbs += (n + axis * m, n + n * m + axis * m)
+                    else:
+                        nbs.append(base + axis * m + sub - 1 if sub else axis)
+                        if sub + 1 < m:
+                            nbs.append(base + axis * m + sub + 1)
+                    neighbors.append(tuple(sorted(nbs)))
+        return Lattice(tuple(sites), {s: i for i, s in enumerate(sites)}, tuple(neighbors))
 
 
 def map_to_trilinear(

@@ -7,7 +7,13 @@ oracle agreement is a genuine two-route check.
 
 from __future__ import annotations
 
+from collections import deque
+from typing import Iterable
+
 import networkx as nx
+
+from trilinear.errors import InvalidSite, Partitioned
+from trilinear.topology import NO_DEFECTS, DefectMap, Row, SiteCoord, TrilinearLayout
 
 Node = tuple[str, int, int]  # (row char, axis, subrow)
 
@@ -160,3 +166,62 @@ def schedule_document(schedule) -> dict:
             "max_waveform_classes": usage.max_distinct,
         },
     }
+
+
+# ----------------------------------------------------------------------
+# Reference shortest path over SiteCoord keys
+
+# BFS expansion preference: Middle-row travel first, then lower axis.
+_BFS_RANK = {Row.MIDDLE: 0, Row.UPPER: 1, Row.LOWER: 2}
+
+
+def bfs_key(site: SiteCoord) -> tuple[int, int, int]:
+    return (_BFS_RANK[site.row], site.axis, site.subrow)
+
+
+def usable(layout: TrilinearLayout, site: SiteCoord, defects: DefectMap,
+           blocked: frozenset[SiteCoord] = frozenset()) -> bool:
+    return layout.in_bounds(site) and not defects.is_dead(site) and site not in blocked
+
+
+def shortest_shuttle_path(
+    layout: TrilinearLayout,
+    src: SiteCoord,
+    dst: SiteCoord,
+    defects: DefectMap = NO_DEFECTS,
+    blocked: Iterable[SiteCoord] = (),
+) -> list[SiteCoord]:
+    """Minimum-step site path from src to dst over usable sites.
+
+    The per-node SiteCoord BFS the router used before its integer site ids:
+    neighbours come from `layout.site_neighbors`, sorted by `bfs_key`, and
+    each is tested against the defects and the blocked set when reached.
+    `router.shortest_shuttle_path` must return the identical path, or raise
+    the same error.
+    """
+    blocked = frozenset(blocked)
+    for end in (src, dst):
+        if not layout.in_bounds(end):
+            raise InvalidSite(f"path endpoint {end} outside layout")
+        if defects.is_dead(end) or end in blocked:
+            raise Partitioned(f"path endpoint {end} is unusable")
+    if src == dst:
+        return [src]
+    parent: dict[SiteCoord, SiteCoord] = {src: src}
+    queue = deque([src])
+    while queue:
+        cur = queue.popleft()
+        for nb in sorted(layout.site_neighbors(cur), key=bfs_key):
+            if nb in parent or not usable(layout, nb, defects, blocked):
+                continue
+            if defects.barrier_dead(cur, nb):
+                continue
+            parent[nb] = cur
+            if nb == dst:
+                path = [dst]
+                while path[-1] != src:
+                    path.append(parent[path[-1]])
+                path.reverse()
+                return path
+            queue.append(nb)
+    raise Partitioned(f"no shuttle path from {src} to {dst}")

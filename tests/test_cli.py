@@ -80,6 +80,27 @@ def test_schedule_empty_circuit(cfg, tmp_path):
     assert json.loads(out.read_text())["summary"]["makespan"] == 0
 
 
+def test_cli_seed_is_checked_like_the_config_seed(tmp_path, capsys):
+    """--seed -5 was written to the schedule while "seed": -5 in the config
+    exits 1; both now fail the one check, and a valid --seed still wins."""
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"ops": []}), encoding="utf-8")
+    out = tmp_path / "sched.json"
+    errors = []
+    for seed_in_config, argv_seed in ((-5, []), (3, ["--seed", "-5"])):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"grid": {"rows": 4, "cols": 4}, "seed": seed_in_config}),
+                       encoding="utf-8")
+        argv = ["schedule", "--config", str(cfg), "--circuit", str(empty), "--out", str(out)]
+        assert main(argv + argv_seed) == 1
+        errors.append(json.loads(capsys.readouterr().err))
+        assert not out.exists()
+    assert errors[0] == errors[1] == {
+        "error": {"kind": "ConfigError", "message": "config.seed: must be >= 0, got -5"}}
+    assert main(argv + ["--seed", "7"]) == 0
+    assert json.loads(out.read_text())["seed"] == 7
+
+
 def test_simulate_event_log_and_report(cfg, tmp_path):
     circ = tmp_path / "circ.json"
     # (0,0) maps to an even-axis (magnet) dot, so it hosts a qubit.

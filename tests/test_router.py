@@ -11,6 +11,7 @@ from trilinear.router import MicroOpKind
 from trilinear.topology import DefectMap, Row, SiteCoord
 
 from _oracles import as_node, bfs_distance, expected_dims, reconfiguration, site_graph
+from _oracles import shortest_shuttle_path as reference_path
 
 
 def M(axis):
@@ -80,6 +81,45 @@ def test_path_length_equals_bfs_oracle(dims, loop, seed):
         for a, b in zip(path, path[1:]):
             assert lay.adjacent(a, b)
             assert not defects.barrier_dead(a, b)
+
+
+@st.composite
+def path_queries(draw):
+    """A layout (loop or not, odd C, m_rows 1-3, degenerate loops included),
+    two endpoints that may coincide or lie outside the layout, up to 4 dead
+    sites and 3 dead barriers, and a random blocked set."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(2, 9))
+    m_rows, loop = draw(st.integers(1, min(3, cols))), draw(st.booleans())
+    lay = tl.map_to_trilinear(tl.GridSpec(rows, cols), loop=loop, m_rows=m_rows)
+    sites = sorted(lay.sites(), key=tl.topology.site_key)
+    ends = sites + [SiteCoord(Row.MIDDLE, lay.length), SiteCoord(Row.UPPER, 0, m_rows)]
+    src = draw(st.sampled_from(ends))
+    dst = draw(st.sampled_from(ends + [src]))
+    # Mostly keep the endpoints usable, so that most queries search.
+    inner = [s for s in sites if s not in (src, dst)] or sites
+    dead = draw(st.lists(st.sampled_from(inner), max_size=4))
+    blocked = draw(st.lists(st.sampled_from(inner), max_size=len(sites) // 3))
+    if draw(st.integers(0, 9)) == 4:
+        draw(st.sampled_from([dead, blocked])).append(draw(st.sampled_from([src, dst])))
+    barriers = [(a, draw(st.sampled_from(lay.site_neighbors(a))))
+                for a in draw(st.lists(st.sampled_from(sites), max_size=3))]
+    return lay, src, dst, DefectMap.of(sites=dead, barriers=barriers), blocked
+
+
+def _path_or_error(search, *args):
+    try:
+        return search(*args)
+    except (tl.Partitioned, tl.InvalidSite) as exc:
+        return type(exc), str(exc)
+
+
+@given(path_queries())
+@settings(max_examples=400, deadline=None)
+def test_path_identical_to_reference_bfs(query):
+    """The router returns exactly the path of the reference SiteCoord BFS
+    (same tie-breaks), or raises the same error with the same message."""
+    assert (_path_or_error(tl.shortest_shuttle_path, *query)
+            == _path_or_error(reference_path, *query))
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import dataclasses
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trilinear as tl
@@ -19,7 +19,7 @@ from trilinear.topology import (
     site_to_obj,
 )
 
-from _oracles import expected_site
+from _oracles import bfs_key, expected_site
 
 
 def test_2x2_mapping():
@@ -56,7 +56,7 @@ def test_round_trip_all_cells_4x4(lay44):
 
 
 def test_middle_row_never_mapped(lay44):
-    for site in lay44.middle_sites():
+    for site in (SiteCoord(Row.MIDDLE, a) for a in range(lay44.length)):
         assert lay44.site_to_grid(site) is None
 
 
@@ -106,6 +106,26 @@ def test_mapping_matches_definition(dims, loop, m):
         site = lay.grid_to_site(cell)
         assert (site.row.value, site.axis, site.subrow) == expected_site(
             rows, cols, cell, loop, m)
+
+
+@given(dims=grids, loop=st.booleans(), m=st.integers(1, 3))
+@example(dims=(1, 2), loop=True, m=2)    # length 1: both axis steps land on the site
+@example(dims=(1, 2), loop=False, m=2)
+@example(dims=(1, 2), loop=True, m=1)    # length 2: both axis steps land on one site
+@example(dims=(2, 2), loop=True, m=1)
+@settings(max_examples=120, deadline=None)
+def test_lattice_table_matches_site_neighbors(dims, loop, m):
+    """Ids number the sites in the router's tie-break order, and each id's
+    neighbour tuple is site_neighbors in that order, self-steps and repeats
+    dropped."""
+    rows, cols = dims
+    lay = tl.map_to_trilinear(tl.GridSpec(rows, cols), loop=loop, m_rows=min(m, cols))
+    lattice = lay.lattice
+    assert list(lattice.sites) == sorted(lay.sites(), key=bfs_key)
+    assert lattice.index == {site: i for i, site in enumerate(lattice.sites)}
+    assert len(lattice.neighbors) == len(lattice.sites)
+    for site, nbs in zip(lattice.sites, lattice.neighbors):
+        assert [lattice.sites[i] for i in nbs] == sorted(lay.site_neighbors(site), key=bfs_key)
 
 
 @given(dims=st.tuples(st.integers(2, 12), st.integers(2, 12)))
