@@ -94,14 +94,18 @@ def config_from_json(doc: dict) -> RunConfig:
     )
 
     mux_doc = _expect_mapping(doc.get("mux"), "mux", "n_ac_inputs", "n_dc_inputs",
-                              "gates_per_dc_input", "dc_refresh_interval_s", "dc_hold_time_s",
+                              "dc_refresh_interval_s", "dc_hold_time_s",
                               "readout_coexists_with_shuttle")
+    refresh = _get_float(mux_doc, "dc_refresh_interval_s", 1.0, "mux", minimum=1e-12)
+    hold = _get_float(mux_doc, "dc_hold_time_s", 3600.0, "mux", minimum=1e-12)
+    if hold <= refresh:
+        raise ConfigError(f"mux.dc_hold_time_s: must exceed mux.dc_refresh_interval_s "
+                          f"({refresh}), got {hold}")
     mux = MuxConfig(
         n_ac_inputs=_get_int(mux_doc, "n_ac_inputs", 8, "mux"),
         n_dc_inputs=_get_int(mux_doc, "n_dc_inputs", 1, "mux"),
-        gates_per_dc_input=_get_int(mux_doc, "gates_per_dc_input", 256, "mux"),
-        dc_refresh_interval_s=_get_float(mux_doc, "dc_refresh_interval_s", 1.0, "mux", minimum=1e-12),
-        dc_hold_time_s=_get_float(mux_doc, "dc_hold_time_s", 3600.0, "mux", minimum=1e-12),
+        dc_refresh_interval_s=refresh,
+        dc_hold_time_s=hold,
         readout_coexists_with_shuttle=_get_bool(
             mux_doc, "readout_coexists_with_shuttle", True, "mux"),
     )
@@ -123,11 +127,14 @@ def config_from_json(doc: dict) -> RunConfig:
     if set_spacing is not None:
         set_spacing = _get_int(proto_doc, "set_spacing", 1, "protocol")
 
+    m_rows = _get_int(doc, "m_rows", 1, "config")
+    if m_rows > grid.cols:
+        raise ConfigError(f"config.m_rows: must be <= grid.cols ({grid.cols}), got {m_rows}")
     return RunConfig(
         grid=grid,
         pitch_nm=_get_float(doc, "pitch_nm", 100.0, "config", minimum=1e-9),
         loop=_get_bool(doc, "loop", False, "config"),
-        m_rows=_get_int(doc, "m_rows", 1, "config"),
+        m_rows=m_rows,
         mux=mux,
         fidelity=fidelity,
         durations=durations,

@@ -48,10 +48,6 @@ class ScalingPoint:
     def length_one_way_um(self) -> float:
         return self.steps_one_way * self.pitch_nm / 1000.0
 
-    @property
-    def length_round_trip_um(self) -> float:
-        return self.steps_round_trip * self.pitch_nm / 1000.0
-
 
 def _ceil_root(n: int, power: int) -> int:
     """Smallest r with r**power >= n."""

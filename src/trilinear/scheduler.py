@@ -17,10 +17,12 @@ The corridor reservation makes the loop deadlock-free and keeps movers
 from ever colliding; the independent validator re-derives all rules from
 the schedule alone.
 
-Waveform accounting: all conveyor movement in one direction shares one set
-of four phased signals no matter how many qubits ride it; movement in the
-opposite direction needs its own set. Gates, drives and readout each add
-one class.
+Waveform accounting: a signal is the name the schedule JSON prints for it.
+All conveyor movement in one direction shares one fixed set of four phased
+signals no matter how many qubits ride it; movement in the opposite
+direction needs its own set. Gates, drives and readout each add one class.
+The distinct signals live in a tick must fit the AC inputs, and one rule,
+`_mux_problems`, decides that for both compile and the validator.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Union
 
 from .errors import CircuitError, MuxInfeasible, UnsupportedPair
@@ -56,49 +57,25 @@ from .topology import (
 SCHEMA_VERSION = 1
 
 
-class WaveformClass(Enum):
-    SHUTTLE_PHASE_1 = "shuttle_phase_1"
-    SHUTTLE_PHASE_2 = "shuttle_phase_2"
-    SHUTTLE_PHASE_3 = "shuttle_phase_3"
-    SHUTTLE_PHASE_4 = "shuttle_phase_4"
-    ONE_QUBIT_DRIVE = "one_qubit_drive"
-    TWO_QUBIT_PULSE = "two_qubit_pulse"
-    READOUT_PULSE = "readout_pulse"
+# A signal is its JSON name, e.g. "shuttle_phase_1@east" or "readout_pulse".
+Signal = str
 
-
-SHUTTLE_PHASES = (
-    WaveformClass.SHUTTLE_PHASE_1,
-    WaveformClass.SHUTTLE_PHASE_2,
-    WaveformClass.SHUTTLE_PHASE_3,
-    WaveformClass.SHUTTLE_PHASE_4,
-)
-
-# A signal is a waveform class plus a direction tag; conveyor phases moving
-# the other way are distinct signals, everything else carries an empty tag.
-Signal = tuple[str, str]
-
-
-def signal_str(sig: Signal) -> str:
-    cls, direction = sig
-    return f"{cls}@{direction}" if direction else cls
+# Every micro-op drives one of these seven fixed sets while active.
+_MOVE_SIGNALS = {direction: frozenset(f"shuttle_phase_{k}@{direction}" for k in range(1, 5))
+                 for direction in ("east", "west", "up", "down")}
+_PULSE_SIGNALS = {
+    MicroOpKind.TWO_QUBIT_GATE: frozenset({"two_qubit_pulse"}),
+    MicroOpKind.SINGLE_QUBIT_PULSE: frozenset({"one_qubit_drive"}),
+    MicroOpKind.READOUT: frozenset({"readout_pulse"}),
+}
+_SHUTTLE_SIGNALS = frozenset().union(*_MOVE_SIGNALS.values())
 
 
 def signals_for_op(layout: TrilinearLayout, op: MicroOp) -> frozenset[Signal]:
     """Distinct AC signals a micro-op drives while active."""
     if op.is_move:
-        direction = move_direction(layout, op)
-        return frozenset((p.value, direction) for p in SHUTTLE_PHASES)
-    if op.kind is MicroOpKind.TWO_QUBIT_GATE:
-        return frozenset({(WaveformClass.TWO_QUBIT_PULSE.value, "")})
-    if op.kind is MicroOpKind.SINGLE_QUBIT_PULSE:
-        return frozenset({(WaveformClass.ONE_QUBIT_DRIVE.value, "")})
-    if op.kind is MicroOpKind.READOUT:
-        return frozenset({(WaveformClass.READOUT_PULSE.value, "")})
-    return frozenset()
-
-
-def _is_shuttle_signal(sig: Signal) -> bool:
-    return sig[0].startswith("shuttle_phase_")
+        return _MOVE_SIGNALS[move_direction(layout, op)]
+    return _PULSE_SIGNALS[op.kind]
 
 
 @dataclass(frozen=True)
@@ -112,13 +89,12 @@ class MuxConfig:
 
     n_ac_inputs: int = 8
     n_dc_inputs: int = 1
-    gates_per_dc_input: int = 256
     dc_refresh_interval_s: float = 1.0
     dc_hold_time_s: float = 3600.0
     readout_coexists_with_shuttle: bool = True
 
     def __post_init__(self) -> None:
-        if min(self.n_ac_inputs, self.n_dc_inputs, self.gates_per_dc_input) < 1:
+        if min(self.n_ac_inputs, self.n_dc_inputs) < 1:
             raise CircuitError("mux input counts must be positive")
         if self.dc_refresh_interval_s <= 0:
             raise CircuitError("dc_refresh_interval_s must be positive")
@@ -127,6 +103,17 @@ class MuxConfig:
 
 
 DEFAULT_MUX = MuxConfig()
+
+
+def _mux_problems(live: set[Signal], mux: MuxConfig) -> list[str]:
+    """How the signals live in one tick break the AC budget (empty if they fit)."""
+    problems = []
+    if len(live) > mux.n_ac_inputs:
+        problems.append(f"{len(live)} distinct waveforms driven, budget {mux.n_ac_inputs}")
+    if (not mux.readout_coexists_with_shuttle and "readout_pulse" in live
+            and not live.isdisjoint(_SHUTTLE_SIGNALS)):
+        problems.append("readout pulse shares a tick with shuttling")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -272,26 +259,27 @@ class Schedule:
 
 @dataclass(frozen=True)
 class WaveformUsage:
-    """Per-tick histogram of driven signals."""
+    """The distinct signals driven at each tick."""
 
-    per_tick: tuple[tuple[Signal, ...], ...]   # multiset per tick, sorted
-    distinct_per_tick: tuple[int, ...]
+    per_tick: tuple[frozenset[Signal], ...]
+
+    @property
+    def distinct_per_tick(self) -> tuple[int, ...]:
+        return tuple(map(len, self.per_tick))
 
     @property
     def max_distinct(self) -> int:
-        return max(self.distinct_per_tick, default=0)
+        return max(map(len, self.per_tick), default=0)
 
 
 def waveform_usage(schedule: Schedule) -> WaveformUsage:
-    """Histogram the signals driven each tick; the max distinct count over
-    ticks is the schedule's AC-input requirement."""
-    multisets: list[list[Signal]] = [[] for _ in range(schedule.makespan)]
+    """The signals driven each tick; the max distinct count over ticks is the
+    schedule's AC-input requirement."""
+    per_tick: list[set[Signal]] = [set() for _ in range(schedule.makespan)]
     for sop in schedule.ops:
         for t in range(sop.start_tick, sop.end_tick):
-            multisets[t] += sop.signals
-    per_tick = tuple(tuple(sorted(m)) for m in multisets)
-    distinct = tuple(len(set(m)) for m in multisets)
-    return WaveformUsage(per_tick=per_tick, distinct_per_tick=distinct)
+            per_tick[t] |= sop.signals
+    return WaveformUsage(per_tick=tuple(map(frozenset, per_tick)))
 
 
 # ----------------------------------------------------------------------
@@ -416,12 +404,6 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     def _ready(job: _Job) -> bool:
         return all(queues[c][heads[c]] == job.index for c in job.participants)
 
-    def _coexistence_ok(sigs: set[Signal]) -> bool:
-        if mux.readout_coexists_with_shuttle:
-            return True
-        has_readout = any(s[0] == WaveformClass.READOUT_PULSE.value for s in sigs)
-        return not (has_readout and any(_is_shuttle_signal(s) for s in sigs))
-
     tick_signals: dict[int, set[Signal]] = defaultdict(set)
     scheduled: list[ScheduledOp] = []
     # Active jobs: index -> (start, partner_release_tick, end_tick)
@@ -437,12 +419,8 @@ def compile(  # noqa: A001 - mirrors re.compile naming
             return False
         if job.corridor & active_corridor:
             return False
-        for off in range(job.total_ticks):
-            new = job.signals_by_tick[off]
-            if not new:
-                continue
-            merged = tick_signals.get(t + off, set()) | new
-            if len(merged) > mux.n_ac_inputs or not _coexistence_ok(merged):
+        for off, new in enumerate(job.signals_by_tick):
+            if _mux_problems(tick_signals.get(t + off, set()) | new, mux):
                 return False
         return True
 
@@ -455,8 +433,7 @@ def compile(  # noqa: A001 - mirrors re.compile naming
                 signals=sigs,
             ))
         for off, sigs in enumerate(job.signals_by_tick):
-            if sigs:
-                tick_signals[t + off] |= sigs
+            tick_signals[t + off] |= sigs
         release = t + job.gate_end_offset if job.gate_end_offset is not None else None
         active[job.index] = (t, release, t + job.total_ticks)
         active_corridor |= job.corridor
@@ -658,17 +635,7 @@ def validate_schedule(
             for sig in sigs:
                 running[sig] += sign
         live = {sig for sig, count in running.items() if count > 0}
-        if not live:
-            continue
-        if len(live) > mux.n_ac_inputs:
-            violations.append(Violation(
-                "mux", t0,
-                f"{len(live)} distinct waveforms driven, budget {mux.n_ac_inputs}"))
-        if not mux.readout_coexists_with_shuttle:
-            has_ro = any(s[0] == WaveformClass.READOUT_PULSE.value for s in live)
-            if has_ro and any(_is_shuttle_signal(s) for s in live):
-                violations.append(Violation(
-                    "mux", t0, "readout pulse shares a tick with shuttling"))
+        violations.extend(Violation("mux", t0, msg) for msg in _mux_problems(live, mux))
 
     violations.sort(key=lambda v: (v.tick, v.kind, v.message))
     return violations
@@ -706,8 +673,7 @@ def schedule_to_json(schedule: Schedule, seed: int) -> tuple[str, dict]:
     usage = waveform_usage(schedule)
     summary = {"makespan": schedule.makespan, "max_waveform_classes": usage.max_distinct,
                "total_shuttle_steps": schedule.total_horizontal_steps}
-    # Leaf texts by value. Each type of key sits at one depth only; the one
-    # key two types share, (), is "[]" at any depth.
+    # Leaf texts by value. Each type of key sits at one depth only.
     memo: dict = {}
 
     def leaf(key, make) -> str:
@@ -744,6 +710,6 @@ def schedule_to_json(schedule: Schedule, seed: int) -> tuple[str, dict]:
             for t in sorted(ticks)], 1),
         '"waveforms_per_tick": ' + _block("[]", [
             leaf(sigs, lambda: _block("[]", [
-                json.dumps(x) for x in sorted({signal_str(s) for s in sigs})], 2))
+                json.dumps(x) for x in sorted(sigs)], 2))
             for sigs in usage.per_tick], 1),
     ], 0) + "\n", summary

@@ -139,7 +139,7 @@ def schedule_document(schedule) -> dict:
     """
     from collections import defaultdict
 
-    from trilinear.scheduler import SCHEMA_VERSION, signal_str, waveform_usage
+    from trilinear.scheduler import SCHEMA_VERSION, waveform_usage
     from trilinear.topology import site_to_obj
 
     ticks: dict[int, list[dict]] = defaultdict(list)
@@ -159,13 +159,48 @@ def schedule_document(schedule) -> dict:
         "ticks": [
             {"tick": t, "ops": ticks[t]} for t in sorted(ticks)
         ],
-        "waveforms_per_tick": [sorted({signal_str(s) for s in sigs}) for sigs in usage.per_tick],
+        "waveforms_per_tick": [sorted(sigs) for sigs in usage.per_tick],
         "summary": {
             "makespan": schedule.makespan,
             "total_shuttle_steps": schedule.total_horizontal_steps,
             "max_waveform_classes": usage.max_distinct,
         },
     }
+
+
+_PULSE_SIGNAL = {"two_qubit_gate": "two_qubit_pulse", "single_qubit_pulse": "one_qubit_drive",
+                 "readout": "readout_pulse"}
+_HEIGHT_BASE = {"U": 1, "M": 0, "L": -1}
+
+
+def tick_signal_names(schedule, layout) -> list[list[str]]:
+    """Sorted AC signal names driven at each tick below the makespan.
+
+    Derived from the micro-ops alone: a pulse drives its one class; a move
+    drives the four conveyor phases of its direction, east/west along the
+    axis (one step forward, modulo the loop length, is east) and up/down by
+    row height (an outer sub-row sits one level further from Middle).
+    """
+    _, _, _, _, length = expected_dims(layout.grid.rows, layout.grid.cols,
+                                       layout.loop, layout.m_rows)
+    per_tick: list[set[str]] = [set() for _ in range(schedule.makespan)]
+    for sop in schedule.ops:
+        kind = sop.op.kind.value
+        if kind in _PULSE_SIGNAL:
+            names = {_PULSE_SIGNAL[kind]}
+        else:
+            (r0, a0, s0), (r1, a1, s1) = (as_node(s) for s in (sop.op.sites[0], sop.op.sites[-1]))
+            if kind == "horizontal_step":
+                step = (a1 - a0) % length if layout.loop else a1 - a0
+                direction = "east" if step == 1 else "west"
+            else:
+                h0 = _HEIGHT_BASE[r0] * (1 + s0)
+                h1 = _HEIGHT_BASE[r1] * (1 + s1)
+                direction = "up" if h1 > h0 else "down"
+            names = {f"shuttle_phase_{k}@{direction}" for k in range(1, 5)}
+        for t in range(sop.start_tick, sop.start_tick + sop.op.duration_ticks):
+            per_tick[t] |= names
+    return [sorted(names) for names in per_tick]
 
 
 # ----------------------------------------------------------------------

@@ -181,11 +181,29 @@ def test_config_rejects_unknown_keys(doc, message):
     ({"durations": {"readout": 0}}, "durations.readout: must be >= 1, got 0"),
     ({"durations": {"two_qubit_gate": 1.5}}, "durations.two_qubit_gate: expected an integer, got 1.5"),
     ({"fidelity": {"f_1q": 2}}, "fidelity.f_1q: must be <= 1.0, got 2.0"),
+    ({"mux": {"dc_hold_time_s": 0.5}},
+     "mux.dc_hold_time_s: must exceed mux.dc_refresh_interval_s (1.0), got 0.5"),
+    ({"m_rows": 9}, "config.m_rows: must be <= grid.cols (8), got 9"),
 ])
 def test_config_value_errors_name_the_field(doc, message):
     with pytest.raises(ConfigError) as info:
         config_from_json(doc)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    (["sweep", "--n", "100"], {"mux": {"dc_hold_time_s": 0.5}},
+     "mux.dc_hold_time_s: must exceed mux.dc_refresh_interval_s (1.0), got 0.5"),
+    (["map"], {"m_rows": 9}, "config.m_rows: must be <= grid.cols (8), got 9"),
+])
+def test_cross_field_config_errors_exit_1(command, doc, message, tmp_path, capsys):
+    """Both used to escape the config check and exit 2 with the dataclass's
+    own error (CircuitError, InvalidGrid) and no field path."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command[0], "--config", str(path), *command[1:]]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": {"kind": "ConfigError", "message": message}}
 
 
 def test_config_reads_every_documented_key():
