@@ -97,38 +97,37 @@ def cmd_schedule(config: RunConfig, args) -> int:
     return 0
 
 
-def cmd_simulate(config: RunConfig, args) -> int:
-    layout = config.layout()
-    defects = _load_defects(args.defects, layout)
-    circuit = scheduler.circuit_from_json(_load_json_file(args.circuit, "circuit"))
-    state = protocol.init_half_filled(layout, defects)
-    fixture = config.fixture(layout)
-    phases = config.phases()
+def simulate_texts(circuit: scheduler.Circuit, layout: topology.TrilinearLayout,
+                   defects: topology.DefectMap, fixture: protocol.ReadoutFixture,
+                   phases: protocol.PhaseConfig, durations: router.Durations
+                   ) -> tuple[str, str]:
+    """The simulate event log (JSON lines) and addressability report.
 
-    events: list[dict] = []
-    gates: list[dict] = []
+    Both are written as text in one pass. The bytes are those of one
+    json.dumps(event, sort_keys=True) per line and of json.dumps(report,
+    sort_keys=True, indent=2) + "\n"; each distinct site and event kind is
+    encoded once per call, and every float goes through json.dumps.
+    """
+    state = protocol.init_half_filled(layout, defects)
+    lines: list[str] = []
+    gates: list[str] = []
+    all_ok = True
     tick = 0
+    encoded: dict = {}
 
     def _log_ops(ops, qubit) -> None:
         nonlocal tick
         for op in ops:
-            events.append({
-                "tick": tick,
-                "site": topology.site_to_obj(op.dst),
-                "qubit": qubit,
-                "event": op.kind.value,
-            })
+            kind, site = op.kind, op.dst
+            kind_text = encoded.get(kind) or encoded.setdefault(kind, json.dumps(kind.value))
+            site_text = encoded.get(site) or encoded.setdefault(
+                site, json.dumps(topology.site_to_obj(site)))
+            lines.append(f'{{"event": {kind_text}, "qubit": {qubit}, '
+                         f'"site": {site_text}, "tick": {tick}}}\n')
             tick += op.duration_ticks
 
-    def _qubit_for(cell, index):
-        site = layout.grid_to_site(cell)
-        qubit = state.qubit_at(site)
-        if qubit is None:
-            raise CircuitError(
-                f"op {index}: cell {cell} maps to {site}, which hosts no qubit "
-                "in the half-filled scheme (bare or dead dot)"
-            )
-        return qubit
+    def _ints(values) -> str:
+        return scheduler._block("[]", [str(v) for v in values], 3)
 
     for index, cop in enumerate(circuit.ops):
         if isinstance(cop, scheduler.TwoQubit):
@@ -136,43 +135,54 @@ def cmd_simulate(config: RunConfig, args) -> int:
                 f"op {index}: two-qubit ops are outside the half-filled "
                 "protocol simulator; use the schedule command"
             )
+        site = layout.grid_to_site(cop.cell)
+        qubit = state.qubit_at(site)
+        if qubit is None:
+            raise CircuitError(
+                f"op {index}: cell {cop.cell} maps to {site}, which hosts no qubit "
+                "in the half-filled scheme (bare or dead dot)"
+            )
         if isinstance(cop, scheduler.OneQubit):
-            qubit = _qubit_for(cop.cell, index)
             ops, new_state = protocol.addressed_single_qubit_gate(
-                state, qubit, cop.rotation, phases, defects, config.durations)
+                state, qubit, cop.rotation, phases, defects, durations)
             report = protocol.audit_addressed_gate(state, qubit, ops)
-            gates.append({
-                "op_index": index,
-                "cell": list(cop.cell),
-                "target": qubit,
-                "rotated": sorted(report.rotated),
-                "bystanders": sorted(report.bystanders),
-                "ok": report.ok,
-                "net_phase": new_state.net_phase(qubit),
-            })
-            _log_ops(ops, qubit)
+            all_ok = all_ok and report.ok
+            gates.append(scheduler._block("{}", [
+                f'"bystanders": {_ints(sorted(report.bystanders))}',
+                f'"cell": {_ints(cop.cell)}',
+                f'"net_phase": {json.dumps(new_state.net_phase(qubit))}',
+                f'"ok": {json.dumps(report.ok)}',
+                f'"op_index": {index}',
+                f'"rotated": {_ints(sorted(report.rotated))}',
+                f'"target": {qubit}',
+            ], 2))
             state = new_state
         else:
-            qubit = _qubit_for(cop.cell, index)
-            ops, state = protocol.readout(state, qubit, fixture, defects,
-                                          phases, config.durations)
-            _log_ops(ops, qubit)
+            ops, state = protocol.readout(state, qubit, fixture, defects, phases, durations)
+        _log_ops(ops, qubit)
 
-    lines = "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
-    _emit(lines, args.out)
-    report_doc = {
-        "schema_version": SCHEMA_VERSION,
-        "gates": gates,
-        "all_ok": all(g["ok"] for g in gates),
-        "total_ticks": tick,
-    }
+    report_text = scheduler._block("{}", [
+        f'"all_ok": {json.dumps(all_ok)}',
+        f'"gates": {scheduler._block("[]", gates, 1)}',
+        f'"schema_version": {SCHEMA_VERSION}',
+        f'"total_ticks": {tick}',
+    ], 0) + "\n"
+    return "".join(lines), report_text
+
+
+def cmd_simulate(config: RunConfig, args) -> int:
+    layout = config.layout()
+    defects = _load_defects(args.defects, layout)
+    circuit = scheduler.circuit_from_json(_load_json_file(args.circuit, "circuit"))
+    events, report = simulate_texts(circuit, layout, defects, config.fixture(layout),
+                                    config.phases(), config.durations)
+    _emit(events, args.out)
     if args.report is not None:
-        _emit(_dump_json(report_doc), args.report)
+        _emit(report, args.report)
     elif args.out is not None:
-        _emit(_dump_json(report_doc),
-              str(Path(args.out).with_suffix(".report.json")))
+        _emit(report, str(Path(args.out).with_suffix(".report.json")))
     else:
-        sys.stdout.write(_dump_json(report_doc))
+        sys.stdout.write(report)
     return 0
 
 

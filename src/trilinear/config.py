@@ -7,6 +7,7 @@ Validation reports the full field path of the first offending entry, e.g.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -44,6 +45,8 @@ def _get_float(doc: dict, key: str, default: float, path: str,
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
     val = float(val)
+    if not math.isfinite(val):
+        raise ConfigError(f"{path}.{key}: expected a finite number, got {val}")
     if minimum is not None and val < minimum:
         raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {val}")
     if maximum is not None and val > maximum:

@@ -10,17 +10,20 @@ ledger phase at zero after every completed operation.
 
 State is tracked symbolically: occupancy, per-qubit rotation logs, and a
 Z-phase ledger (accumulated plus compensation). Operations are pure: they
-return a new state, leaving the input untouched. A pulse costs time in the
-qubits it rotates, not the array size: qubits are indexed by resonance
-class, and copies share rotation logs. Planning is occupancy blind like
-the router; composing many protocol operations in parallel is the
+return a new state, leaving the input untouched. An op costs time in the
+qubits and sites it touches, not the array size: qubits are indexed by
+resonance class, a result shares what the op leaves unchanged with its
+input, and a readout walks its row directly. Planning is occupancy blind
+like the router; composing many protocol operations in parallel is the
 scheduler's concern.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 from . import router
@@ -57,9 +60,14 @@ NO_PHASES = PhaseConfig()
 
 @dataclass
 class ArrayState:
-    """Occupancy, rotation logs and the virtual-Z ledger. `_move` keeps the
-    `by_class` index in step; copies share log lists, so a log is replaced
-    (`_log_rotation`), never appended to in place."""
+    """Occupancy, rotation logs and the virtual-Z ledger.
+
+    States share structure: an op's result shares with its input every
+    dict and set the op leaves unchanged, and every log list. So no state
+    is written in place once an op has returned it: `_move` runs only on a
+    `copy()`, which copies every container, and a log is replaced
+    (`_log_rotation`), never appended to in place. `_move` keeps the
+    `by_class` index in step."""
 
     layout: TrilinearLayout
     occupancy: dict[SiteCoord, QubitId] = field(default_factory=dict)
@@ -79,6 +87,20 @@ class ArrayState:
             compensation=dict(self.compensation),
             rotation_log=dict(self.rotation_log),
             by_class={cls: set(qs) for cls, qs in self.by_class.items()},
+        )
+
+    def _restored(self, logs: bool) -> "ArrayState":
+        """The result of an op that restores occupancy: it shares occupancy,
+        position and by_class, and owns its ledger dicts, and its rotation
+        log dict when `logs` (the op's log lists are shared still)."""
+        return ArrayState(
+            layout=self.layout,
+            occupancy=self.occupancy,
+            position=self.position,
+            accumulated_phase=dict(self.accumulated_phase),
+            compensation=dict(self.compensation),
+            rotation_log=dict(self.rotation_log) if logs else self.rotation_log,
+            by_class=self.by_class,
         )
 
     def qubit_at(self, site: SiteCoord) -> Optional[QubitId]:
@@ -101,8 +123,8 @@ class ArrayState:
         self.accumulated_phase[qubit] += phase
         self.compensation[qubit] -= phase
 
-    def _log_rotation(self, cls: SiteClass, rotation) -> None:
-        for qubit in self.by_class[cls]:
+    def _log_rotation(self, qubits: Iterable[QubitId], rotation) -> None:
+        for qubit in qubits:
             self.rotation_log[qubit] = self.rotation_log[qubit] + [rotation]
 
 
@@ -131,8 +153,8 @@ def init_half_filled(layout: TrilinearLayout, defects: DefectMap = NO_DEFECTS) -
 def apply_global_esr(state: ArrayState, target_class: SiteClass, rotation) -> ArrayState:
     """Globally drive one resonance class: every qubit parked or in transit
     on a site of that class logs the rotation; all others are untouched."""
-    new = state.copy()
-    new._log_rotation(target_class, rotation)
+    new = state._restored(logs=True)
+    new._log_rotation(state.by_class[target_class], rotation)
     return new
 
 
@@ -176,18 +198,16 @@ def addressed_single_qubit_gate(
     if target is None:
         raise NoAdjacentEmpty(f"no free bare dot next to qubit {qubit} at {home}")
 
-    new = state.copy()
-    ops: list[MicroOp] = []
-
-    ops.append(move_op(home, target, durations))
-    new._move(qubit, target, phases)
-
-    ops.append(_pulse_op(SiteClass.BARE, rotation, target, durations))
-    new._log_rotation(SiteClass.BARE, rotation)
-
-    ops.append(move_op(target, home, durations))
-    new._move(qubit, home, phases)
-
+    ops = [move_op(home, target, durations),
+           _pulse_op(SiteClass.BARE, rotation, target, durations),
+           move_op(target, home, durations)]
+    # The pulse finds the qubit on `target` beside every bare-class qubit;
+    # each hop imprints its destination's phase and compensates it.
+    out, back = phases.hop_phase(SiteClass.BARE), phases.hop_phase(SiteClass.MAGNET)
+    new = state._restored(logs=True)
+    new._log_rotation(state.by_class[SiteClass.BARE] | {qubit}, rotation)
+    new.accumulated_phase[qubit] = state.accumulated_phase[qubit] + out + back
+    new.compensation[qubit] = state.compensation[qubit] - out - back
     return ops, new
 
 
@@ -201,6 +221,10 @@ class ReadoutFixture:
 
     axes: tuple[int, ...]
     spacing: int
+
+    @cached_property
+    def sorted_axes(self) -> tuple[int, ...]:
+        return tuple(sorted(self.axes))
 
     def __post_init__(self) -> None:
         if self.spacing < 1:
@@ -232,19 +256,12 @@ def readout(
     """
     layout = state.layout
     home = state.position[qubit]
-    candidates = [
-        SiteCoord(home.row, axis, home.subrow)
-        for axis in fixture.axes
-        if layout.in_bounds(SiteCoord(home.row, axis, home.subrow))
-    ]
-    usable = [s for s in candidates if not defects.is_dead(s)]
-    if not usable:
-        raise Partitioned("no usable sensor dot reachable for readout")
-    target = min(usable, key=lambda s: (layout.axis_distance(home.axis, s.axis), s.axis))
+    target = _nearest_sensor(layout, fixture, home, defects)
+    path = _row_walk(layout, home, target, defects)
+    if path is None:
+        path = router.shortest_shuttle_path(layout, home, target, defects)
 
     ops: list[MicroOp] = []
-    path = ([home] if home == target
-            else router.shortest_shuttle_path(layout, home, target, defects))
     for a, b in zip(path, path[1:]):
         ops.append(move_op(a, b, durations))
     ops.append(MicroOp(MicroOpKind.READOUT, (target,), durations.readout))
@@ -252,12 +269,63 @@ def readout(
     for a, b in zip(back, back[1:]):
         ops.append(move_op(a, b, durations))
 
-    new = state.copy()
+    new = state._restored(logs=False)
     hop_phase = sum(phases.hop_phase(site_class(s)) for s in path[1:])
     hop_phase += sum(phases.hop_phase(site_class(s)) for s in back[1:])
     new.accumulated_phase[qubit] += hop_phase
     new.compensation[qubit] -= hop_phase
     return ops, new
+
+
+def _nearest_sensor(layout: TrilinearLayout, fixture: ReadoutFixture, home: SiteCoord,
+                    defects: DefectMap) -> SiteCoord:
+    """The usable sensor dot on `home`'s row nearest to it, the lower axis on
+    a tie. One walker goes each way from `home` over the sorted sensor axes,
+    wrapping on loops; the first usable axis each meets is the nearest on
+    that side."""
+    axes = fixture.sorted_axes
+    n = len(axes)
+    start = bisect_left(axes, home.axis)
+    best: Optional[tuple[int, int]] = None
+    for first, step in ((start, 1), (start - 1, -1)):
+        for k in range(n):
+            i = first + step * k
+            if not layout.loop and not 0 <= i < n:
+                break
+            site = SiteCoord(home.row, axes[i % n], home.subrow)
+            if layout.in_bounds(site) and not defects.is_dead(site):
+                found = (layout.axis_distance(home.axis, site.axis), site.axis)
+                best = found if best is None else min(best, found)
+                break
+    if best is None:
+        raise Partitioned("no usable sensor dot reachable for readout")
+    return SiteCoord(home.row, best[1], home.subrow)
+
+
+def _row_walk(layout: TrilinearLayout, home: SiteCoord, target: SiteCoord,
+              defects: DefectMap) -> Optional[list[SiteCoord]]:
+    """The straight walk along the row from `home` to `target`, which is then
+    the one shortest path; None when the general search must decide: a dead
+    dot or dead barrier is in the way, or the two ways round a loop tie."""
+    if home == target:
+        return [home]
+    distance = layout.axis_distance(home.axis, target.axis)
+    if layout.loop:
+        ahead = (target.axis - home.axis) % layout.length
+        if 2 * ahead == layout.length:
+            return None
+        delta = 1 if ahead == distance else -1
+    else:
+        delta = 1 if target.axis > home.axis else -1
+    if defects.is_dead(home):
+        return None
+    path = [home]
+    for _ in range(distance):
+        site = SiteCoord(home.row, layout.step_axis(path[-1].axis, delta), home.subrow)
+        if defects.is_dead(site) or defects.barrier_dead(path[-1], site):
+            return None
+        path.append(site)
+    return path
 
 
 # ----------------------------------------------------------------------
@@ -275,19 +343,26 @@ class AddressabilityReport:
 
 
 def replay_rotations(state: ArrayState, ops: Iterable[MicroOp]) -> dict[int, set[QubitId]]:
-    """Walk a micro-op sequence over a copy of the state and return, per
-    pulse index, the set of qubits that pulse would rotate. Used to audit
-    addressability independently of the rotation logs."""
-    sim = state.copy()
+    """Walk a micro-op sequence over the state and return, per pulse index,
+    the set of qubits that pulse would rotate. Used to audit addressability
+    independently of the rotation logs. Only the qubits the ops move are
+    tracked, in local dicts over the untouched input."""
+    occupied: dict[SiteCoord, Optional[QubitId]] = {}  # sites the ops touched
+    moved: dict[QubitId, SiteCoord] = {}
     rotated: dict[int, set[QubitId]] = {}
     for i, op in enumerate(ops):
         if op.is_move:
-            qubit = sim.qubit_at(op.src)
+            src = op.src
+            qubit = occupied[src] if src in occupied else state.occupancy.get(src)
             if qubit is not None:
-                sim._move(qubit, op.dst, NO_PHASES)
+                occupied[src] = None
+                occupied[op.dst] = qubit
+                moved[qubit] = op.dst
         elif op.kind is MicroOpKind.SINGLE_QUBIT_PULSE and op.freq_class is not None:
             cls = SiteClass(op.freq_class)
-            rotated[i] = set(sim.qubits_on_class(cls))
+            hit = {q for q in state.by_class[cls] if q not in moved}
+            hit.update(q for q, site in moved.items() if site_class(site) is cls)
+            rotated[i] = hit
     return rotated
 
 

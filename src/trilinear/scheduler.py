@@ -519,6 +519,38 @@ def _hold_segments(sops: list[ScheduledOp], start_site: SiteCoord, horizon: int
     return segs, problems
 
 
+def _swap_throughs(sops: tuple[ScheduledOp, ...]) -> list[Violation]:
+    """Pairs of moves that exchange the same two sites at overlapping times.
+
+    Each site pair's moves are scanned in start order, each one against the
+    moves starting after it until one starts at or after its end. The pairs
+    found are listed in schedule order, as a check of every pair lists them.
+    """
+    by_pair: dict[frozenset[SiteCoord], list[ScheduledOp]] = defaultdict(list)
+    for sop in sops:
+        if sop.op.is_move:
+            by_pair[frozenset((sop.op.src, sop.op.dst))].append(sop)
+    out: list[Violation] = []
+    for pair_ops in by_pair.values():
+        order = sorted(range(len(pair_ops)), key=lambda i: pair_ops[i].start_tick)
+        found = []
+        for k, i in enumerate(order):
+            a = pair_ops[i]
+            for m in range(k + 1, len(order)):
+                j = order[m]
+                b = pair_ops[j]
+                if b.start_tick >= a.end_tick:
+                    break
+                if a.start_tick < b.end_tick and a.op.src == b.op.dst and a.op.dst == b.op.src:
+                    found.append((min(i, j), max(i, j)))
+        for i, j in sorted(found):
+            a, b = pair_ops[i], pair_ops[j]
+            out.append(Violation("swap", max(a.start_tick, b.start_tick),
+                                 f"qubits {a.qubit} and {b.qubit} swap through "
+                                 f"{a.op.src}-{a.op.dst}"))
+    return out
+
+
 def validate_schedule(
     schedule: Schedule,
     layout: TrilinearLayout,
@@ -605,20 +637,7 @@ def validate_schedule(
                 "order", sop.start_tick,
                 f"partner {sop.partner} not parked at {partner_site} during gate"))
 
-    # Swap-through: two moves exchanging the same site pair at once.
-    moves = [s for s in schedule.ops if s.op.is_move]
-    by_pair: dict[frozenset[SiteCoord], list[ScheduledOp]] = defaultdict(list)
-    for sop in moves:
-        by_pair[frozenset((sop.op.src, sop.op.dst))].append(sop)
-    for pair_ops in by_pair.values():
-        for i, a in enumerate(pair_ops):
-            for b in pair_ops[i + 1:]:
-                overlap = a.start_tick < b.end_tick and b.start_tick < a.end_tick
-                if overlap and a.op.src == b.op.dst and a.op.dst == b.op.src:
-                    violations.append(Violation(
-                        "swap", max(a.start_tick, b.start_tick),
-                        f"qubits {a.qubit} and {b.qubit} swap through "
-                        f"{a.op.src}-{a.op.dst}"))
+    violations.extend(_swap_throughs(schedule.ops))
 
     # Waveform budget, from recomputed signals; swept over the segments
     # between op boundaries with a running multiset.

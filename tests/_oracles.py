@@ -260,3 +260,189 @@ def shortest_shuttle_path(
                 return path
             queue.append(nb)
     raise Partitioned(f"no shuttle path from {src} to {dst}")
+
+
+# ----------------------------------------------------------------------
+# Reference half-filled protocol ops and simulate writer
+
+def addressed_single_qubit_gate(state, qubit, rotation, phases, defects, durations):
+    """The gate as a full copy: hop out, log the pulse on every bare-class
+    qubit, hop back. `protocol.addressed_single_qubit_gate` must give the
+    same micro-ops and a state with equal contents."""
+    from trilinear.errors import NoAdjacentEmpty
+    from trilinear.protocol import _pulse_op
+    from trilinear.router import move_op
+    from trilinear.topology import SiteClass, site_class
+
+    home = state.position[qubit]
+    if site_class(home) is not SiteClass.MAGNET:
+        raise NoAdjacentEmpty(f"qubit {qubit} is not parked on a magnet-class dot")
+    layout = state.layout
+    target = None
+    for delta in (1, -1):
+        axis = layout.step_axis(home.axis, delta)
+        if axis is None:
+            continue
+        cand = SiteCoord(home.row, axis, home.subrow)
+        if (site_class(cand) is SiteClass.BARE and not defects.is_dead(cand)
+                and not defects.barrier_dead(home, cand)
+                and state.qubit_at(cand) is None):
+            target = cand
+            break
+    if target is None:
+        raise NoAdjacentEmpty(f"no free bare dot next to qubit {qubit} at {home}")
+    new = state.copy()
+    ops = [move_op(home, target, durations)]
+    new._move(qubit, target, phases)
+    ops.append(_pulse_op(SiteClass.BARE, rotation, target, durations))
+    for q in new.by_class[SiteClass.BARE]:
+        new.rotation_log[q] = new.rotation_log[q] + [rotation]
+    ops.append(move_op(target, home, durations))
+    new._move(qubit, home, phases)
+    return ops, new
+
+
+def readout(state, qubit, fixture, defects, phases, durations):
+    """Readout by scanning every sensor axis and planning the walk with the
+    general BFS. `protocol.readout` must give the same micro-ops, or raise
+    the same error, and a state with equal contents."""
+    from trilinear import router
+    from trilinear.errors import Partitioned
+    from trilinear.router import MicroOp, MicroOpKind, move_op
+    from trilinear.topology import site_class
+
+    layout = state.layout
+    home = state.position[qubit]
+    candidates = [
+        SiteCoord(home.row, axis, home.subrow)
+        for axis in fixture.axes
+        if layout.in_bounds(SiteCoord(home.row, axis, home.subrow))
+    ]
+    usable_sensors = [s for s in candidates if not defects.is_dead(s)]
+    if not usable_sensors:
+        raise Partitioned("no usable sensor dot reachable for readout")
+    target = min(usable_sensors,
+                 key=lambda s: (layout.axis_distance(home.axis, s.axis), s.axis))
+    ops = []
+    path = ([home] if home == target
+            else router.shortest_shuttle_path(layout, home, target, defects))
+    for a, b in zip(path, path[1:]):
+        ops.append(move_op(a, b, durations))
+    ops.append(MicroOp(MicroOpKind.READOUT, (target,), durations.readout))
+    back = path[::-1]
+    for a, b in zip(back, back[1:]):
+        ops.append(move_op(a, b, durations))
+    new = state.copy()
+    hop_phase = sum(phases.hop_phase(site_class(s)) for s in path[1:])
+    hop_phase += sum(phases.hop_phase(site_class(s)) for s in back[1:])
+    new.accumulated_phase[qubit] += hop_phase
+    new.compensation[qubit] -= hop_phase
+    return ops, new
+
+
+def replay_rotations(state, ops) -> dict:
+    """Per pulse index, the qubits that pulse rotates, by replaying every
+    move on a full copy of the state."""
+    from trilinear.protocol import NO_PHASES
+    from trilinear.router import MicroOpKind
+    from trilinear.topology import SiteClass
+
+    sim = state.copy()
+    rotated = {}
+    for i, op in enumerate(ops):
+        if op.is_move:
+            qubit = sim.qubit_at(op.src)
+            if qubit is not None:
+                sim._move(qubit, op.dst, NO_PHASES)
+        elif op.kind is MicroOpKind.SINGLE_QUBIT_PULSE and op.freq_class is not None:
+            rotated[i] = set(sim.qubits_on_class(SiteClass(op.freq_class)))
+    return rotated
+
+
+def simulate_texts(circuit, layout, defects, fixture, phases, durations) -> tuple[str, str]:
+    """The simulate event log and report, built as dicts with the reference
+    ops above and dumped with one json.dumps per event and indent=2 for the
+    report. `cli.simulate_texts` must return the same two strings."""
+    import json
+
+    from trilinear import protocol, scheduler
+    from trilinear.errors import CircuitError
+    from trilinear.topology import site_to_obj
+
+    state = protocol.init_half_filled(layout, defects)
+    events, gates = [], []
+    tick = 0
+
+    def log_ops(ops, qubit):
+        nonlocal tick
+        for op in ops:
+            events.append({"tick": tick, "site": site_to_obj(op.dst), "qubit": qubit,
+                           "event": op.kind.value})
+            tick += op.duration_ticks
+
+    def qubit_for(cell, index):
+        site = layout.grid_to_site(cell)
+        qubit = state.qubit_at(site)
+        if qubit is None:
+            raise CircuitError(
+                f"op {index}: cell {cell} maps to {site}, which hosts no qubit "
+                "in the half-filled scheme (bare or dead dot)"
+            )
+        return qubit
+
+    for index, cop in enumerate(circuit.ops):
+        if isinstance(cop, scheduler.TwoQubit):
+            raise CircuitError(
+                f"op {index}: two-qubit ops are outside the half-filled "
+                "protocol simulator; use the schedule command"
+            )
+        qubit = qubit_for(cop.cell, index)
+        if isinstance(cop, scheduler.OneQubit):
+            ops, new_state = addressed_single_qubit_gate(
+                state, qubit, cop.rotation, phases, defects, durations)
+            rotated = set()
+            for qubits in replay_rotations(state, ops).values():
+                rotated |= qubits
+            gates.append({
+                "op_index": index,
+                "cell": list(cop.cell),
+                "target": qubit,
+                "rotated": sorted(rotated),
+                "bystanders": sorted(rotated - {qubit}),
+                "ok": rotated == {qubit},
+                "net_phase": new_state.net_phase(qubit),
+            })
+            log_ops(ops, qubit)
+            state = new_state
+        else:
+            ops, state = readout(state, qubit, fixture, defects, phases, durations)
+            log_ops(ops, qubit)
+
+    lines = "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
+    report = {"schema_version": 1, "gates": gates,
+              "all_ok": all(g["ok"] for g in gates), "total_ticks": tick}
+    return lines, json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def swap_throughs(sops) -> list:
+    """Swap-through violations by comparing every pair of moves on an edge,
+    in the order `scheduler._swap_throughs` must emit them."""
+    from collections import defaultdict
+
+    from trilinear.scheduler import Violation
+
+    by_pair = defaultdict(list)
+    for sop in sops:
+        if sop.op.is_move:
+            by_pair[frozenset((sop.op.src, sop.op.dst))].append(sop)
+    out = []
+    for pair_ops in by_pair.values():
+        for i, a in enumerate(pair_ops):
+            for b in pair_ops[i + 1:]:
+                overlap = a.start_tick < b.end_tick and b.start_tick < a.end_tick
+                if overlap and a.op.src == b.op.dst and a.op.dst == b.op.src:
+                    out.append(Violation(
+                        "swap", max(a.start_tick, b.start_tick),
+                        f"qubits {a.qubit} and {b.qubit} swap through "
+                        f"{a.op.src}-{a.op.dst}"))
+    return out

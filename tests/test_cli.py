@@ -184,6 +184,11 @@ def test_config_rejects_unknown_keys(doc, message):
     ({"mux": {"dc_hold_time_s": 0.5}},
      "mux.dc_hold_time_s: must exceed mux.dc_refresh_interval_s (1.0), got 0.5"),
     ({"m_rows": 9}, "config.m_rows: must be <= grid.cols (8), got 9"),
+    ({"protocol": {"hop_phase_bare": float("nan")}},
+     "protocol.hop_phase_bare: expected a finite number, got nan"),
+    ({"pitch_nm": float("inf")}, "config.pitch_nm: expected a finite number, got inf"),
+    ({"mux": {"dc_hold_time_s": float("-inf")}},
+     "mux.dc_hold_time_s: expected a finite number, got -inf"),
 ])
 def test_config_value_errors_name_the_field(doc, message):
     with pytest.raises(ConfigError) as info:
@@ -202,6 +207,25 @@ def test_cross_field_config_errors_exit_1(command, doc, message, tmp_path, capsy
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main([command[0], "--config", str(path), *command[1:]]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": {"kind": "ConfigError", "message": message}}
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("simulate", '{"protocol": {"hop_phase_bare": NaN}}',
+     "protocol.hop_phase_bare: expected a finite number, got nan"),
+    ("sweep", '{"pitch_nm": Infinity}', "config.pitch_nm: expected a finite number, got inf"),
+])
+def test_non_finite_config_numbers_exit_1(command, text, message, tmp_path, capsys):
+    """json.load parses NaN and Infinity. Both used to run: simulate wrote
+    "net_phase": NaN, which is not JSON, and sweep printed length_um inf."""
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps({"ops": [{"op": "1q", "cells": [[0, 0]], "param": "x90"}]}),
+                       encoding="utf-8")
+    extra = {"simulate": ["--circuit", str(circuit)], "sweep": ["--n", "100"]}[command]
+    assert main([command, "--config", str(path), *extra]) == 1
     assert json.loads(capsys.readouterr().err) == {
         "error": {"kind": "ConfigError", "message": message}}
 
@@ -346,3 +370,59 @@ def test_simulate_outputs_match_golden_digests(tmp_path):
     digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                     for f in ("events.jsonl", "events.report.json"))
     assert digests == GOLDEN_SIMULATE
+
+
+# sha256 of the simulate event log and report on layouts the first digest
+# misses: a non-loop odd-C stacked array, and a loop whose single sensor per
+# row sits half the loop away from some qubits, with a dead outer dot and a
+# dead outer barrier in the walks. Readouts there leave the straight row walk.
+GOLDEN_SIMULATE_DETOURS = {
+    "grid5x7_stacked": ("4d2f142980e92cd55e94728e8da445f3276f4f0e032b28ef6614b5b6a544e167",
+                        "398746e6621329accb9b1ccc9d8169bff9de3a29386b3f1f22af83223becb80a"),
+    "loop6x8_dead_outer": ("23f5e4b40cac3b9e14930546509d9c1a9d7ee405b744bcd14692f007c276ba1d",
+                           "a77c8de4a7fa0ccf299f8a04208adb3fb9bc749022e5794b01467851b7bf209d"),
+}
+
+
+def _detour_inputs(name):
+    if name == "grid5x7_stacked":
+        config = {"grid": {"rows": 5, "cols": 7}, "m_rows": 2,
+                  "protocol": {"hop_phase_magnet": 1e-07, "hop_phase_bare": 6.283185307179586,
+                               "set_spacing": 3}}
+        return config, None, random.Random(57)
+    config = {"grid": {"rows": 6, "cols": 8}, "loop": True,
+              "protocol": {"hop_phase_magnet": 0.37, "hop_phase_bare": 0.81,
+                           "set_spacing": 24}}
+    defects = {"sites": [["L", 6]], "barriers": [[["U", 3], ["U", 4]]]}
+    return config, defects, random.Random(68)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SIMULATE_DETOURS))
+def test_simulate_detour_outputs_match_golden_digests(name, tmp_path):
+    config, defects, rng = _detour_inputs(name)
+    layout = tl.map_to_trilinear(tl.GridSpec(**config["grid"]), loop=config.get("loop", False),
+                                 m_rows=config.get("m_rows", 1))
+    dead = tl.topology.defects_from_obj(defects)
+    live = [cell for cell in layout.grid.cells()
+            if site_class(layout.grid_to_site(cell)) is SiteClass.MAGNET
+            and not dead.is_dead(layout.grid_to_site(cell))]
+    ops = []
+    for i in range(120):
+        cell = list(rng.choice(live))
+        if i % 3:
+            ops.append({"op": "1q", "cells": [cell], "param": "x90"})
+        else:
+            ops.append({"op": "meas", "cells": [cell]})
+    cfg_path, circ_path = tmp_path / "config.json", tmp_path / "circuit.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    circ_path.write_text(json.dumps({"schema_version": 1, "ops": ops}), encoding="utf-8")
+    argv = ["simulate", "--config", str(cfg_path), "--circuit", str(circ_path),
+            "--out", str(tmp_path / "events.jsonl")]
+    if defects is not None:
+        defects_path = tmp_path / "defects.json"
+        defects_path.write_text(json.dumps(defects), encoding="utf-8")
+        argv += ["--defects", str(defects_path)]
+    assert main(argv) == 0
+    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                    for f in ("events.jsonl", "events.report.json"))
+    assert digests == GOLDEN_SIMULATE_DETOURS[name]

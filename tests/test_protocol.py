@@ -3,13 +3,17 @@
 import copy
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trilinear as tl
 from trilinear import protocol as proto
+from trilinear import scheduler as sch
+from trilinear.cli import simulate_texts
 from trilinear.protocol import PhaseConfig, ReadoutFixture
 from trilinear.topology import DefectMap, Row, SiteClass, SiteCoord, site_class
+
+import _oracles
 
 
 @pytest.fixture
@@ -211,3 +215,164 @@ def test_class_index_and_purity_under_random_ops(steps):
         _assert_index_matches_scan(state)
         _assert_index_matches_scan(new)
         state = new
+
+
+def _full_snapshot(state):
+    return copy.deepcopy((_snapshot(state), state.by_class))
+
+
+@given(st.lists(st.tuples(st.sampled_from(["move", "gate", "esr", "readout"]),
+                          st.integers(0, 255), st.integers(0, 255)), max_size=40))
+@settings(max_examples=80, deadline=None)
+def test_every_earlier_state_survives_random_ops(steps):
+    """A result shares the containers its op leaves unchanged with the
+    input, so no later op may write into any state returned so far."""
+    states = [proto.init_half_filled(LAY48_LOOP)]
+    snapshots = [_full_snapshot(states[0])]
+    for kind, a, b in steps:
+        states.append(_step(states[-1], kind, a, b))
+        snapshots.append(_full_snapshot(states[-1]))
+    assert [_full_snapshot(s) for s in states] == snapshots
+
+
+# ----------------------------------------------------------------------
+# Equivalence with the reference ops in tests/_oracles.py
+
+_PHASES = (0.0, 1e-07, 6.283185307179586, 0.37, 0.81, -2.5, 1e+16, float("nan"))
+
+
+def _case(rows, cols, loop, dead=(), cuts=()):
+    layout = tl.map_to_trilinear(tl.GridSpec(rows, cols), loop=loop)
+    defects = DefectMap.of(sites=dead, barriers=cuts)
+    return layout, defects, proto.init_half_filled(layout, defects)
+
+
+# A 24-dot loop: qubit 2 sits on (U,4), 6 on (U,12) and 11 on (U,22).
+_LOOP24 = _case(8, 6, True)
+_LOOP24_CUT = _case(8, 6, True, cuts=[(SiteCoord(Row.UPPER, 3), SiteCoord(Row.UPPER, 4))])
+_LOOP24_DEAD = _case(8, 6, True, dead=[SiteCoord(Row.UPPER, 1)])
+
+
+@st.composite
+def _defective_layouts(draw):
+    """A layout (loop or not, odd or even C, m_rows 1-3) with random dead
+    sites and dead barriers, and the half-filled state on it."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(2, 9))
+    layout = tl.map_to_trilinear(tl.GridSpec(rows, cols), loop=draw(st.booleans()),
+                                 m_rows=draw(st.integers(1, min(3, cols))))
+    sites = sorted(layout.sites(), key=tl.topology.site_key)
+    dead = draw(st.lists(st.sampled_from(sites), max_size=4))
+    cuts = []
+    for site in draw(st.lists(st.sampled_from(sites), max_size=4)):
+        cuts.append((site, draw(st.sampled_from(layout.site_neighbors(site)))))
+    defects = DefectMap.of(sites=dead, barriers=[c for c in cuts if c[0] != c[1]])
+    return layout, defects, proto.init_half_filled(layout, defects)
+
+
+def _fixture(layout, spacing):
+    """Spacing 1-8, or one sensor per row ("loop"), which sits exactly half
+    the loop away from some qubit on an even loop."""
+    if spacing == "loop":
+        spacing = layout.length
+    return ReadoutFixture.from_spacing(layout, spacing)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except tl.TrilinearError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _ledger(result):
+    """An op's micro-ops and resulting state, or its error; phases by repr,
+    as a NaN phase equals nothing."""
+    if isinstance(result[1], str):
+        return result
+    ops, state = result
+    return (ops, state.occupancy, state.position, repr(state.accumulated_phase),
+            repr(state.compensation), state.rotation_log,
+            {cls: sorted(qubits) for cls, qubits in state.by_class.items()})
+
+
+@given(_defective_layouts(), st.integers(0, 10**6), st.sampled_from((*range(1, 9), "loop")),
+       st.sampled_from(_PHASES), st.sampled_from(_PHASES), st.booleans())
+@settings(max_examples=120, deadline=None)
+# The nearest sensor across the loop's join; one sensor half the loop away;
+# a dead barrier, then a dead dot, on the walk to sensor 0.
+@example(_LOOP24, 11, 8, 0.37, 0.81, False)
+@example(_LOOP24, 6, "loop", 0.37, 0.81, False)
+@example(_LOOP24_CUT, 2, 8, 0.37, 0.81, False)
+@example(_LOOP24_DEAD, 2, 8, 0.37, 0.81, False)
+def test_readout_matches_reference(case, pick, spacing, magnet, bare, home_dies):
+    """Also with the qubit's own dot dead, which only the library API allows."""
+    layout, defects, state = case
+    if not state.position:
+        return
+    qubit = sorted(state.position)[pick % len(state.position)]
+    if home_dies:
+        defects = DefectMap(defects.dead_sites | {state.position[qubit]}, defects.dead_barriers)
+    args = (state, qubit, _fixture(layout, spacing), defects, PhaseConfig(magnet, bare),
+            tl.Durations())
+    assert (_ledger(_outcome(proto.readout, *args))
+            == _ledger(_outcome(_oracles.readout, *args)))
+
+
+@given(_defective_layouts(), st.integers(0, 10**6), st.sampled_from(_PHASES),
+       st.sampled_from(_PHASES),
+       st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_addressed_gate_matches_reference(case, pick, magnet, bare, moves):
+    """After moving a few qubits to random free dots, so that some sit on
+    bare dots, where the gate's pulse rotates them too."""
+    layout, defects, state = case
+    if not state.position:
+        return
+    sites = sorted(layout.sites(), key=tl.topology.site_key)
+    for a, b in moves:
+        free = [s for s in sites if state.qubit_at(s) is None]
+        state = state.copy()
+        state._move(sorted(state.position)[a % len(state.position)], free[b % len(free)],
+                    proto.NO_PHASES)
+    qubit = sorted(state.position)[pick % len(state.position)]
+    args = (state, qubit, "x90", PhaseConfig(magnet, bare), defects, tl.Durations())
+    assert (_ledger(_outcome(proto.addressed_single_qubit_gate, *args))
+            == _ledger(_outcome(_oracles.addressed_single_qubit_gate, *args)))
+
+
+@given(_defective_layouts(), st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6),
+                                                st.integers(0, 2)), max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_replay_rotations_match_reference(case, steps):
+    """Random moves between any two sites (onto occupied ones too, and from
+    empty ones) and pulses of both classes."""
+    layout, _, state = case
+    sites = sorted(layout.sites(), key=tl.topology.site_key)
+    ops = []
+    for a, b, kind in steps:
+        if kind == 2:
+            ops.append(tl.MicroOp(tl.MicroOpKind.SINGLE_QUBIT_PULSE, (sites[a % len(sites)],),
+                                  freq_class=list(SiteClass)[b % 2].value))
+        else:
+            ops.append(tl.router.move_op(sites[a % len(sites)], sites[b % len(sites)]))
+    assert proto.replay_rotations(state, ops) == _oracles.replay_rotations(state, ops)
+
+
+@given(_defective_layouts(), st.lists(st.tuples(st.integers(0, 10**6), st.booleans()),
+                                      max_size=30),
+       st.sampled_from((*range(1, 9), "loop")), st.sampled_from(_PHASES),
+       st.sampled_from(_PHASES))
+@settings(max_examples=100, deadline=None)
+def test_simulate_texts_match_reference(case, picks, spacing, magnet, bare):
+    """The one-pass writer against one json.dumps per event and an indent=2
+    report over the reference ops, byte for byte, or the same error."""
+    layout, defects, state = case
+    cells = sorted(layout.grid.cells())
+    hosted = [c for c in cells if state.qubit_at(layout.grid_to_site(c)) is not None] or cells
+    ops = []
+    for k, gate in picks:
+        cell = hosted[k % len(hosted)]
+        ops.append(sch.OneQubit(cell, "x90") if gate else sch.Measure(cell))
+    args = (sch.Circuit(tuple(ops)), layout, defects, _fixture(layout, spacing), PhaseConfig(magnet, bare),
+            tl.Durations())
+    assert _outcome(simulate_texts, *args) == _outcome(_oracles.simulate_texts, *args)

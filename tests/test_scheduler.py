@@ -24,7 +24,7 @@ from trilinear.scheduler import (
 from trilinear.errors import TrilinearError
 from trilinear.topology import DefectMap, Row, SiteCoord
 
-from _oracles import schedule_document, tick_signal_names
+from _oracles import schedule_document, swap_throughs, tick_signal_names
 
 
 def compile_ok(circuit, layout, **kw):
@@ -375,6 +375,26 @@ def test_dc_refresh_scales_with_inputs():
     mux = MuxConfig(n_dc_inputs=4, dc_refresh_interval_s=1.0, dc_hold_time_s=100.0)
     assert dc_refresh_plan(mux, 400).cycle_time_s == 100.0
     assert dc_refresh_plan(mux, 400).feasible
+
+
+_SWAP_SITES = (SiteCoord(Row.MIDDLE, 4), SiteCoord(Row.MIDDLE, 5), SiteCoord(Row.UPPER, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_SWAP_SITES), st.sampled_from(_SWAP_SITES),
+                          st.integers(0, 8), st.integers(0, 3), st.integers(0, 3),
+                          st.booleans()), max_size=24))
+def test_swap_throughs_match_pairwise_oracle(moves):
+    """The start-ordered scan finds the pairs the all-pairs check finds, in
+    its order. Starts in 0-8 and durations 0-3 make touching boundaries
+    (one move starting as another ends), equal starts and empty spans
+    common; a site repeated as src and dst gives degenerate moves too."""
+    sops = []
+    for src, dst, start, duration, qubit, pulse in moves:
+        kind = MicroOpKind.SINGLE_QUBIT_PULSE if pulse else MicroOpKind.HORIZONTAL_STEP
+        sites = (src,) if pulse else (src, dst)
+        sops.append(ScheduledOp((0, qubit), MicroOp(kind, sites, duration), start))
+    assert sch._swap_throughs(tuple(sops)) == swap_throughs(sops)
 
 
 # ----------------------------------------------------------------------
