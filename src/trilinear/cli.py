@@ -33,9 +33,12 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _load_json_file(path: str, what: str):
+    def reject(name: str):
+        raise ConfigError(f"{what} {path}: {name} is not a JSON number")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=reject)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -46,6 +49,8 @@ def _load_defects(path: Optional[str], layout) -> topology.DefectMap:
     if path is None:
         return topology.NO_DEFECTS
     doc = _load_json_file(path, "defects file")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"defects file {path}: expected an object, got {doc!r}")
     defects = topology.defects_from_obj(doc.get("defects", doc))
     defects.validate_against(layout)
     return defects
@@ -235,13 +240,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, out_required: bool = False) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="run config JSON")
-        p.add_argument("--out", required=out_required, default=None,
-                       help="output path (stdout when omitted)")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--format", choices=("json", "csv"), default="csv",
-                       help="tabular output format (sweep only)")
+        p.add_argument("--out", default=None, help="output path (stdout when omitted)")
 
     p_map = sub.add_parser("map", help="write the trilinear layout document")
     common(p_map)
@@ -258,6 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sched = sub.add_parser("schedule", help="compile a circuit to a tick schedule")
     common(p_sched)
     p_sched.add_argument("--circuit", required=True, help="circuit JSON file")
+    p_sched.add_argument("--seed", type=int, default=None, help="override config seed")
     p_sched.add_argument("--defects", default=None)
     p_sched.add_argument("--summary", default=None, help="summary CSV path")
     p_sched.set_defaults(func=cmd_schedule)
@@ -275,6 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--variants", default="trilinear",
                          help="comma-separated: trilinear,m_row,semi2d")
     p_sweep.add_argument("--m", type=int, default=1, help="rows per side for m_row")
+    p_sweep.add_argument("--format", choices=("json", "csv"), default="csv",
+                         help="tabular output format")
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
@@ -284,7 +288,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config, args.seed)
+        config = load_config(args.config, getattr(args, "seed", None))
         return args.func(config, args)
     except ConfigError as exc:
         sys.stderr.write(_dump_json({"error": {"kind": "ConfigError", "message": str(exc)}}))

@@ -15,9 +15,9 @@ internal int site ids, whose ascending order is the tie-break; `SiteCoord`
 stays at the API, in JSON and in the schedule validator.
 
 Step accounting: `horizontal_steps` counts HorizontalStep micro-ops only;
-`vertical_transfers` counts row/sub-row transfers; `shuttle_steps` counts
-every move inside the two shuttle legs (detours around dead middle sites
-add vertical moves there, so it is the honest distance metric).
+`vertical_transfers` counts row transfers; `shuttle_steps` counts every
+move inside the two shuttle legs (detours around dead middle sites add
+vertical moves there, so it is the honest distance metric).
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
-from .errors import InvalidSite, NotNeighbors, Partitioned, Unrecoverable, UnsupportedPair
+from .errors import (CircuitError, InvalidSite, NotNeighbors, Partitioned, Unrecoverable,
+                     UnsupportedPair)
 from .topology import (
     NO_DEFECTS,
     Cell,
@@ -59,8 +60,6 @@ class Durations:
     two_qubit_gate: int = 2
     single_qubit_pulse: int = 4
     readout: int = 10
-    # Sub-row hop inside a stacked outer row (m_rows > 1).
-    intra_stack_transfer: int = 1
 
 
 DEFAULT_DURATIONS = Durations()
@@ -123,8 +122,6 @@ def move_op(src: SiteCoord, dst: SiteCoord,
     """Move micro-op between two adjacent sites, typed by geometry."""
     if src.row == dst.row and src.subrow == dst.subrow:
         return MicroOp(MicroOpKind.HORIZONTAL_STEP, (src, dst), durations.horizontal_step)
-    if src.row == dst.row:
-        return MicroOp(MicroOpKind.VERTICAL_TRANSFER, (src, dst), durations.intra_stack_transfer)
     return MicroOp(MicroOpKind.VERTICAL_TRANSFER, (src, dst), durations.vertical_transfer)
 
 
@@ -249,23 +246,11 @@ def _path_ops(path: list[SiteCoord], durations: Durations) -> list[MicroOp]:
     return [move_op(a, b, durations) for a, b in zip(path, path[1:])]
 
 
-def _stack_descent(outer: SiteCoord) -> list[SiteCoord]:
-    """Column of sites from an outer dot down its sub-row stack into Middle."""
-    sites = [SiteCoord(outer.row, outer.axis, s) for s in range(outer.subrow, -1, -1)]
-    sites.append(SiteCoord(Row.MIDDLE, outer.axis, 0))
-    return sites
-
-
-def _check_column(layout: TrilinearLayout, column: list[SiteCoord], defects: DefectMap,
-                  blocked: frozenset[SiteCoord], skip_first: bool) -> None:
-    for i, site in enumerate(column):
-        if i == 0 and skip_first:
-            continue
-        if not layout.in_bounds(site) or defects.is_dead(site) or site in blocked:
-            raise Partitioned(f"vertical access through {site} is unusable")
-    for a, b in zip(column, column[1:]):
-        if defects.barrier_dead(a, b):
-            raise Partitioned(f"vertical barrier {a}-{b} is dead")
+def _require_single_row(layout: TrilinearLayout) -> None:
+    """Reject stacked layouts: gates are modelled only on m_rows == 1."""
+    if layout.m_rows > 1:
+        raise CircuitError(f"m_rows={layout.m_rows}: gates on stacked layouts are not "
+                           "modelled; route and schedule need m_rows=1")
 
 
 def gate_shuttle_plan(
@@ -278,45 +263,41 @@ def gate_shuttle_plan(
 ) -> ShuttlePlan:
     """Round-trip plan moving `mover` to gate against the parked `partner`.
 
-    Shape: descend into the Middle row at the mover's own axis, shuttle to
-    the partner's axis (detouring around defects), gate against the
-    partner from the adjacent site, retrace, ascend home.
+    Shape: transfer into the Middle row at the mover's own axis, shuttle
+    to the partner's axis (detouring around defects), gate against the
+    partner from the adjacent site, retrace, transfer home.
     """
+    _require_single_row(layout)
     blocked = frozenset(blocked)
     mover_site = layout.grid_to_site(mover)
     partner_site = layout.grid_to_site(partner)
     if defects.is_dead(mover_site) or defects.is_dead(partner_site):
         raise Partitioned(f"gate endpoint site is dead ({mover}, {partner})")
 
-    descent = _stack_descent(mover_site)
-    _check_column(layout, descent, defects, blocked | {partner_site}, skip_first=True)
-    entry = descent[-1]
+    entry = SiteCoord(Row.MIDDLE, mover_site.axis)
+    if defects.is_dead(entry) or entry in blocked:
+        raise Partitioned(f"vertical access through {entry} is unusable")
+    if defects.barrier_dead(mover_site, entry):
+        raise Partitioned(f"vertical barrier {mover_site}-{entry} is dead")
 
-    # Gate happens from the partner's inward lattice neighbor; a dead
-    # barrier there kills the exchange coupling as well as the transfer.
-    ascent_to_partner = _stack_descent(partner_site)
-    gate_pos = ascent_to_partner[1]
+    # Gate happens from the partner's Middle neighbor; a dead barrier
+    # there kills the exchange coupling as well as the transfer.
+    gate_pos = SiteCoord(Row.MIDDLE, partner_site.axis)
     if defects.barrier_dead(gate_pos, partner_site):
         raise Partitioned(f"barrier at the gate site {gate_pos}-{partner_site} is dead")
 
-    leg = shortest_shuttle_path(
-        layout, entry, gate_pos, defects, blocked | {partner_site}
-    )
-
-    out_ops = _path_ops(descent, durations) + _path_ops(leg, durations)
+    path = [mover_site] + shortest_shuttle_path(
+        layout, entry, gate_pos, defects, blocked | {partner_site})
     gate = MicroOp(MicroOpKind.TWO_QUBIT_GATE, (gate_pos, partner_site),
                    durations.two_qubit_gate)
-    back_path = list(reversed(leg)) + list(reversed(descent))[1:]
-    back_ops = _path_ops(back_path, durations)
-
-    ops = tuple(out_ops + [gate] + back_ops)
+    ops = tuple(_path_ops(path, durations) + [gate] + _path_ops(path[::-1], durations))
     h, v = _counts(ops)
     return ShuttlePlan(
         qubit=mover,
         ops=ops,
         horizontal_steps=h,
         vertical_transfers=v,
-        shuttle_steps=2 * (len(leg) - 1),
+        shuttle_steps=2 * (len(path) - 2),
     )
 
 
@@ -343,6 +324,7 @@ def plan_two_qubit(
     in which case the gate reroutes through the Middle row like any
     non-adjacent pair.
     """
+    _require_single_row(layout)
     sa, sb = layout.grid_to_site(q_a), layout.grid_to_site(q_b)
     if layout.adjacent(sa, sb) and not defects.barrier_dead(sa, sb):
         return direct_gate_plan(layout, q_a, q_b, durations)
@@ -434,23 +416,22 @@ def reconfigure_for_defects(layout: TrilinearLayout,
                             defects: DefectMap = NO_DEFECTS) -> Reconfiguration:
     """Repurpose outer dots stranded from the Middle row; report the cost.
 
-    An alive outer dot can shuttle only if it sits on sub-row 0 and both
-    its Middle neighbour and the barrier to it are alive. Every other
-    alive outer dot is converted to a shuttling waypoint and its qubit (if
-    the dot was mapped) is sacrificed. The rule is local: a dot with a
-    live link to the Middle row is never repurposed, so the repurposed
-    dots never offer a way into the Middle row and repurposing one dot
-    cannot restore access for another. On stacked layouts (m_rows > 1)
-    this repurposes every alive dot off sub-row 0, since access to the
-    Middle row through a stack is not modelled. Raises Unrecoverable when
-    the defects sever the alive lattice between surviving qubits.
+    An alive outer dot can shuttle only if both its Middle neighbour and
+    the barrier to it are alive. Every other alive outer dot is converted
+    to a shuttling waypoint and its qubit (if the dot was mapped) is
+    sacrificed. The rule is local: a dot with a live link to the Middle
+    row is never repurposed, so the repurposed dots never offer a way into
+    the Middle row and repurposing one dot cannot restore access for
+    another. Raises Unrecoverable when the defects sever the alive lattice
+    between surviving qubits.
     """
+    _require_single_row(layout)
     defects.validate_against(layout)
     sites, index, neighbors = layout.lattice
     dead, cut = _defect_ids(layout, defects)
     # Outer ids follow the Middle row's, and a Middle id is its axis.
     repurposed = {i for i in range(layout.length, len(sites)) if i not in dead and (
-        sites[i].subrow or sites[i].axis in dead or (i, sites[i].axis) in cut)}
+        sites[i].axis in dead or (i, sites[i].axis) in cut)}
 
     homes = {cell: index[layout.grid_to_site(cell)] for cell in layout.grid.cells()}
     sacrificed = {cell for cell, i in homes.items() if i in dead or i in repurposed}

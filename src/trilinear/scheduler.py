@@ -206,11 +206,20 @@ class Circuit:
 
 
 def circuit_from_json(doc) -> Circuit:
-    ops_doc = doc["ops"] if isinstance(doc, dict) else doc
+    ops_doc = doc.get("ops") if isinstance(doc, dict) else doc
+    if not isinstance(ops_doc, list):
+        raise CircuitError('circuit: expected a list of ops or an object with an "ops" list')
     ops: list[CircuitOp] = []
     for i, obj in enumerate(ops_doc):
+        # A cell is two integers; JSON's true/false do not count.
+        cells = obj.get("cells", []) if isinstance(obj, dict) else None
+        if not isinstance(cells, list) or not all(
+                isinstance(c, (list, tuple)) and len(c) == 2
+                and type(c[0]) is int and type(c[1]) is int for c in cells):
+            raise CircuitError(f"op {i}: expected an object whose cells are "
+                               f"[row, col] pairs of integers, got {obj!r}")
         kind = obj.get("op")
-        cells = [tuple(int(x) for x in c) for c in obj.get("cells", [])]
+        cells = [tuple(c) for c in cells]
         if kind == "1q":
             if len(cells) != 1:
                 raise CircuitError(f"op {i}: 1q needs exactly one cell")

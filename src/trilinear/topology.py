@@ -371,10 +371,12 @@ def site_to_obj(site: SiteCoord) -> list:
 def site_from_obj(obj) -> SiteCoord:
     try:
         row = Row(obj[0])
-        axis = int(obj[1])
-        sub = int(obj[2]) if len(obj) > 2 else 0
+        axis = obj[1]
+        sub = obj[2] if len(obj) > 2 else 0
     except (ValueError, TypeError, IndexError, KeyError) as exc:
         raise InvalidSite(f"bad site object {obj!r}") from exc
+    if type(axis) is not int or type(sub) is not int:
+        raise InvalidSite(f"bad site object {obj!r}: coordinates must be integers")
     return SiteCoord(row, axis, sub)
 
 
@@ -391,8 +393,11 @@ def defects_to_obj(defects: DefectMap) -> dict:
 def defects_from_obj(obj) -> DefectMap:
     if obj is None:
         return NO_DEFECTS
-    sites = [site_from_obj(s) for s in obj.get("sites", [])]
-    barriers = [(site_from_obj(a), site_from_obj(b)) for a, b in obj.get("barriers", [])]
+    try:
+        sites = [site_from_obj(s) for s in obj.get("sites", [])]
+        barriers = [(site_from_obj(a), site_from_obj(b)) for a, b in obj.get("barriers", [])]
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InvalidSite(f"bad defects object {obj!r}") from exc
     return DefectMap.of(sites=sites, barriers=barriers)
 
 

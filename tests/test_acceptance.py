@@ -222,6 +222,61 @@ def test_criterion_6_scheduler_soundness():
                    f"single {single.makespan} ({elapsed:.2f}s)")
 
 
+def test_criterion_6_soundness_across_layouts():
+    """Random layouts (loop or not, odd or even C, m_rows 1-3) with <= 2
+    dead sites and 4-8 AC inputs: every single-row circuit that compiles
+    validates clean, and every stacked layout is rejected up front."""
+    t0 = time.monotonic()
+    rng = random.Random(20261018)
+    counts = {"clean": 0, "partitioned": 0, "no_live_cell": 0, "stacked": 0}
+    ok = True
+    for _ in range(1500):
+        cols = rng.randint(2, 9)
+        lay = tl.map_to_trilinear(tl.GridSpec(rng.randint(1, 8), cols),
+                                  loop=rng.random() < 0.5,
+                                  m_rows=rng.choice((1, 1, 1, 2, 3)) if cols >= 3 else 1)
+        all_sites = sorted(lay.sites(), key=site_key)
+        defects = DefectMap.of(sites=rng.sample(all_sites, k=rng.randint(0, 2)))
+        mux = sch.MuxConfig(n_ac_inputs=rng.randint(4, 8))
+        if lay.m_rows > 1:
+            calls = (
+                lambda: sch.compile(sch.Circuit((sch.OneQubit((0, 0), "x"),)), lay, defects, mux),
+                lambda: tl.vertical_gate_plan(lay, (0, 0), (0, 1), defects),
+                lambda: tl.long_range_plan(lay, (0, 0), (0, cols - 1), defects),
+            )
+            for call in calls:
+                try:
+                    call()
+                    ok = False
+                except tl.CircuitError as exc:
+                    ok &= str(exc) == (f"m_rows={lay.m_rows}: gates on stacked layouts are "
+                                       "not modelled; route and schedule need m_rows=1")
+            counts["stacked"] += 1
+            continue
+        try:
+            recon = tl.reconfigure_for_defects(lay, defects)
+            cells = [c for c in lay.grid.cells()
+                     if c not in recon.sacrificed_qubits
+                     and not defects.is_dead(lay.grid_to_site(c))]
+            if not cells:
+                counts["no_live_cell"] += 1
+                continue
+            circuit = _random_circuit(rng, cells, n_ops=20)
+            schedule = sch.compile(circuit, lay, defects, mux)
+        except tl.Partitioned:
+            counts["partitioned"] += 1
+            continue
+        violations = sch.validate_schedule(schedule, lay, defects, mux)
+        if violations:
+            ok = False
+            print(f"[acceptance] criterion 6 violation sample on {lay}: {violations[:3]}")
+            break
+        counts["clean"] += 1
+    elapsed = time.monotonic() - t0
+    ok &= counts["clean"] >= 900 and counts["stacked"] >= 300
+    _report(6, ok, f"layout sweep {counts} ({elapsed:.2f}s)")
+
+
 def test_criterion_7_mux_arithmetic():
     """k in {1,2,8} in-phase shuttles need exactly 4 waveform classes; DC
     hold/refresh arithmetic matches."""

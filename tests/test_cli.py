@@ -189,6 +189,7 @@ def test_config_rejects_unknown_keys(doc, message):
     ({"pitch_nm": float("inf")}, "config.pitch_nm: expected a finite number, got inf"),
     ({"mux": {"dc_hold_time_s": float("-inf")}},
      "mux.dc_hold_time_s: expected a finite number, got -inf"),
+    ({"durations": {"intra_stack_transfer": 1}}, "durations.intra_stack_transfer: unknown key"),
 ])
 def test_config_value_errors_name_the_field(doc, message):
     with pytest.raises(ConfigError) as info:
@@ -234,10 +235,96 @@ def test_config_reads_every_documented_key():
     config = config_from_json({
         "fidelity": {"f_step": 0.5, "f_transfer": 0.6, "f_1q": 0.7, "f_2q": 0.8, "f_readout": 0.9},
         "durations": {"horizontal_step": 2, "vertical_transfer": 3, "two_qubit_gate": 4,
-                      "single_qubit_pulse": 5, "readout": 6, "intra_stack_transfer": 7},
+                      "single_qubit_pulse": 5, "readout": 6},
     })
     assert config.fidelity == tl.metrics.FidelityModel(0.5, 0.6, 0.7, 0.8, 0.9)
-    assert config.durations == tl.Durations(2, 3, 4, 5, 6, 7)
+    assert config.durations == tl.Durations(2, 3, 4, 5, 6)
+
+
+@pytest.mark.parametrize("what, text", [
+    ("circuit", '{"ops": [{"op": "1q", "cells": [[0, 0]], "param": NaN}]}'),
+    ("circuit", '{"ops": [{"op": "1q", "cells": [[0, 0]], "param": -Infinity}]}'),
+    ("defects file", '{"sites": [["M", NaN]]}'),
+])
+def test_non_standard_json_constants_in_inputs_exit_1(what, text, cfg, tmp_path, capsys):
+    """A NaN circuit param was copied into the schedule as "param": NaN,
+    which is not JSON, and the command exited 0."""
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"ops": []}', encoding="utf-8")
+    flag = "--circuit" if what == "circuit" else "--defects"
+    argv = ["schedule", "--config", cfg, "--circuit", str(empty), flag, str(path)]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "ConfigError"
+    assert err["message"].startswith(f"{what} {path}: ")
+    assert err["message"].endswith(" is not a JSON number")
+
+
+@pytest.mark.parametrize("command, text, code, kind, message", [
+    ("schedule", '{"ops": ["1q"]}', 2, "CircuitError", "op 0: expected an object whose cells are"),
+    ("schedule", '{"ops": [{"op": "2q", "cells": [[0, 0], [1]]}]}', 2, "CircuitError",
+     "op 0: expected an object whose cells are"),
+    ("schedule", '{"ops": 5}', 2, "CircuitError", "circuit: expected a list of ops"),
+    ("schedule", '{"nope": 1}', 2, "CircuitError", "circuit: expected a list of ops"),
+    ("schedule", '{"ops": [{"op": "1q", "cells": [[0.9, 0]]}]}', 2, "CircuitError",
+     "op 0: expected an object whose cells are"),
+    ("schedule", '{"ops": [{"op": "meas", "cells": [["0", "1"]]}]}', 2, "CircuitError",
+     "op 0: expected an object whose cells are"),
+    ("schedule", '{"ops": [{"op": "meas", "cells": [[true, 1]]}]}', 2, "CircuitError",
+     "op 0: expected an object whose cells are"),
+    ("map", "[1, 2]", 1, "ConfigError", "defects file "),
+    ("map", '{"sites": [["U", 1.7]]}', 2, "InvalidSite", "bad site object ['U', 1.7]"),
+    ("map", '{"sites": 5}', 2, "InvalidSite", "bad defects object"),
+])
+def test_malformed_circuit_and_defect_files_give_error_json(command, text, code, kind, message,
+                                                            cfg, tmp_path, capsys):
+    """Each used to end in a Python traceback, or to run on a truncated value
+    ([0.9, 0] became (0, 0), ["U", 1.7] became (U,1))."""
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    flag = "--circuit" if command == "schedule" else "--defects"
+    assert main([command, "--config", cfg, flag, str(path)]) == code
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == kind
+    assert err["message"].startswith(message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--circuit", "c.json", "--seed", "1"],
+    ["map", "--seed", "1"],
+    ["route", "--gate", "0,0", "0,1", "--seed", "1"],
+    ["sweep", "--n", "100", "--seed", "1"],
+    ["schedule", "--circuit", "c.json", "--format", "json"],
+    ["map", "--format", "json"],
+])
+def test_flags_a_command_does_not_read_are_usage_errors(argv, cfg, capsys):
+    """--seed (read by schedule only) and --format (read by sweep only) were
+    accepted by every subcommand and then ignored."""
+    with pytest.raises(SystemExit) as info:
+        main([argv[0], "--config", cfg, *argv[1:]])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["schedule", "--circuit"],
+    ["route", "--gate", "0,5", "1,5"],
+])
+def test_stacked_layouts_exit_2_in_route_and_schedule(command, tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"grid": {"rows": 4, "cols": 8}, "m_rows": 2}), encoding="utf-8")
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps({"ops": [{"op": "2q", "cells": [[0, 5], [1, 5]]}]}),
+                       encoding="utf-8")
+    if command[0] == "schedule":
+        command = command + [str(circuit)]
+    assert main([command[0], "--config", str(cfg), *command[1:]]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": {
+        "kind": "CircuitError",
+        "message": "m_rows=2: gates on stacked layouts are not modelled; "
+                   "route and schedule need m_rows=1"}}
 
 
 def test_partitioned_route_error_json(cfg, tmp_path, capsys):

@@ -14,6 +14,10 @@ from _oracles import as_node, bfs_distance, expected_dims, reconfiguration, site
 from _oracles import shortest_shuttle_path as reference_path
 
 
+STACKED = ("^m_rows=2: gates on stacked layouts are not modelled; "
+           "route and schedule need m_rows=1$")
+
+
 def M(axis):
     return SiteCoord(Row.MIDDLE, axis)
 
@@ -182,6 +186,19 @@ def test_dead_entry_middle_partitions_the_pair(lay44):
     assert (0, 2) in recon.sacrificed_qubits
 
 
+def test_gate_entry_errors_name_the_mover_column(lay44):
+    """The mover enters Middle at its own axis: a dead or blocked entry and
+    a dead transfer barrier are reported in these words."""
+    home, entry = SiteCoord(Row.UPPER, 1), M(1)
+    assert lay44.grid_to_site((0, 1)) == home
+    for kw in ({"blocked": [entry]}, {"defects": DefectMap.of(sites=[entry])}):
+        with pytest.raises(tl.Partitioned, match=r"^vertical access through \(M,1\) is unusable$"):
+            tl.router.gate_shuttle_plan(lay44, (0, 1), (1, 3), **kw)
+    with pytest.raises(tl.Partitioned, match=r"^vertical barrier \(U,1\)-\(M,1\) is dead$"):
+        tl.router.gate_shuttle_plan(lay44, (0, 1), (1, 3),
+                                    DefectMap.of(barriers=[(home, entry)]))
+
+
 def test_dead_direct_barrier_reroutes_through_middle(lay44):
     a, b = lay44.grid_to_site((0, 1)), lay44.grid_to_site((0, 2))
     defects = DefectMap.of(barriers=[(a, b)])
@@ -203,17 +220,31 @@ def test_defect_free_vertical_gates_cost_exactly_c(dims):
 
 
 def test_stacked_rows_compress_vertical_gates():
-    # Two sub-rows per side halve the block, so a vertical gate costs the
-    # block width (4) in horizontal steps, plus the stack hops to descend.
+    # Gates on stacked layouts are not modelled: planning rejects them up
+    # front, for inner (sub-row 0) and outer (sub-row 1) pairs alike. The
+    # block compression itself is covered by test_m_rows_compresses_axis.
     lay = tl.map_to_trilinear(tl.GridSpec(4, 8), m_rows=2)
-    inner = tl.vertical_gate_plan(lay, (0, 1), (1, 1))
-    assert inner.horizontal_steps == lay.block_width == 4
-    outer = tl.vertical_gate_plan(lay, (0, 5), (1, 5))  # both in sub-row 1
-    assert outer.horizontal_steps == 4
-    assert outer.vertical_transfers == 6  # 2 stack hops + 1 transfer each way
-    for plan in (inner, outer):
-        kinds = [op.kind for op in plan.ops]
-        assert kinds.count(MicroOpKind.TWO_QUBIT_GATE) == 1
+    assert lay.block_width == 4
+    for a, b in (((0, 1), (1, 1)), ((0, 5), (1, 5))):
+        with pytest.raises(tl.CircuitError, match=STACKED):
+            tl.vertical_gate_plan(lay, a, b)
+
+
+def test_stacked_layouts_are_rejected_before_routing():
+    """Each planning entry point raises the one stacked-layout error first,
+    even where the defects would otherwise fail routing or reconfiguration."""
+    lay = tl.map_to_trilinear(tl.GridSpec(4, 8), m_rows=2)
+    cut = DefectMap.of(sites=[SiteCoord(Row.UPPER, a, s) for a in range(lay.length)
+                              for s in (0, 1)] + [M(a) for a in range(lay.length)])
+    calls = (
+        lambda: tl.reconfigure_for_defects(lay, cut),
+        lambda: tl.router.plan_two_qubit(lay, (0, 0), (0, 1), cut),
+        lambda: tl.router.gate_shuttle_plan(lay, (0, 5), (1, 5), cut),
+        lambda: tl.long_range_plan(lay, (0, 0), (1, 7), cut),
+    )
+    for call in calls:
+        with pytest.raises(tl.CircuitError, match=STACKED):
+            call()
 
 
 # ----------------------------------------------------------------------
@@ -355,6 +386,10 @@ def test_reconfiguration_matches_fixed_point_oracle(case):
         sites=[_site(n) for n in dead_sites],
         barriers=[(_site(a), _site(b)) for a, b in dead_barriers],
     )
+    if m_rows > 1:
+        with pytest.raises(tl.CircuitError, match=f"^m_rows={m_rows}: gates on stacked"):
+            tl.reconfigure_for_defects(layout, defects)
+        return
     repurposed, sacrificed, components = reconfiguration(
         rows, cols, loop, m_rows, dead_sites, dead_barriers)
     if components > 1:

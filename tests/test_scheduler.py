@@ -100,6 +100,17 @@ def test_sacrificed_cell_rejected(lay88_loop):
         sch.compile(sch.Circuit((OneQubit((0, 4), "x"),)), lay88_loop, defects=defects)
 
 
+def test_stacked_layout_rejected_before_reconfiguration():
+    """A defect-free 4x8 m_rows=2 compile used to fail with the misleading
+    "cell (0, 5) is sacrificed to defects" while route planned the pair."""
+    lay = tl.map_to_trilinear(tl.GridSpec(4, 8), m_rows=2)
+    circuit = sch.Circuit((TwoQubit((0, 5), (1, 5)), OneQubit((3, 5), "x")))
+    with pytest.raises(tl.CircuitError) as info:
+        sch.compile(circuit, lay)
+    assert str(info.value) == ("m_rows=2: gates on stacked layouts are not modelled; "
+                               "route and schedule need m_rows=1")
+
+
 def test_unsupported_pair_rejected(lay88):
     with pytest.raises(tl.UnsupportedPair):
         sch.compile(sch.Circuit((TwoQubit((0, 0), (4, 0)),)), lay88)
