@@ -108,10 +108,14 @@ class MicroOp:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "MicroOp":
+        duration = obj.get("duration_ticks", 1)
+        # A type check, not a coercion: 2.9 or true is not a tick count.
+        if type(duration) is not int or duration < 1:
+            raise CircuitError(f"duration_ticks: expected an integer >= 1, got {duration!r}")
         return cls(
             kind=MicroOpKind(obj["kind"]),
             sites=tuple(site_from_obj(s) for s in obj["sites"]),
-            duration_ticks=int(obj.get("duration_ticks", 1)),
+            duration_ticks=duration,
             freq_class=obj.get("freq_class"),
             param=obj.get("param"),
         )

@@ -5,17 +5,23 @@ One tick equals one horizontal shuttle step; other micro-op durations come
 from the Durations config.
 
 Scheduling model (greedy list scheduling, deliberately non-optimal):
-  - every logical op expands to a plan while its qubits sit at their home
-    sites (plans are round trips, so qubits are home between their ops);
-  - ops start in circuit order ("strict start order"), each as early as
-    all of the following hold: the op heads every participant's program
-    order, its corridor (every site the plan touches, plus the parked
-    partner) is disjoint from active corridors and idle qubits' homes,
-    and the per-tick distinct-waveform budget is respected over the op's
-    whole span.
-The corridor reservation makes the loop deadlock-free and keeps movers
-from ever colliding; the independent validator re-derives all rules from
-the schedule alone.
+  - every logical op expands to a job, a plan made while its qubits sit at
+    their home sites (plans are round trips, so qubits are home between
+    their ops);
+  - jobs are admitted by dependency: at each tick, after the jobs ending
+    there release their corridors, every unstarted job starts, taken in
+    program order, if it is next in program order for each of its qubits,
+    its corridor (every site the plan touches, plus the parked partner's
+    home) is disjoint from the active corridors, and its signals fit the
+    per-tick distinct-waveform budget over its whole span, so a job held
+    back does not stall later jobs on other qubits.
+Admission is event-driven: a blocked job waits on its previous jobs' ends,
+on the end of an active job whose corridor it clashes with, or on a timer
+set past the ticks where its signals do not fit, and the clock jumps from
+event to event. The corridor reservation keeps movers from ever colliding,
+and whenever nothing is active the first unstarted job can start, so the
+serialized schedule bounds the makespan. The independent validator
+re-derives all rules from the schedule alone.
 
 Waveform accounting: a signal is the name the schedule JSON prints for it.
 All conveyor movement in one direction shares one fixed set of four phased
@@ -31,6 +37,8 @@ import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Optional, Union
 
 from .errors import CircuitError, MuxInfeasible, UnsupportedPair
@@ -69,6 +77,11 @@ _PULSE_SIGNALS = {
     MicroOpKind.READOUT: frozenset({"readout_pulse"}),
 }
 _SHUTTLE_SIGNALS = frozenset().union(*_MOVE_SIGNALS.values())
+
+# One bit per fixed set. A micro-op drives exactly one set, so the sets live
+# in a tick name its signals exactly, and compile keeps them as one byte.
+_SET_BIT = {sigs: 1 << i for i, sigs in enumerate((*_MOVE_SIGNALS.values(),
+                                                   *_PULSE_SIGNALS.values()))}
 
 
 def signals_for_op(layout: TrilinearLayout, op: MicroOp) -> frozenset[Signal]:
@@ -302,52 +315,77 @@ class _Job:
     ops: list[MicroOp]
     op_signals: list[frozenset[Signal]]
     offsets: list[int]
+    # (first tick, end tick, set bit) of each stretch of back-to-back ops
+    # that drive one signal set, e.g. a whole shuttle leg.
+    runs: list[tuple[int, int, int]]
     total_ticks: int
     corridor: int   # bitmask over layout.lattice ids
-    clashes_parked: bool
-    signals_by_tick: list[frozenset[Signal]]
     partner: Optional[Cell] = None
-    gate_end_offset: Optional[int] = None
 
 
 def _build_job(index: int, owner: Cell, ops: list[MicroOp], layout: TrilinearLayout,
                participants: tuple[Cell, ...], partner: Optional[Cell],
-               home_bits: dict[Cell, int], occupied: int) -> _Job:
-    # Ops run back to back, so each tick carries exactly one op's signals.
+               extra_bits: int) -> _Job:
     offsets: list[int] = []
     op_signals: list[frozenset[Signal]] = []
-    signals_by_tick: list[frozenset[Signal]] = []
-    gate_end = None
+    runs: list[tuple[int, int, int]] = []
     ids = layout.lattice.index
-    corridor = 0
+    corridor = extra_bits
+    tick = 0
     for op in ops:
         sigs = signals_for_op(layout, op)
-        offsets.append(len(signals_by_tick))
+        offsets.append(tick)
         op_signals.append(sigs)
-        signals_by_tick.extend([sigs] * op.duration_ticks)
+        bit = _SET_BIT[sigs]
+        end = tick + op.duration_ticks
+        if runs and runs[-1][2] == bit:
+            runs[-1] = (runs[-1][0], end, bit)
+        else:
+            runs.append((tick, end, bit))
+        tick = end
         for site in op.sites:
             corridor |= 1 << ids[site]
-        if op.kind is MicroOpKind.TWO_QUBIT_GATE:
-            gate_end = len(signals_by_tick)
-    if partner is not None:
-        corridor |= home_bits[partner]
-    return _Job(
-        index=index,
-        owner=owner,
-        participants=participants,
-        ops=ops,
-        op_signals=op_signals,
-        offsets=offsets,
-        total_ticks=len(signals_by_tick),
-        corridor=corridor,
-        # Homes never move and grid_to_site is injective, so the homes of the
-        # qubits idle during this job are the same set at every tick: its clash
-        # with them is fixed once here instead of in every admission check.
-        clashes_parked=bool(corridor & occupied & ~sum(home_bits[c] for c in participants)),
-        signals_by_tick=signals_by_tick,
-        partner=partner,
-        gate_end_offset=gate_end,
-    )
+    return _Job(index=index, owner=owner, participants=participants, ops=ops,
+                op_signals=op_signals, offsets=offsets, runs=runs, total_ticks=tick,
+                corridor=corridor, partner=partner)
+
+
+@lru_cache(maxsize=16)
+def _clash_tables(mux: MuxConfig) -> dict[int, bytes]:
+    """Per set bit, a bytes.translate table that maps a tick's byte of live
+    sets to 1 where adding that set breaks the AC budget, else 0."""
+    tables = {bit: bytearray(256) for bit in _SET_BIT.values()}
+    for sets in range(1 << len(_SET_BIT)):
+        live = set().union(*(sigs for sigs, bit in _SET_BIT.items() if sets & bit))
+        for sigs, bit in _SET_BIT.items():
+            tables[bit][sets] = bool(_mux_problems(live | sigs, mux))
+    return {bit: bytes(table) for bit, table in tables.items()}
+
+
+def _earliest_fit(runs: list[tuple[int, int, int]], start: int, committed: bytearray,
+                  clashes: dict[int, bytes]) -> int:
+    """The first start from `start` on at which no run's signals clash with
+    the ticks already committed. Ticks past the end of `committed` are empty;
+    `clashes[bit]` maps a tick's byte to 1 where adding set `bit` to it breaks
+    the AC budget."""
+    checked = 0  # runs in a row that fit at `start`
+    i = 0
+    while checked < len(runs):
+        a, b, bit = runs[i]
+        i = (i + 1) % len(runs)
+        # The run needs b - a clash-free ticks in a row from tick start + a.
+        # Committed signals only grow, so no start that keeps a clashing
+        # tick inside the run can fit: skip to the first such gap.
+        clash = committed[start + a:].translate(clashes[bit])
+        gap = clash.find(bytes(b - a))
+        if gap < 0:
+            gap = clash.rfind(1) + 1
+        if gap:
+            start += gap
+            checked = 1
+        else:
+            checked += 1
+    return start
 
 
 def compile(  # noqa: A001 - mirrors re.compile naming
@@ -370,8 +408,10 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     cells = circuit.cells()
     homes = {cell: layout.grid_to_site(cell) for cell in cells}
     occupied = set(homes.values())
-    home_bits = {cell: 1 << layout.lattice.index[site] for cell, site in homes.items()}
-    occupied_bits = sum(home_bits.values())
+    ids = layout.lattice.index
+    # Under `serialize` every corridor also holds one bit past the lattice,
+    # so any two jobs clash and one runs at a time.
+    serial_bit = 1 << len(layout.lattice.sites) if serialize else 0
 
     jobs: list[_Job] = []
     for index, cop in enumerate(circuit.ops):
@@ -380,21 +420,23 @@ def compile(  # noqa: A001 - mirrors re.compile naming
             mop = MicroOp(MicroOpKind.SINGLE_QUBIT_PULSE, (site,),
                           durations.single_qubit_pulse,
                           freq_class=site_class(site).value, param=cop.rotation)
-            jobs.append(_build_job(index, cop.cell, [mop], layout,
-                                   (cop.cell,), None, home_bits, occupied_bits))
+            jobs.append(_build_job(index, cop.cell, [mop], layout, (cop.cell,), None,
+                                   serial_bit))
         elif isinstance(cop, Measure):
             site = homes[cop.cell]
             mop = MicroOp(MicroOpKind.READOUT, (site,), durations.readout)
-            jobs.append(_build_job(index, cop.cell, [mop], layout,
-                                   (cop.cell,), None, home_bits, occupied_bits))
+            jobs.append(_build_job(index, cop.cell, [mop], layout, (cop.cell,), None,
+                                   serial_bit))
         else:
             blocked = occupied - {homes[cop.cell_a], homes[cop.cell_b]}
             plan = plan_two_qubit(layout, cop.cell_a, cop.cell_b, defects,
                                   durations, blocked)
             mover = plan.qubit
             partner = cop.cell_b if mover == cop.cell_a else cop.cell_a
-            jobs.append(_build_job(index, mover, list(plan.ops), layout,
-                                   (mover, partner), partner, home_bits, occupied_bits))
+            # The partner's home is in the corridor, so the partner's next
+            # job cannot start before this one ends.
+            jobs.append(_build_job(index, mover, list(plan.ops), layout, (mover, partner),
+                                   partner, serial_bit | 1 << ids[homes[partner]]))
 
     for job in jobs:
         for op, need in zip(job.ops, job.op_signals):
@@ -404,79 +446,85 @@ def compile(  # noqa: A001 - mirrors re.compile naming
                     f"only {mux.n_ac_inputs} AC inputs available"
                 )
 
-    queues: dict[Cell, list[int]] = defaultdict(list)
+    # A job is ready once it heads every participant's program order: `owed`
+    # counts the participants whose previous job has not ended yet, and
+    # `successors` lists, per participant, the job that comes next.
+    n = len(jobs)
+    owed = [0] * n
+    successors: list[list[int]] = [[] for _ in range(n)]
+    last: dict[Cell, int] = {}
     for job in jobs:
         for cell in job.participants:
-            queues[cell].append(job.index)
-    heads = {cell: 0 for cell in queues}
+            prev = last.get(cell)
+            if prev is not None:
+                successors[prev].append(job.index)
+                owed[job.index] += 1
+            last[cell] = job.index
 
-    def _ready(job: _Job) -> bool:
-        return all(queues[c][heads[c]] == job.index for c in job.participants)
-
-    tick_signals: dict[int, set[Signal]] = defaultdict(set)
+    # Event-driven admission. At each event tick the woken jobs are examined
+    # in program order; one that cannot start waits on what stopped it:
+    # - not ready: its previous jobs' ends;
+    # - a corridor clash: the end of one active job it clashes with;
+    # - the AC budget: a timer at the first start where its signals fit what
+    #   is committed now. Committed signals only grow, so none earlier can.
+    # Nothing else that a job is blocked on can change between events, so
+    # this starts each job at the first tick at which it is admissible.
+    committed = bytearray()              # the signal sets live at each tick
+    clashes = _clash_tables(mux)
     scheduled: list[ScheduledOp] = []
-    # Active jobs: index -> (start, partner_release_tick, end_tick)
-    active: dict[int, tuple[int, Optional[int], int]] = {}
-    # Admission keeps active corridors pairwise disjoint, so one mask holds
-    # them all and a job's end clears exactly its own bits.
-    active_corridor = 0
-
-    def _admissible(job: _Job, t: int) -> bool:
-        if serialize and active:
-            return False
-        if job.clashes_parked or not _ready(job):
-            return False
-        if job.corridor & active_corridor:
-            return False
-        for off, new in enumerate(job.signals_by_tick):
-            if _mux_problems(tick_signals.get(t + off, set()) | new, mux):
-                return False
-        return True
-
-    def _commit(job: _Job, t: int) -> None:
-        nonlocal active_corridor
-        for op, sigs, off in zip(job.ops, job.op_signals, job.offsets):
-            partner = job.partner if op.kind is MicroOpKind.TWO_QUBIT_GATE else None
-            scheduled.append(ScheduledOp(
-                qubit=job.owner, op=op, start_tick=t + off, partner=partner,
-                signals=sigs,
-            ))
-        for off, sigs in enumerate(job.signals_by_tick):
-            tick_signals[t + off] |= sigs
-        release = t + job.gate_end_offset if job.gate_end_offset is not None else None
-        active[job.index] = (t, release, t + job.total_ticks)
-        active_corridor |= job.corridor
-
-    def _pop(cell: Cell, index: int) -> None:
-        if queues[cell][heads[cell]] == index:
-            heads[cell] += 1
-
+    active: list[int] = []
+    active_corridor = 0                  # active corridors are pairwise disjoint
+    waiters: dict[int, list[int]] = {}   # active job -> jobs waiting on its end
+    events: list[tuple[int, int]] = []   # (tick, job ending) or (tick, n + job woken)
+    woken = [j for j in range(n) if not owed[j]]
+    started = 0
     t = 0
-    next_unstarted = 0
     while True:
-        while next_unstarted < len(jobs) and _admissible(jobs[next_unstarted], t):
-            _commit(jobs[next_unstarted], t)
-            next_unstarted += 1
-        if not active:
-            if next_unstarted >= len(jobs):
-                break
-            raise AssertionError("scheduler stalled with no active work")
-        # Advance one tick at a time: waveform conflicts can clear between
-        # completion events, and starting every op at its earliest feasible
-        # tick keeps the serialized schedule an upper bound on makespan.
-        t += 1
-        for idx in sorted(active):
-            start, rel, end = active[idx]
-            job = jobs[idx]
-            if rel is not None and rel <= t:
-                _pop(job.partner, idx)
-                active[idx] = (start, None, end)
-            if end <= t:
-                _pop(job.owner, idx)
-                if job.partner is not None and active[idx][1] is not None:
-                    _pop(job.partner, idx)
-                active_corridor &= ~job.corridor
-                del active[idx]
+        for index in sorted(woken):
+            job = jobs[index]
+            clash = job.corridor & active_corridor
+            if clash:
+                waiters[next(k for k in active if jobs[k].corridor & clash)].append(index)
+                continue
+            start = _earliest_fit(job.runs, t, committed, clashes)
+            if start > t:
+                heappush(events, (start, n + index))
+                continue
+            for op, sigs, off in zip(job.ops, job.op_signals, job.offsets):
+                partner = job.partner if op.kind is MicroOpKind.TWO_QUBIT_GATE else None
+                scheduled.append(ScheduledOp(
+                    qubit=job.owner, op=op, start_tick=t + off, partner=partner,
+                    signals=sigs,
+                ))
+            end = t + job.total_ticks
+            if len(committed) < end:
+                committed.extend(bytes(end - len(committed)))
+            for a, b, bit in job.runs:
+                for k in range(t + a, t + b):
+                    committed[k] |= bit
+            active.append(index)
+            active_corridor |= job.corridor
+            waiters[index] = []
+            heappush(events, (end, index))
+            started += 1
+        woken = []
+        if not events:
+            break
+        t = events[0][0]
+        while events and events[0][0] == t:
+            code = heappop(events)[1]
+            if code >= n:
+                woken.append(code - n)
+                continue
+            active.remove(code)
+            active_corridor &= ~jobs[code].corridor
+            for nxt in successors[code]:
+                owed[nxt] -= 1
+                if not owed[nxt]:
+                    woken.append(nxt)
+            woken += waiters.pop(code)
+    if started < n:
+        raise AssertionError("scheduler stalled with no active work")
 
     makespan = max((s.end_tick for s in scheduled), default=0)
     return Schedule(

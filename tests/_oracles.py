@@ -446,3 +446,98 @@ def swap_throughs(sops) -> list:
                         f"qubits {a.qubit} and {b.qubit} swap through "
                         f"{a.op.src}-{a.op.dst}"))
     return out
+
+
+def admit_by_dependency(circuit, layout, defects=NO_DEFECTS, mux=None, durations=None,
+                        serialize=False):
+    """`scheduler.compile`'s admission rule, stepped one tick at a time.
+
+    At tick t the jobs ending at t release their corridors and their place
+    at the head of each participant's queue. Then every unstarted job, in
+    program order, starts if it heads every participant's queue, its
+    corridor (the plan's sites plus the partner's home) is disjoint from
+    the active corridors, and adding its signal names keeps
+    `_mux_problems` empty at every tick of its span. With `serialize` a
+    job starts only when nothing is active. Plans come from the package's
+    router, as compile's do.
+    """
+    from trilinear.router import (DEFAULT_DURATIONS, MicroOp, MicroOpKind, plan_two_qubit,
+                                  reconfigure_for_defects)
+    from trilinear.scheduler import (DEFAULT_MUX, OneQubit, Schedule, ScheduledOp, TwoQubit,
+                                     _mux_problems, op_cells, signals_for_op)
+    from trilinear.topology import site_class, site_key
+
+    mux = mux or DEFAULT_MUX
+    durations = durations or DEFAULT_DURATIONS
+    recon = reconfigure_for_defects(layout, defects)
+    circuit.validate_against(layout, recon.sacrificed_qubits)
+    homes = {cell: layout.grid_to_site(cell) for cell in circuit.cells()}
+
+    jobs = []  # (owner, partner, participants, ops, corridor sites)
+    for cop in circuit.ops:
+        if isinstance(cop, TwoQubit):
+            blocked = set(homes.values()) - {homes[cop.cell_a], homes[cop.cell_b]}
+            plan = plan_two_qubit(layout, cop.cell_a, cop.cell_b, defects, durations, blocked)
+            owner = plan.qubit
+            partner = cop.cell_b if owner == cop.cell_a else cop.cell_a
+            ops = list(plan.ops)
+        else:
+            owner, partner = cop.cell, None
+            site = homes[owner]
+            if isinstance(cop, OneQubit):
+                ops = [MicroOp(MicroOpKind.SINGLE_QUBIT_PULSE, (site,),
+                               durations.single_qubit_pulse,
+                               freq_class=site_class(site).value, param=cop.rotation)]
+            else:
+                ops = [MicroOp(MicroOpKind.READOUT, (site,), durations.readout)]
+        corridor = {s for op in ops for s in op.sites}
+        if partner is not None:
+            corridor.add(homes[partner])
+        jobs.append((owner, partner, op_cells(cop), ops, corridor))
+
+    queues = {}
+    for i, (_, _, cells, _, _) in enumerate(jobs):
+        for cell in cells:
+            queues.setdefault(cell, []).append(i)
+    live: dict[int, frozenset] = {}  # tick -> signal names committed there
+    active: dict[int, int] = {}      # job -> end tick
+    unstarted = list(range(len(jobs)))
+    scheduled = []
+    t = 0
+    while unstarted or active:
+        for i in [i for i, end in active.items() if end == t]:
+            del active[i]
+            for cell in jobs[i][2]:
+                queues[cell].pop(0)
+        for i in list(unstarted):
+            owner, partner, cells, ops, corridor = jobs[i]
+            if serialize and active:
+                break
+            if any(queues[cell][0] != i for cell in cells):
+                continue
+            if any(corridor & jobs[k][4] for k in active):
+                continue
+            spans, tick = [], t
+            for op in ops:
+                spans.append((tick, op, signals_for_op(layout, op)))
+                tick += op.duration_ticks
+            if any(_mux_problems(set(live.get(k, frozenset()) | sigs), mux)
+                   for start, op, sigs in spans
+                   for k in range(start, start + op.duration_ticks)):
+                continue
+            for start, op, sigs in spans:
+                for k in range(start, start + op.duration_ticks):
+                    live[k] = live.get(k, frozenset()) | sigs
+                gate_partner = partner if op.kind is MicroOpKind.TWO_QUBIT_GATE else None
+                scheduled.append(ScheduledOp(owner, op, start, gate_partner, sigs))
+            active[i] = tick
+            unstarted.remove(i)
+        if unstarted and not active:
+            raise AssertionError("no job can start with nothing active")
+        t += 1
+    return Schedule(
+        ops=tuple(sorted(scheduled, key=lambda s: (s.start_tick, s.qubit,
+                                                   site_key(s.op.sites[0])))),
+        makespan=max((s.end_tick for s in scheduled), default=0),
+        initial_positions=tuple(sorted(homes.items())),
+    )

@@ -374,12 +374,12 @@ def _seeded_circuit(rng, rows, cols, n_ops, avoid=frozenset()):
 # outputs are promised byte-identical across refactors; a digest may only
 # change together with a deliberate change to the schedules themselves.
 GOLDEN_SCHEDULES = {
-    "grid16": ("8e88e49661e3177a2a3c917a2b64e29b8188c58977e8e9a434436c4275bbdcc4",
-               "3bedc5051033e36a307522d5a2fb0524963c14ae6c8fbaec8634ba801007dd10"),
-    "loop8_dead_middle": ("ff89bff781a88887efc669ccde5557ed12ce733d4a54992a471d2361bee773f1",
-                          "058140469d5c3e001ed59c0eeef34e439b305a5fb858b9aa07daad1e56d6f18c"),
-    "loop6x7_mixed_params": ("bc320b062cb7c432db3170a13de0a9cc960e5dd3ea2cfd12740c422b524fc1b3",
-                             "c9d830005be2e9cdd9acd576399890a8de33537f1d7fa443261c7735c8959e9c"),
+    "grid16": ("836fd137fb1c1b47b99df0f801ce7bd6967219b5ab49061d313f40e23a984d26",
+               "d523cae832290e3bca87fa5f561f5250fecb52e15ea432ac3357fb834085081a"),
+    "loop8_dead_middle": ("4809bb5c3504951c1ad7dbfc2bc7b253cd4bdd3ca9650ec69a111de7e87bade9",
+                          "e2226a3dfdb6255460fc2cabfa4f47a7f575cbf82dc55914dccb245c96e2ee31"),
+    "loop6x7_mixed_params": ("bf65b5fe103b3f75c4beda180e21e5c54bd5900ecaefa69b427ba4b7e31c8763",
+                             "2739dee9b05981adb13e78a208f55c02a2d250fa51858bc4e97d13b62bfe0023"),
 }
 
 # 1q params of mixed JSON types, cycled over the 1q ops of the third golden case.

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trilinear as tl
-from trilinear.router import MicroOpKind
+from trilinear.router import MicroOp, MicroOpKind
 from trilinear.topology import DefectMap, Row, SiteCoord
 
 from _oracles import as_node, bfs_distance, expected_dims, reconfiguration, site_graph
@@ -400,3 +400,18 @@ def test_reconfiguration_matches_fixed_point_oracle(case):
     recon = tl.reconfigure_for_defects(layout, defects)
     assert {as_node(s) for s in recon.repurposed_sites} == repurposed
     assert recon.sacrificed_qubits == sacrificed
+
+
+@pytest.mark.parametrize("duration", [2.9, True, -3, 0, "2", None])
+def test_micro_op_reader_rejects_non_integer_durations(duration):
+    """2.9 used to read back as 2, true as 1, and -3 was accepted."""
+    obj = {"kind": "horizontal_step", "sites": [["M", 0], ["M", 1]], "duration_ticks": duration}
+    with pytest.raises(tl.CircuitError, match=f"duration_ticks.*{duration!r}"):
+        MicroOp.from_obj(obj)
+
+
+def test_micro_op_reader_accepts_positive_integer_durations():
+    obj = {"kind": "horizontal_step", "sites": [["M", 0], ["M", 1]]}
+    assert MicroOp.from_obj(obj).duration_ticks == 1
+    assert MicroOp.from_obj(obj | {"duration_ticks": 1}).duration_ticks == 1
+    assert MicroOp.from_obj(obj | {"duration_ticks": 7}).duration_ticks == 7

@@ -24,7 +24,8 @@ from trilinear.scheduler import (
 from trilinear.errors import TrilinearError
 from trilinear.topology import DefectMap, Row, SiteCoord
 
-from _oracles import schedule_document, swap_throughs, tick_signal_names
+from _oracles import (admit_by_dependency, schedule_document, swap_throughs,
+                      tick_signal_names)
 
 
 def compile_ok(circuit, layout, **kw):
@@ -147,24 +148,31 @@ def test_lowering_ac_budget_never_speeds_up_reference_set(lay88_loop):
 def test_budget_anomaly_stays_within_serial_bound(lay88_loop):
     # Greedy list scheduling has classic anomalies: a larger waveform
     # budget can start an op earlier whose active window then delays a
-    # successor by more than the budget gained. This pins one such case
-    # and checks the serialized schedule still bounds every budget.
-    defects = DefectMap.of(sites=[SiteCoord(Row.UPPER, 0)])
-    circuit = sch.Circuit((
-        OneQubit((5, 1), "x"),
-        TwoQubit((0, 1), (0, 4)),
-        TwoQubit((3, 6), (4, 1)),
-        Measure((7, 0)),
-    ))
-    spans = {
-        budget: sch.compile(circuit, lay88_loop, defects,
-                            mux=MuxConfig(n_ac_inputs=budget)).makespan
-        for budget in (4, 5, 6, 8, 16)
-    }
-    assert spans == {4: 29, 5: 19, 6: 19, 8: 20, 16: 10}
+    # successor by more than the budget gained. The first case pins exact
+    # makespans; the second pins such an anomaly, budget 6 beating budget 8.
+    # The serialized schedule bounds every budget.
+    cases = [
+        (DefectMap.of(sites=[SiteCoord(Row.UPPER, 0)]),
+         (OneQubit((5, 1), "x"), TwoQubit((0, 1), (0, 4)), TwoQubit((3, 6), (4, 1)),
+          Measure((7, 0))),
+         {4: 25, 5: 15, 6: 15, 8: 15, 16: 10}, 30),
+        (DefectMap(),
+         (TwoQubit((6, 4), (7, 4)), TwoQubit((6, 3), (5, 3)), OneQubit((2, 0)),
+          TwoQubit((5, 1), (5, 2)), Measure((5, 6)), OneQubit((1, 5))),
+         {4: 34, 5: 22, 6: 17, 8: 21, 16: 12}, 44),
+    ]
+    for defects, ops, expected, serial_span in cases:
+        circuit = sch.Circuit(ops)
+        spans = {
+            budget: sch.compile(circuit, lay88_loop, defects,
+                                mux=MuxConfig(n_ac_inputs=budget)).makespan
+            for budget in (4, 5, 6, 8, 16)
+        }
+        assert spans == expected
+        serial = sch.compile(circuit, lay88_loop, defects, serialize=True)
+        assert serial.makespan == serial_span
+        assert all(makespan <= serial.makespan for makespan in spans.values())
     assert spans[6] < spans[8]  # the anomaly
-    serial = sch.compile(circuit, lay88_loop, defects, serialize=True)
-    assert all(makespan <= serial.makespan for makespan in spans.values())
 
 
 def test_parallel_never_beats_serialized_randomized(lay88_loop):
@@ -176,6 +184,43 @@ def test_parallel_never_beats_serialized_randomized(lay88_loop):
         parallel = sch.compile(circuit, lay88_loop)
         serial = sch.compile(circuit, lay88_loop, serialize=True)
         assert parallel.makespan <= serial.makespan
+
+
+@settings(max_examples=300, deadline=None)
+@given(rng_seed=st.integers(0, 2**32), rows=st.integers(1, 8), cols=st.integers(2, 9),
+       loop=st.booleans(), n_dead=st.integers(0, 2), n_barriers=st.integers(0, 2),
+       n_ops=st.integers(1, 40), n_ac=st.integers(4, 8), coexist=st.booleans(),
+       serialize=st.booleans())
+def test_compile_matches_naive_admission_oracle(rng_seed, rows, cols, loop, n_dead, n_barriers,
+                                                n_ops, n_ac, coexist, serialize):
+    """The event-driven admission starts every job at the tick the naive
+    tick-by-tick scan over all unstarted jobs starts it."""
+    rng = random.Random(rng_seed)
+    layout = tl.map_to_trilinear(tl.GridSpec(rows, cols), loop=loop)
+    sites = sorted(layout.sites(), key=tl.topology.site_key)
+    barriers = []
+    for _ in range(n_barriers):
+        site = rng.choice(sites)
+        barriers.append((site, rng.choice(layout.site_neighbors(site))))
+    defects = DefectMap.of(sites=rng.sample(sites, k=n_dead), barriers=barriers)
+    try:
+        sacrificed = tl.reconfigure_for_defects(layout, defects).sacrificed_qubits
+    except TrilinearError:
+        defects, sacrificed = DefectMap(), frozenset()
+    if len(sacrificed) == rows * cols:
+        return
+    mux = MuxConfig(n_ac_inputs=n_ac, readout_coexists_with_shuttle=coexist)
+    circuit = _random_circuit(rng, layout, n_ops, sacrificed)
+    try:
+        schedule = sch.compile(circuit, layout, defects, mux=mux, serialize=serialize)
+    except TrilinearError:  # a pair the defects cut off: keep the 1q and meas ops
+        circuit = sch.Circuit(tuple(op for op in circuit.ops if not isinstance(op, TwoQubit)))
+        schedule = sch.compile(circuit, layout, defects, mux=mux, serialize=serialize)
+    expected = admit_by_dependency(circuit, layout, defects, mux, serialize=serialize)
+    assert schedule.ops == expected.ops
+    assert schedule.makespan == expected.makespan
+    assert schedule.initial_positions == expected.initial_positions
+    assert validate_schedule(schedule, layout, defects, mux) == []
 
 
 # ----------------------------------------------------------------------

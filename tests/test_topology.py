@@ -188,6 +188,21 @@ def test_layout_json_round_trip(lay44):
     assert defects2 == defects
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rows", 4.7), ("rows", True), ("cols", "4"), ("loop", "false"), ("loop", 1),
+    ("m_rows", 1.9), ("pitch_nm", float("nan")), ("pitch_nm", "100"), ("pitch_nm", False),
+])
+def test_layout_json_rejects_fields_of_the_wrong_type(lay44, field, value):
+    with pytest.raises(tl.InvalidGrid, match=f"'{field}'"):
+        layout_from_json(layout_to_json(lay44) | {field: value})
+
+
+def test_layout_json_rejects_coercible_values():
+    """int(), float() and bool() would read this as a 4x4 loop layout."""
+    with pytest.raises(tl.InvalidGrid, match="'rows'"):
+        layout_from_json({"rows": 4.7, "cols": "4", "loop": "false", "m_rows": 1.9})
+
+
 def test_defect_validation(lay44):
     bad = DefectMap.of(sites=[SiteCoord(Row.UPPER, 99)])
     with pytest.raises(tl.InvalidSite):
