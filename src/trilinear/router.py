@@ -11,8 +11,8 @@ the caller explicitly blocks constrain a path. Collisions between
 concurrently moving qubits are the scheduler's concern.
 
 Path search and the reconfiguration flood run over `layout.lattice`'s
-internal int site ids, whose ascending order is the tie-break; `SiteCoord`
-stays at the API, in JSON and in the schedule validator.
+internal int site ids, whose ascending order is the tie-break, and so does
+the schedule validator; `SiteCoord` stays at the API and in JSON.
 
 Step accounting: `horizontal_steps` counts HorizontalStep micro-ops only;
 `vertical_transfers` counts row transfers; `shuttle_steps` counts every
@@ -112,9 +112,18 @@ class MicroOp:
         # A type check, not a coercion: 2.9 or true is not a tick count.
         if type(duration) is not int or duration < 1:
             raise CircuitError(f"duration_ticks: expected an integer >= 1, got {duration!r}")
+        try:
+            kind = MicroOpKind(obj.get("kind"))
+        except ValueError:
+            raise CircuitError(f"kind: expected a micro-op kind, "
+                               f"got {obj.get('kind')!r}") from None
+        sites = obj.get("sites")
+        count = 1 if kind in (MicroOpKind.SINGLE_QUBIT_PULSE, MicroOpKind.READOUT) else 2
+        if not isinstance(sites, list) or len(sites) != count:
+            raise CircuitError(f"sites: a {kind.value} takes {count} sites, got {sites!r}")
         return cls(
-            kind=MicroOpKind(obj["kind"]),
-            sites=tuple(site_from_obj(s) for s in obj["sites"]),
+            kind=kind,
+            sites=tuple(site_from_obj(s) for s in sites),
             duration_ticks=duration,
             freq_class=obj.get("freq_class"),
             param=obj.get("param"),
@@ -154,7 +163,8 @@ def _height(site: SiteCoord) -> int:
 
 def _defect_ids(layout: TrilinearLayout,
                 defects: DefectMap) -> tuple[set[int], set[tuple[int, int]]]:
-    """Ids of the dead sites, and cut id pairs both ways, inside the layout."""
+    """Ids of the dead sites, and cut id pairs both ways, inside the layout.
+    Path search, reconfiguration and the schedule validator share it."""
     index = layout.lattice.index
     dead = {index[s] for s in defects.dead_sites if s in index}
     cut = {(index[a], index[b]) for pair in defects.dead_barriers

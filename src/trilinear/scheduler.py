@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
+from operator import attrgetter, itemgetter
 from typing import Optional, Union
 
 from .errors import CircuitError, MuxInfeasible, UnsupportedPair
@@ -47,6 +48,7 @@ from .router import (
     Durations,
     MicroOp,
     MicroOpKind,
+    _defect_ids,
     move_direction,
     plan_two_qubit,
     reconfigure_for_defects,
@@ -58,7 +60,6 @@ from .topology import (
     SiteCoord,
     TrilinearLayout,
     site_class,
-    site_key,
     site_to_obj,
 )
 
@@ -528,7 +529,7 @@ def compile(  # noqa: A001 - mirrors re.compile naming
 
     makespan = max((s.end_tick for s in scheduled), default=0)
     return Schedule(
-        ops=tuple(sorted(scheduled, key=lambda s: (s.start_tick, s.qubit, site_key(s.op.sites[0])))),
+        ops=tuple(sorted(scheduled, key=attrgetter("start_tick", "qubit"))),
         makespan=makespan,
         initial_positions=tuple(sorted(homes.items())),
     )
@@ -539,73 +540,10 @@ def compile(  # noqa: A001 - mirrors re.compile naming
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str        # occupancy | swap | dead_site | dead_barrier | order | mux | bounds
+    kind: str        # occupancy | swap | dead_site | dead_barrier | adjacency | order |
+                     # mux | bounds
     tick: int
     message: str
-
-
-def _hold_segments(sops: list[ScheduledOp], start_site: SiteCoord, horizon: int
-                   ) -> tuple[list[tuple[int, int, frozenset[SiteCoord]]], list[str]]:
-    """Intervals of held sites for one qubit, plus chain-order problems."""
-    problems: list[str] = []
-    segs: list[tuple[int, int, frozenset[SiteCoord]]] = []
-    cur = start_site
-    t = 0
-    for sop in sorted(sops, key=lambda s: s.start_tick):
-        if sop.start_tick < t:
-            problems.append(f"op at tick {sop.start_tick} overlaps the previous op")
-        if sop.start_tick > t:
-            segs.append((t, sop.start_tick, frozenset({cur})))
-        if sop.op.is_move:
-            if sop.op.src != cur:
-                problems.append(
-                    f"move at tick {sop.start_tick} starts at {sop.op.src}, qubit is at {cur}"
-                )
-            segs.append((sop.start_tick, sop.end_tick, frozenset({sop.op.src, sop.op.dst})))
-            cur = sop.op.dst
-        else:
-            site = sop.op.sites[0]
-            if site != cur:
-                problems.append(
-                    f"{sop.op.kind.value} at tick {sop.start_tick} acts at {site}, qubit is at {cur}"
-                )
-            segs.append((sop.start_tick, sop.end_tick, frozenset({site})))
-        t = max(t, sop.end_tick)
-    if t < horizon:
-        segs.append((t, horizon, frozenset({cur})))
-    return segs, problems
-
-
-def _swap_throughs(sops: tuple[ScheduledOp, ...]) -> list[Violation]:
-    """Pairs of moves that exchange the same two sites at overlapping times.
-
-    Each site pair's moves are scanned in start order, each one against the
-    moves starting after it until one starts at or after its end. The pairs
-    found are listed in schedule order, as a check of every pair lists them.
-    """
-    by_pair: dict[frozenset[SiteCoord], list[ScheduledOp]] = defaultdict(list)
-    for sop in sops:
-        if sop.op.is_move:
-            by_pair[frozenset((sop.op.src, sop.op.dst))].append(sop)
-    out: list[Violation] = []
-    for pair_ops in by_pair.values():
-        order = sorted(range(len(pair_ops)), key=lambda i: pair_ops[i].start_tick)
-        found = []
-        for k, i in enumerate(order):
-            a = pair_ops[i]
-            for m in range(k + 1, len(order)):
-                j = order[m]
-                b = pair_ops[j]
-                if b.start_tick >= a.end_tick:
-                    break
-                if a.start_tick < b.end_tick and a.op.src == b.op.dst and a.op.dst == b.op.src:
-                    found.append((min(i, j), max(i, j)))
-        for i, j in sorted(found):
-            a, b = pair_ops[i], pair_ops[j]
-            out.append(Violation("swap", max(a.start_tick, b.start_tick),
-                                 f"qubits {a.qubit} and {b.qubit} swap through "
-                                 f"{a.op.src}-{a.op.dst}"))
-    return out
 
 
 def validate_schedule(
@@ -617,101 +555,151 @@ def validate_schedule(
     """Replay a schedule and report every rule violation (empty if valid).
 
     Checks occupancy (one qubit per site per tick), swap-throughs, dead
-    site and dead barrier visits, per-qubit chaining/order, site bounds,
-    and the per-tick distinct-waveform budget. Signals are recomputed from
-    the micro-ops, independent of what the schedule carries.
+    site and dead barrier visits, that each move and gate joins lattice
+    neighbours (a horizontal step exactly when it stays in its row),
+    per-qubit chaining/order, site bounds, and the per-tick
+    distinct-waveform budget. Signals are recomputed from the micro-ops,
+    independent of what the schedule carries.
+
+    Sites are replayed as `layout.lattice` ids; a site outside the layout
+    gets an id past the lattice's, so it is out of bounds exactly when its
+    id is at least the number of lattice sites.
     """
+    defects.validate_against(layout)
+    n = len(layout.lattice.sites)
+    neighbors = layout.lattice.neighbors
+    ids = dict(layout.lattice.index)
+    dead, cut = _defect_ids(layout, defects)
     violations: list[Violation] = []
+    report = violations.append
     horizon = max(schedule.makespan, max((s.end_tick for s in schedule.ops), default=0))
-    start_pos = dict(schedule.initial_positions)
+    homes = {cell: ids.setdefault(site, len(ids)) for cell, site in schedule.initial_positions}
 
-    per_qubit: dict[Cell, list[ScheduledOp]] = defaultdict(list)
-    for sop in schedule.ops:
-        per_qubit[sop.qubit].append(sop)
+    # Per op: its site ids, bounds, defects and the neighbour rule.
+    chains = defaultdict(list)  # qubit -> (start, end, is move, first id, last id, op)
+    moves = defaultdict(list)   # id pair -> (start, schedule position, end, src id, dst id, op)
+    gates = []                  # (start, end, partner site id, op)
+    deltas = defaultdict(list)  # tick -> (signal set, 1 where it starts or -1 where it ends)
+    for position, sop in enumerate(schedule.ops):
+        op, start = sop.op, sop.start_tick
+        end = start + op.duration_ticks
+        site_ids = [ids.setdefault(site, len(ids)) for site in op.sites]
+        for site, i in zip(op.sites, site_ids):
+            if i >= n:
+                report(Violation("bounds", start, f"site {site} outside layout"))
+            elif i in dead:
+                report(Violation("dead_site", start, f"op visits dead site {site}"))
+        a, b = site_ids[0], site_ids[-1]
+        move = op.is_move
+        gate = op.kind is MicroOpKind.TWO_QUBIT_GATE
+        if move:
+            if (a, b) in cut:
+                report(Violation("dead_barrier", start,
+                                 f"move crosses dead barrier {op.src}-{op.dst}"))
+            moves[(a, b) if a < b else (b, a)].append((start, position, end, a, b, sop))
+        elif gate:
+            gates.append((start, end, b, sop))
+        if (move or gate) and a < n and b < n:
+            in_row = op.src.row is op.dst.row and op.src.subrow == op.dst.subrow
+            if b not in neighbors[a]:
+                problem = "joins sites that are not neighbours"
+            elif move and in_row != (op.kind is MicroOpKind.HORIZONTAL_STEP):
+                problem = "stays in its row" if in_row else "leaves its row"
+            else:
+                problem = None
+            if problem:
+                report(Violation("adjacency", start,
+                                 f"{op.kind.value} {op.src}-{op.dst} {problem}"))
+        chains[sop.qubit].append((start, end, move, a, b, sop))
+        sigs = signals_for_op(layout, op)
+        deltas[start].append((sigs, 1))
+        deltas[end].append((sigs, -1))
+    names = list(ids)  # id -> site
 
-    # Bounds and dead-site/barrier checks per op.
-    for sop in schedule.ops:
-        for site in sop.op.sites:
-            if not layout.in_bounds(site):
-                violations.append(Violation("bounds", sop.start_tick,
-                                            f"site {site} outside layout"))
-            elif defects.is_dead(site):
-                violations.append(Violation("dead_site", sop.start_tick,
-                                            f"op visits dead site {site}"))
-        if sop.op.is_move and defects.barrier_dead(sop.op.src, sop.op.dst):
-            violations.append(Violation("dead_barrier", sop.start_tick,
-                                        f"move crosses dead barrier {sop.op.src}-{sop.op.dst}"))
-
-    # Per-qubit chains and hold intervals.
-    site_intervals: list[tuple[SiteCoord, int, int, Cell]] = []
-    positions_at: dict[Cell, list[tuple[int, int, frozenset[SiteCoord]]]] = {}
-    for cell, sops in per_qubit.items():
-        if cell not in start_pos:
-            violations.append(Violation("order", sops[0].start_tick,
-                                        f"qubit {cell} has ops but no initial position"))
+    # Per qubit: chain order, and the intervals in which it holds each site.
+    # `holds` has every hold of each site; `parked` has each qubit's holds of
+    # one site, the only ones in which it can be a gate partner.
+    holds = defaultdict(list)  # site id -> (first tick, end tick, qubit)
+    parked = {}                # qubit -> (first tick, end tick, site id)
+    for cell, chain in chains.items():
+        if cell not in homes:
+            report(Violation("order", chain[0][0],
+                             f"qubit {cell} has ops but no initial position"))
             continue
-        segs, problems = _hold_segments(sops, start_pos[cell], horizon)
-        positions_at[cell] = segs
-        for msg in problems:
-            violations.append(Violation("order", 0, f"qubit {cell}: {msg}"))
-        for t0, t1, sites in segs:
-            for site in sites:
-                site_intervals.append((site, t0, t1, cell))
-    for cell, site in start_pos.items():
-        if cell not in per_qubit:
-            site_intervals.append((site, 0, horizon, cell))
-            positions_at[cell] = [(0, horizon, frozenset({site}))]
+        spans = parked[cell] = []
+        cur, t = homes[cell], 0
+        for start, end, move, a, b, sop in sorted(chain, key=itemgetter(0)):
+            if start < t:
+                report(Violation("order", 0, f"qubit {cell}: op at tick {start} overlaps "
+                                             "the previous op"))
+            if start > t:
+                spans.append((t, start, cur))
+            if a != cur:
+                what = "move at tick {} starts" if move else sop.op.kind.value + " at tick {} acts"
+                report(Violation("order", 0, f"qubit {cell}: {what.format(start)} at {names[a]}, "
+                                             f"qubit is at {names[cur]}"))
+            if move and a != b:
+                holds[a].append((start, end, cell))
+                holds[b].append((start, end, cell))
+            else:
+                spans.append((start, end, a))
+            if move:
+                cur = b
+            t = max(t, end)
+        if t < horizon:
+            spans.append((t, horizon, cur))
+        for t0, t1, i in spans:
+            holds[i].append((t0, t1, cell))
+    for cell, i in homes.items():
+        if cell not in chains:
+            holds[i].append((0, horizon, cell))
+            parked[cell] = [(0, horizon, i)]
 
     # Occupancy: two different qubits holding one site at overlapping times.
-    by_site: dict[SiteCoord, list[tuple[int, int, Cell]]] = defaultdict(list)
-    for site, t0, t1, cell in site_intervals:
-        by_site[site].append((t0, t1, cell))
-    for site, spans in by_site.items():
+    for i, spans in holds.items():
         spans.sort()
-        for i, (a0, a1, qa) in enumerate(spans):
-            for b0, b1, qb in spans[i + 1:]:
+        for k, (_, a1, qa) in enumerate(spans):
+            for j in range(k + 1, len(spans)):
+                b0, _, qb = spans[j]
                 if b0 >= a1:
                     break
                 if qa != qb:
-                    violations.append(Violation(
-                        "occupancy", b0,
-                        f"qubits {qa} and {qb} both hold {site} around tick {b0}"))
+                    report(Violation("occupancy", b0, f"qubits {qa} and {qb} both hold "
+                                                      f"{names[i]} around tick {b0}"))
 
-    # Gate partners must actually sit at the partner site for the gate span.
-    for sop in schedule.ops:
-        if sop.op.kind is not MicroOpKind.TWO_QUBIT_GATE:
-            continue
-        partner_site = sop.op.sites[1]
+    # Gate partners must sit at the partner site for the whole gate.
+    for start, end, b, sop in gates:
         if sop.partner is None:
-            violations.append(Violation("order", sop.start_tick,
-                                        "gate op without a partner qubit"))
-            continue
-        segs = positions_at.get(sop.partner, [])
-        covered = any(t0 <= sop.start_tick and sop.end_tick <= t1 and sites == {partner_site}
-                      for t0, t1, sites in segs)
-        if not covered:
-            violations.append(Violation(
-                "order", sop.start_tick,
-                f"partner {sop.partner} not parked at {partner_site} during gate"))
+            report(Violation("order", start, "gate op without a partner qubit"))
+        elif not any(t0 <= start and end <= t1 and i == b
+                     for t0, t1, i in parked.get(sop.partner, ())):
+            report(Violation("order", start, f"partner {sop.partner} not parked at "
+                                             f"{sop.op.sites[1]} during gate"))
 
-    violations.extend(_swap_throughs(schedule.ops))
+    # Swap-throughs: moves over one site pair in opposite directions at
+    # overlapping times, scanned in start order. The move earlier in the
+    # schedule names the qubits and the sites.
+    for pair in moves.values():
+        pair.sort()
+        for k, (s0, p, e0, a, b, x) in enumerate(pair):
+            for j in range(k + 1, len(pair)):
+                s1, q, e1, c, d, y = pair[j]
+                if s1 >= e0:
+                    break
+                if s0 < e1 and a == d and b == c:
+                    first, second = (x, y) if p < q else (y, x)
+                    report(Violation("swap", s1, f"qubits {first.qubit} and {second.qubit} "
+                                     f"swap through {first.op.src}-{first.op.dst}"))
 
-    # Waveform budget, from recomputed signals; swept over the segments
-    # between op boundaries with a running multiset.
-    deltas: dict[int, list[tuple[frozenset[Signal], int]]] = defaultdict(list)
-    for sop in schedule.ops:
-        sigs = signals_for_op(layout, sop.op)
-        if sigs:
-            deltas[sop.start_tick].append((sigs, 1))
-            deltas[sop.end_tick].append((sigs, -1))
-    running: Counter = Counter()
-    boundaries = sorted(deltas)
-    for i, t0 in enumerate(boundaries):
-        for sigs, sign in deltas[t0]:
-            for sig in sigs:
-                running[sig] += sign
-        live = {sig for sig, count in running.items() if count > 0}
-        violations.extend(Violation("mux", t0, msg) for msg in _mux_problems(live, mux))
+    # Waveform budget over the segments between op boundaries. Each op drives
+    # one fixed signal set, so the live signals are the union of the sets
+    # with a positive count.
+    running = defaultdict(int)
+    for t in sorted(deltas):
+        for sigs, sign in deltas[t]:
+            running[sigs] += sign
+        live = set().union(*(sigs for sigs, count in running.items() if count > 0))
+        violations.extend(Violation("mux", t, msg) for msg in _mux_problems(live, mux))
 
     violations.sort(key=lambda v: (v.tick, v.kind, v.message))
     return violations

@@ -253,27 +253,11 @@ class TrilinearLayout:
         return min(d, self.length - d) if self.loop else d
 
     def site_neighbors(self, site: SiteCoord) -> list[SiteCoord]:
-        """Lattice-adjacent sites: one axis step, one row/sub-row transfer."""
-        if not self.in_bounds(site):
+        """Lattice-adjacent sites, in ascending `lattice` id order."""
+        sites, index, neighbors = self.lattice
+        if site not in index:
             raise InvalidSite(f"site {site} outside layout")
-        out: list[SiteCoord] = []
-        for delta in (-1, 1):
-            axis = self.step_axis(site.axis, delta)
-            if axis is not None:
-                nb = SiteCoord(site.row, axis, site.subrow)
-                if nb != site and nb not in out:
-                    out.append(nb)
-        if site.row is Row.MIDDLE:
-            out.append(SiteCoord(Row.UPPER, site.axis, 0))
-            out.append(SiteCoord(Row.LOWER, site.axis, 0))
-        else:
-            if site.subrow == 0:
-                out.append(SiteCoord(Row.MIDDLE, site.axis, 0))
-            else:
-                out.append(SiteCoord(site.row, site.axis, site.subrow - 1))
-            if site.subrow + 1 < self.m_rows:
-                out.append(SiteCoord(site.row, site.axis, site.subrow + 1))
-        return out
+        return [sites[i] for i in neighbors[index[site]]]
 
     def adjacent(self, a: SiteCoord, b: SiteCoord) -> bool:
         return b in self.site_neighbors(a)
@@ -282,7 +266,9 @@ class TrilinearLayout:
     def lattice(self) -> Lattice:
         """Sites by dense int id in the router's tie-break order (Middle, where
         id = axis, then Upper, then Lower; each by axis, then sub-row), and
-        each site's `site_neighbors` as ascending ids."""
+        each site's neighbours as ascending ids: one axis step along its row
+        and sub-row (wrapping on loops), and at its axis one row or sub-row
+        transfer inwards and outwards."""
         n, m = self.length, self.m_rows
         along = [sorted({self.step_axis(a, d) for d in (-1, 1)} - {a, None}) for a in range(n)]
         sites, neighbors = [], []

@@ -7,13 +7,16 @@ oracle agreement is a genuine two-route check.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, defaultdict, deque
 from typing import Iterable
 
 import networkx as nx
 
 from trilinear.errors import InvalidSite, Partitioned
-from trilinear.topology import NO_DEFECTS, DefectMap, Row, SiteCoord, TrilinearLayout
+from trilinear.router import MicroOpKind
+from trilinear.scheduler import (DEFAULT_MUX, MuxConfig, Schedule, ScheduledOp, Violation,
+                                 _mux_problems, signals_for_op)
+from trilinear.topology import NO_DEFECTS, Cell, DefectMap, Row, SiteCoord, TrilinearLayout
 
 Node = tuple[str, int, int]  # (row char, axis, subrow)
 
@@ -204,7 +207,34 @@ def tick_signal_names(schedule, layout) -> list[list[str]]:
 
 
 # ----------------------------------------------------------------------
-# Reference shortest path over SiteCoord keys
+# Reference neighbour rule and shortest path over SiteCoord keys
+
+def site_neighbors(layout: TrilinearLayout, site: SiteCoord) -> list[SiteCoord]:
+    """Lattice-adjacent sites: one axis step, one row/sub-row transfer.
+
+    The rule written out on coordinates; `layout.lattice` and
+    `layout.site_neighbors` must give the same sites."""
+    if not layout.in_bounds(site):
+        raise InvalidSite(f"site {site} outside layout")
+    out: list[SiteCoord] = []
+    for delta in (-1, 1):
+        axis = layout.step_axis(site.axis, delta)
+        if axis is not None:
+            nb = SiteCoord(site.row, axis, site.subrow)
+            if nb != site and nb not in out:
+                out.append(nb)
+    if site.row is Row.MIDDLE:
+        out.append(SiteCoord(Row.UPPER, site.axis, 0))
+        out.append(SiteCoord(Row.LOWER, site.axis, 0))
+    else:
+        if site.subrow == 0:
+            out.append(SiteCoord(Row.MIDDLE, site.axis, 0))
+        else:
+            out.append(SiteCoord(site.row, site.axis, site.subrow - 1))
+        if site.subrow + 1 < layout.m_rows:
+            out.append(SiteCoord(site.row, site.axis, site.subrow + 1))
+    return out
+
 
 # BFS expansion preference: Middle-row travel first, then lower axis.
 _BFS_RANK = {Row.MIDDLE: 0, Row.UPPER: 1, Row.LOWER: 2}
@@ -229,7 +259,7 @@ def shortest_shuttle_path(
     """Minimum-step site path from src to dst over usable sites.
 
     The per-node SiteCoord BFS the router used before its integer site ids:
-    neighbours come from `layout.site_neighbors`, sorted by `bfs_key`, and
+    neighbours come from `site_neighbors`, sorted by `bfs_key`, and
     each is tested against the defects and the blocked set when reached.
     `router.shortest_shuttle_path` must return the identical path, or raise
     the same error.
@@ -246,7 +276,7 @@ def shortest_shuttle_path(
     queue = deque([src])
     while queue:
         cur = queue.popleft()
-        for nb in sorted(layout.site_neighbors(cur), key=bfs_key):
+        for nb in sorted(site_neighbors(layout, cur), key=bfs_key):
             if nb in parent or not usable(layout, nb, defects, blocked):
                 continue
             if defects.barrier_dead(cur, nb):
@@ -426,11 +456,7 @@ def simulate_texts(circuit, layout, defects, fixture, phases, durations) -> tupl
 
 def swap_throughs(sops) -> list:
     """Swap-through violations by comparing every pair of moves on an edge,
-    in the order `scheduler._swap_throughs` must emit them."""
-    from collections import defaultdict
-
-    from trilinear.scheduler import Violation
-
+    in schedule order."""
     by_pair = defaultdict(list)
     for sop in sops:
         if sop.op.is_move:
@@ -541,3 +567,164 @@ def admit_by_dependency(circuit, layout, defects=NO_DEFECTS, mux=None, durations
         makespan=max((s.end_tick for s in scheduled), default=0),
         initial_positions=tuple(sorted(homes.items())),
     )
+
+
+# ----------------------------------------------------------------------
+# Reference schedule validator over SiteCoord keys
+
+def _hold_segments(sops: list[ScheduledOp], start_site: SiteCoord, horizon: int
+                   ) -> tuple[list[tuple[int, int, frozenset[SiteCoord]]], list[str]]:
+    """Intervals of held sites for one qubit, plus chain-order problems."""
+    problems: list[str] = []
+    segs: list[tuple[int, int, frozenset[SiteCoord]]] = []
+    cur = start_site
+    t = 0
+    for sop in sorted(sops, key=lambda s: s.start_tick):
+        if sop.start_tick < t:
+            problems.append(f"op at tick {sop.start_tick} overlaps the previous op")
+        if sop.start_tick > t:
+            segs.append((t, sop.start_tick, frozenset({cur})))
+        if sop.op.is_move:
+            if sop.op.src != cur:
+                problems.append(
+                    f"move at tick {sop.start_tick} starts at {sop.op.src}, qubit is at {cur}"
+                )
+            segs.append((sop.start_tick, sop.end_tick, frozenset({sop.op.src, sop.op.dst})))
+            cur = sop.op.dst
+        else:
+            site = sop.op.sites[0]
+            if site != cur:
+                problems.append(
+                    f"{sop.op.kind.value} at tick {sop.start_tick} acts at {site}, qubit is at {cur}"
+                )
+            segs.append((sop.start_tick, sop.end_tick, frozenset({site})))
+        t = max(t, sop.end_tick)
+    if t < horizon:
+        segs.append((t, horizon, frozenset({cur})))
+    return segs, problems
+
+
+def validate_schedule(
+    schedule: Schedule,
+    layout: TrilinearLayout,
+    defects: DefectMap = NO_DEFECTS,
+    mux: MuxConfig = DEFAULT_MUX,
+) -> list[Violation]:
+    """Replay a schedule and report every rule violation (empty if valid).
+
+    Checks occupancy (one qubit per site per tick), swap-throughs, dead
+    site and dead barrier visits, per-qubit chaining/order, site bounds,
+    and the per-tick distinct-waveform budget. Signals are recomputed from
+    the micro-ops, independent of what the schedule carries.
+
+    This is the SiteCoord replay the package used before it replayed
+    lattice ids, plus the neighbour rule for moves and gates (`adjacency`);
+    its swap scan is the pairwise `swap_throughs`.
+    `scheduler.validate_schedule` must return the same list.
+    """
+    violations: list[Violation] = []
+    horizon = max(schedule.makespan, max((s.end_tick for s in schedule.ops), default=0))
+    start_pos = dict(schedule.initial_positions)
+
+    per_qubit: dict[Cell, list[ScheduledOp]] = defaultdict(list)
+    for sop in schedule.ops:
+        per_qubit[sop.qubit].append(sop)
+
+    # Bounds and dead-site/barrier checks per op.
+    for sop in schedule.ops:
+        for site in sop.op.sites:
+            if not layout.in_bounds(site):
+                violations.append(Violation("bounds", sop.start_tick,
+                                            f"site {site} outside layout"))
+            elif defects.is_dead(site):
+                violations.append(Violation("dead_site", sop.start_tick,
+                                            f"op visits dead site {site}"))
+        if sop.op.is_move and defects.barrier_dead(sop.op.src, sop.op.dst):
+            violations.append(Violation("dead_barrier", sop.start_tick,
+                                        f"move crosses dead barrier {sop.op.src}-{sop.op.dst}"))
+        a, b = sop.op.src, sop.op.dst
+        if ((sop.op.is_move or sop.op.kind is MicroOpKind.TWO_QUBIT_GATE)
+                and layout.in_bounds(a) and layout.in_bounds(b)):
+            if b not in site_neighbors(layout, a):
+                violations.append(Violation("adjacency", sop.start_tick,
+                                            f"{sop.op.kind.value} {a}-{b} joins sites "
+                                            "that are not neighbours"))
+            elif sop.op.is_move and (sop.op.kind is MicroOpKind.HORIZONTAL_STEP) != (
+                    a.row is b.row and a.subrow == b.subrow):
+                stays = "leaves" if sop.op.kind is MicroOpKind.HORIZONTAL_STEP else "stays in"
+                violations.append(Violation("adjacency", sop.start_tick,
+                                            f"{sop.op.kind.value} {a}-{b} {stays} its row"))
+
+    # Per-qubit chains and hold intervals.
+    site_intervals: list[tuple[SiteCoord, int, int, Cell]] = []
+    positions_at: dict[Cell, list[tuple[int, int, frozenset[SiteCoord]]]] = {}
+    for cell, sops in per_qubit.items():
+        if cell not in start_pos:
+            violations.append(Violation("order", sops[0].start_tick,
+                                        f"qubit {cell} has ops but no initial position"))
+            continue
+        segs, problems = _hold_segments(sops, start_pos[cell], horizon)
+        positions_at[cell] = segs
+        for msg in problems:
+            violations.append(Violation("order", 0, f"qubit {cell}: {msg}"))
+        for t0, t1, sites in segs:
+            for site in sites:
+                site_intervals.append((site, t0, t1, cell))
+    for cell, site in start_pos.items():
+        if cell not in per_qubit:
+            site_intervals.append((site, 0, horizon, cell))
+            positions_at[cell] = [(0, horizon, frozenset({site}))]
+
+    # Occupancy: two different qubits holding one site at overlapping times.
+    by_site: dict[SiteCoord, list[tuple[int, int, Cell]]] = defaultdict(list)
+    for site, t0, t1, cell in site_intervals:
+        by_site[site].append((t0, t1, cell))
+    for site, spans in by_site.items():
+        spans.sort()
+        for i, (a0, a1, qa) in enumerate(spans):
+            for b0, b1, qb in spans[i + 1:]:
+                if b0 >= a1:
+                    break
+                if qa != qb:
+                    violations.append(Violation(
+                        "occupancy", b0,
+                        f"qubits {qa} and {qb} both hold {site} around tick {b0}"))
+
+    # Gate partners must actually sit at the partner site for the gate span.
+    for sop in schedule.ops:
+        if sop.op.kind is not MicroOpKind.TWO_QUBIT_GATE:
+            continue
+        partner_site = sop.op.sites[1]
+        if sop.partner is None:
+            violations.append(Violation("order", sop.start_tick,
+                                        "gate op without a partner qubit"))
+            continue
+        segs = positions_at.get(sop.partner, [])
+        covered = any(t0 <= sop.start_tick and sop.end_tick <= t1 and sites == {partner_site}
+                      for t0, t1, sites in segs)
+        if not covered:
+            violations.append(Violation(
+                "order", sop.start_tick,
+                f"partner {sop.partner} not parked at {partner_site} during gate"))
+
+    violations.extend(swap_throughs(schedule.ops))
+
+    # Waveform budget, from recomputed signals; swept over the segments
+    # between op boundaries with a running multiset.
+    deltas: dict[int, list[tuple[frozenset[Signal], int]]] = defaultdict(list)
+    for sop in schedule.ops:
+        sigs = signals_for_op(layout, sop.op)
+        if sigs:
+            deltas[sop.start_tick].append((sigs, 1))
+            deltas[sop.end_tick].append((sigs, -1))
+    running: Counter = Counter()
+    boundaries = sorted(deltas)
+    for i, t0 in enumerate(boundaries):
+        for sigs, sign in deltas[t0]:
+            for sig in sigs:
+                running[sig] += sign
+        live = {sig for sig, count in running.items() if count > 0}
+        violations.extend(Violation("mux", t0, msg) for msg in _mux_problems(live, mux))
+
+    violations.sort(key=lambda v: (v.tick, v.kind, v.message))
+    return violations

@@ -410,6 +410,25 @@ def test_micro_op_reader_rejects_non_integer_durations(duration):
         MicroOp.from_obj(obj)
 
 
+@pytest.mark.parametrize("obj, field", [
+    ({"kind": "two_qubit_gate", "sites": [["M", 0]]}, "sites"),
+    ({"kind": "horizontal_step", "sites": [["M", 0]]}, "sites"),
+    ({"kind": "vertical_transfer", "sites": [["M", 0], ["U", 0], ["M", 1]]}, "sites"),
+    ({"kind": "readout", "sites": []}, "sites"),
+    ({"kind": "single_qubit_pulse", "sites": [["M", 0], ["M", 1]]}, "sites"),
+    ({"kind": "readout", "sites": ["M", 0]}, "sites"),
+    ({"kind": "readout"}, "sites"),
+    ({"kind": "teleport", "sites": [["M", 0]]}, "kind"),
+    ({"sites": [["M", 0]]}, "kind"),
+])
+def test_micro_op_reader_rejects_wrong_kinds_and_site_counts(obj, field):
+    """A one-site gate or an empty readout used to read back and then crash
+    the validator with IndexError, and a one-site move validated clean; an
+    unknown kind raised ValueError and a missing site list KeyError."""
+    with pytest.raises(tl.CircuitError, match=f"^{field}: "):
+        MicroOp.from_obj(obj)
+
+
 def test_micro_op_reader_accepts_positive_integer_durations():
     obj = {"kind": "horizontal_step", "sites": [["M", 0], ["M", 1]]}
     assert MicroOp.from_obj(obj).duration_ticks == 1

@@ -2,9 +2,10 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import trilinear as tl
@@ -26,6 +27,7 @@ from trilinear.topology import DefectMap, Row, SiteCoord
 
 from _oracles import (admit_by_dependency, schedule_document, swap_throughs,
                       tick_signal_names)
+from _oracles import validate_schedule as oracle_validate
 
 
 def compile_ok(circuit, layout, **kw):
@@ -78,13 +80,15 @@ def test_program_order_per_qubit_preserved(lay88):
                      MicroOpKind.READOUT]
 
 
-def test_partner_freed_after_gate_not_after_return(lay88):
-    # Partner's next op may start while the mover shuttles home.
+def test_partner_waits_until_mover_is_home(lay88):
+    # The gate job's corridor holds the partner's home, so the partner's
+    # next op cannot start while the mover shuttles home.
     circuit = sch.Circuit((TwoQubit((0, 2), (1, 2)), OneQubit((1, 2), "x")))
     schedule = compile_ok(circuit, lay88)
     gate = next(s for s in schedule.ops if s.op.kind is MicroOpKind.TWO_QUBIT_GATE)
     pulse = next(s for s in schedule.ops if s.op.kind is MicroOpKind.SINGLE_QUBIT_PULSE)
-    assert gate.end_tick <= pulse.start_tick < schedule.makespan
+    assert pulse.qubit == gate.partner
+    assert pulse.start_tick >= max(s.end_tick for s in schedule.ops if s.qubit == gate.qubit)
 
 
 def test_compile_routes_around_defects(lay88_loop):
@@ -195,7 +199,23 @@ def test_compile_matches_naive_admission_oracle(rng_seed, rows, cols, loop, n_de
                                                 n_ops, n_ac, coexist, serialize):
     """The event-driven admission starts every job at the tick the naive
     tick-by-tick scan over all unstarted jobs starts it."""
-    rng = random.Random(rng_seed)
+    case = _compiled_case(random.Random(rng_seed), rows, cols, loop, n_dead, n_barriers,
+                          n_ops, n_ac, coexist, serialize)
+    if case is None:
+        return
+    layout, defects, mux, circuit, schedule = case
+    expected = admit_by_dependency(circuit, layout, defects, mux, serialize=serialize)
+    assert schedule.ops == expected.ops
+    assert schedule.makespan == expected.makespan
+    assert schedule.initial_positions == expected.initial_positions
+    assert validate_schedule(schedule, layout, defects, mux) == []
+
+
+def _compiled_case(rng, rows, cols, loop, n_dead, n_barriers, n_ops, n_ac, coexist,
+                   serialize=False):
+    """(layout, defects, mux, circuit, schedule) for a random circuit on a
+    rows x cols layout with random dead sites and barriers, or None when the
+    defects leave no qubit. Defects that sever the array are dropped."""
     layout = tl.map_to_trilinear(tl.GridSpec(rows, cols), loop=loop)
     sites = sorted(layout.sites(), key=tl.topology.site_key)
     barriers = []
@@ -208,7 +228,7 @@ def test_compile_matches_naive_admission_oracle(rng_seed, rows, cols, loop, n_de
     except TrilinearError:
         defects, sacrificed = DefectMap(), frozenset()
     if len(sacrificed) == rows * cols:
-        return
+        return None
     mux = MuxConfig(n_ac_inputs=n_ac, readout_coexists_with_shuttle=coexist)
     circuit = _random_circuit(rng, layout, n_ops, sacrificed)
     try:
@@ -216,11 +236,69 @@ def test_compile_matches_naive_admission_oracle(rng_seed, rows, cols, loop, n_de
     except TrilinearError:  # a pair the defects cut off: keep the 1q and meas ops
         circuit = sch.Circuit(tuple(op for op in circuit.ops if not isinstance(op, TwoQubit)))
         schedule = sch.compile(circuit, layout, defects, mux=mux, serialize=serialize)
-    expected = admit_by_dependency(circuit, layout, defects, mux, serialize=serialize)
-    assert schedule.ops == expected.ops
-    assert schedule.makespan == expected.makespan
-    assert schedule.initial_positions == expected.initial_positions
-    assert validate_schedule(schedule, layout, defects, mux) == []
+    return layout, defects, mux, circuit, schedule
+
+
+def _tamper(rng, schedule, layout, defects):
+    """The schedule with one random corruption: a start shifted, a move
+    retargeted to any site, a gate partner changed or dropped, a dead or
+    out-of-layout site or a dead barrier swapped in, an op deleted, a qubit
+    renamed, or an initial position dropped."""
+    ops, homes = list(schedule.ops), list(schedule.initial_positions)
+    moves = [i for i, s in enumerate(ops) if s.op.is_move]
+    gates = [i for i, s in enumerate(ops) if s.op.kind is MicroOpKind.TWO_QUBIT_GATE]
+    cells = list(layout.grid.cells())
+    outside = [SiteCoord(Row.MIDDLE, layout.length), SiteCoord(Row.UPPER, -1),
+               SiteCoord(Row.LOWER, 0, 1)]
+    kind = rng.choice(("shift", "retarget", "partner", "site", "delete", "rename", "home"))
+    i = rng.randrange(len(ops)) if ops else None
+    if kind == "retarget" and moves:
+        i = rng.choice(moves)
+        sites = list(ops[i].op.sites)
+        sites[rng.randrange(2)] = rng.choice(list(layout.sites()))
+        ops[i] = replace(ops[i], op=replace(ops[i].op, sites=tuple(sites)))
+    elif kind == "partner" and gates:
+        i = rng.choice(gates)
+        ops[i] = replace(ops[i], partner=rng.choice([None, *cells]))
+    elif kind == "site" and ops:
+        sites = list(ops[i].op.sites)
+        dead = sorted(defects.dead_sites, key=tl.topology.site_key)
+        sites[rng.randrange(len(sites))] = rng.choice(dead + outside)
+        if ops[i].op.is_move and defects.dead_barriers and rng.random() < 0.5:
+            sites = rng.sample(rng.choice(sorted(defects.dead_barriers, key=repr)), 2)
+        ops[i] = replace(ops[i], op=replace(ops[i].op, sites=tuple(sites)))
+    elif kind == "delete" and ops:
+        del ops[i]
+    elif kind == "rename" and ops:
+        old, new = ops[i].qubit, rng.choice(cells)
+        ops = [replace(s, qubit=new) if s.qubit == old else s for s in ops]
+    elif kind == "home" and homes:
+        del homes[rng.randrange(len(homes))]
+    elif ops:
+        ops[i] = replace(ops[i], start_tick=max(0, ops[i].start_tick + rng.randint(-3, 3)))
+    return replace(schedule, ops=tuple(ops), initial_positions=tuple(homes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rng_seed=st.integers(0, 2**32), rows=st.integers(1, 8), cols=st.integers(2, 9),
+       loop=st.booleans(), n_dead=st.integers(0, 2), n_barriers=st.integers(0, 2),
+       n_ops=st.integers(1, 40), n_ac=st.integers(4, 8), coexist=st.booleans(),
+       n_tampers=st.integers(0, 3))
+def test_validator_matches_sitecoord_oracle(rng_seed, rows, cols, loop, n_dead, n_barriers,
+                                            n_ops, n_ac, coexist, n_tampers):
+    """The id replay reports the violations the SiteCoord replay reports,
+    word for word and in the same order, on compiled schedules and on
+    tampered ones."""
+    rng = random.Random(rng_seed)
+    case = _compiled_case(rng, rows, cols, loop, n_dead, n_barriers, n_ops, n_ac, coexist)
+    if case is None:
+        return
+    layout, defects, mux, _, schedule = case
+    for _ in range(n_tampers):
+        schedule = _tamper(rng, schedule, layout, defects)
+    violations = validate_schedule(schedule, layout, defects, mux)
+    event("violations" if violations else "clean")
+    assert violations == oracle_validate(schedule, layout, defects, mux)
 
 
 # ----------------------------------------------------------------------
@@ -306,6 +384,34 @@ def test_validator_flags_readout_during_shuttling(lay88):
     apart = validate_schedule(schedule, lay88, mux=MuxConfig(readout_coexists_with_shuttle=False))
     assert apart == [sch.Violation("mux", 0, "readout pulse shares a tick with shuttling")]
     assert validate_schedule(schedule, lay88, mux=MuxConfig()) == []
+
+
+def test_validator_flags_moves_and_gates_between_non_neighbours(lay44):
+    """The mover jumps along the Middle row and gates from there; this
+    schedule used to validate clean."""
+    mover, partner = (0, 0), (0, 3)
+    u0, m0, m7, u3 = (SiteCoord(Row.UPPER, 0), SiteCoord(Row.MIDDLE, 0),
+                      SiteCoord(Row.MIDDLE, 7), SiteCoord(Row.UPPER, 3))
+    ops = [
+        ScheduledOp(mover, MicroOp(MicroOpKind.VERTICAL_TRANSFER, (u0, m0)), 0),
+        ScheduledOp(mover, MicroOp(MicroOpKind.HORIZONTAL_STEP, (m0, m7)), 1),
+        ScheduledOp(mover, MicroOp(MicroOpKind.TWO_QUBIT_GATE, (m7, u3), 2), 2,
+                    partner=partner),
+        ScheduledOp(mover, MicroOp(MicroOpKind.HORIZONTAL_STEP, (m7, m0)), 4),
+        ScheduledOp(mover, MicroOp(MicroOpKind.HORIZONTAL_STEP, (m0, u0)), 5),
+    ]
+    schedule = _idle_schedule({mover: u0, partner: u3}, ops, 6)
+    violations = validate_schedule(schedule, lay44)
+    assert violations == [
+        sch.Violation("adjacency", 1, "horizontal_step (M,0)-(M,7) joins sites that are "
+                                      "not neighbours"),
+        sch.Violation("adjacency", 2, "two_qubit_gate (M,7)-(U,3) joins sites that are "
+                                      "not neighbours"),
+        sch.Violation("adjacency", 4, "horizontal_step (M,7)-(M,0) joins sites that are "
+                                      "not neighbours"),
+        sch.Violation("adjacency", 5, "horizontal_step (M,0)-(U,0) leaves its row"),
+    ]
+    assert violations == oracle_validate(schedule, lay44)
 
 
 def test_compiled_schedules_validate_clean_randomized(lay88_loop):
@@ -434,6 +540,7 @@ def test_dc_refresh_scales_with_inputs():
 
 
 _SWAP_SITES = (SiteCoord(Row.MIDDLE, 4), SiteCoord(Row.MIDDLE, 5), SiteCoord(Row.UPPER, 4))
+_LAY88 = tl.map_to_trilinear(tl.GridSpec(8, 8))
 
 
 @settings(max_examples=200, deadline=None)
@@ -441,8 +548,8 @@ _SWAP_SITES = (SiteCoord(Row.MIDDLE, 4), SiteCoord(Row.MIDDLE, 5), SiteCoord(Row
                           st.integers(0, 8), st.integers(0, 3), st.integers(0, 3),
                           st.booleans()), max_size=24))
 def test_swap_throughs_match_pairwise_oracle(moves):
-    """The start-ordered scan finds the pairs the all-pairs check finds, in
-    its order. Starts in 0-8 and durations 0-3 make touching boundaries
+    """The validator's start-ordered scan finds the pairs the all-pairs
+    check finds. Starts in 0-8 and durations 0-3 make touching boundaries
     (one move starting as another ends), equal starts and empty spans
     common; a site repeated as src and dst gives degenerate moves too."""
     sops = []
@@ -450,7 +557,9 @@ def test_swap_throughs_match_pairwise_oracle(moves):
         kind = MicroOpKind.SINGLE_QUBIT_PULSE if pulse else MicroOpKind.HORIZONTAL_STEP
         sites = (src,) if pulse else (src, dst)
         sops.append(ScheduledOp((0, qubit), MicroOp(kind, sites, duration), start))
-    assert sch._swap_throughs(tuple(sops)) == swap_throughs(sops)
+    violations = validate_schedule(Schedule(ops=tuple(sops)), _LAY88)
+    expected = sorted(swap_throughs(sops), key=lambda v: (v.tick, v.kind, v.message))
+    assert [v for v in violations if v.kind == "swap"] == expected
 
 
 # ----------------------------------------------------------------------
