@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import ConfigError, InvalidN
 from .router import MicroOpKind
 from .scheduler import Schedule
@@ -111,10 +109,31 @@ def sweep_to_csv(points: Iterable[ScalingPoint]) -> str:
 
 
 def log_log_slope(ns: Sequence[float], lengths: Sequence[float]) -> float:
-    """Least-squares slope of log(length) against log(n)."""
-    slope, _ = np.polyfit(np.log(np.asarray(ns, float)),
-                          np.log(np.asarray(lengths, float)), 1)
-    return float(slope)
+    """Least-squares slope of log(length) against log(n).
+
+    Raises ValueError for sequences of different lengths, fewer than two
+    points, a value that is not positive, or ns that are all equal.
+    """
+    if len(ns) != len(lengths):
+        raise ValueError(f"log_log_slope: {len(ns)} ns but {len(lengths)} lengths")
+    if len(ns) < 2:
+        raise ValueError(f"log_log_slope: need at least 2 points, got {len(ns)}")
+    for v in (*ns, *lengths):
+        if not v > 0:
+            raise ValueError(f"log_log_slope: values must be positive, got {v!r}")
+    if len(set(ns)) == 1:
+        raise ValueError(f"log_log_slope: all ns equal {ns[0]!r}")
+    # Scaling x to unit norm first, as np.polyfit does, keeps the slope
+    # bit-equal to its result on the scaling-sweep inputs.
+    x = [math.log(n) for n in ns]
+    y = [math.log(v) for v in lengths]
+    scale = math.sqrt(math.fsum(v * v for v in x))
+    x = [v / scale for v in x]
+    x_mean = math.fsum(x) / len(x)
+    y_mean = math.fsum(y) / len(y)
+    sxy = math.fsum((a - x_mean) * (b - y_mean) for a, b in zip(x, y))
+    sxx = math.fsum((a - x_mean) ** 2 for a in x)
+    return sxy / sxx / scale
 
 
 # ----------------------------------------------------------------------

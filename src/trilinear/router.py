@@ -51,6 +51,9 @@ class MicroOpKind(Enum):
     READOUT = "readout"
 
 
+_KINDS = {k.value: k for k in MicroOpKind}
+
+
 @dataclass(frozen=True)
 class Durations:
     """Tick cost per micro-op kind. One tick is one horizontal shuttle step."""
@@ -113,8 +116,8 @@ class MicroOp:
         if type(duration) is not int or duration < 1:
             raise CircuitError(f"duration_ticks: expected an integer >= 1, got {duration!r}")
         try:
-            kind = MicroOpKind(obj.get("kind"))
-        except ValueError:
+            kind = _KINDS[obj.get("kind")]
+        except (KeyError, TypeError):
             raise CircuitError(f"kind: expected a micro-op kind, "
                                f"got {obj.get('kind')!r}") from None
         sites = obj.get("sites")

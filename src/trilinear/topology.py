@@ -8,9 +8,10 @@ neighbors sit half a block apart along the axis.
 
 Coordinate conventions (fixed for the whole package):
   - grid cells are (row, col), 0-based
-  - a site is (row, axis, subrow): row in {Upper, Middle, Lower}, axis in
-    units of dot pitch, subrow only used when the outer rows are stacked
-    (m_rows > 1; subrow 0 is the innermost, adjacent to the Middle row)
+  - a site is a `SiteCoord` named tuple (row, axis, subrow): row in
+    {Upper, Middle, Lower}, axis in units of dot pitch, subrow only used
+    when the outer rows are stacked (m_rows > 1; subrow 0 is the innermost,
+    adjacent to the Middle row)
   - on loop layouts the axis wraps modulo the row length
 
 With m_rows = M > 1 each outer row becomes M stacked sub-rows and each
@@ -44,6 +45,7 @@ class Row(Enum):
 
 # Display / canonical sort order (top to bottom).
 _ROW_ORDER = {Row.UPPER: 0, Row.MIDDLE: 1, Row.LOWER: 2}
+_ROWS = {r.value: r for r in Row}
 
 
 class SiteClass(Enum):
@@ -60,8 +62,7 @@ class SiteClass(Enum):
     BARE = "bare"
 
 
-@dataclass(frozen=True)
-class SiteCoord:
+class SiteCoord(NamedTuple):
     row: Row
     axis: int
     subrow: int = 0
@@ -356,12 +357,15 @@ def site_to_obj(site: SiteCoord) -> list:
 
 
 def site_from_obj(obj) -> SiteCoord:
+    """`[row, axis]` or `[row, axis, subrow]`, as `site_to_obj` writes it."""
+    if type(obj) is not list or not 2 <= len(obj) <= 3:
+        raise InvalidSite(f"bad site object {obj!r}")
     try:
-        row = Row(obj[0])
-        axis = obj[1]
-        sub = obj[2] if len(obj) > 2 else 0
-    except (ValueError, TypeError, IndexError, KeyError) as exc:
+        row = _ROWS[obj[0]]
+    except (KeyError, TypeError) as exc:
         raise InvalidSite(f"bad site object {obj!r}") from exc
+    axis = obj[1]
+    sub = obj[2] if len(obj) == 3 else 0
     if type(axis) is not int or type(sub) is not int:
         raise InvalidSite(f"bad site object {obj!r}: coordinates must be integers")
     return SiteCoord(row, axis, sub)

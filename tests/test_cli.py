@@ -277,11 +277,14 @@ def test_non_standard_json_constants_in_inputs_exit_1(what, text, cfg, tmp_path,
     ("map", "[1, 2]", 1, "ConfigError", "defects file "),
     ("map", '{"sites": [["U", 1.7]]}', 2, "InvalidSite", "bad site object ['U', 1.7]"),
     ("map", '{"sites": 5}', 2, "InvalidSite", "bad defects object"),
+    ("map", '{"sites": [["U", 1, 0, 9]]}', 2, "InvalidSite", "bad site object ['U', 1, 0, 9]"),
+    ("map", '{"barriers": [[["M", 1], ["M", 2, 0, 0]]]}', 2, "InvalidSite",
+     "bad site object ['M', 2, 0, 0]"),
 ])
 def test_malformed_circuit_and_defect_files_give_error_json(command, text, code, kind, message,
                                                             cfg, tmp_path, capsys):
     """Each used to end in a Python traceback, or to run on a truncated value
-    ([0.9, 0] became (0, 0), ["U", 1.7] became (U,1))."""
+    ([0.9, 0] became (0, 0), ["U", 1.7] and ["U", 1, 0, 9] became (U,1))."""
     path = tmp_path / "input.json"
     path.write_text(text, encoding="utf-8")
     flag = "--circuit" if command == "schedule" else "--defects"

@@ -1,6 +1,7 @@
 """Scaling formulas, slopes, fidelity budgets, footprint arithmetic."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,40 @@ def test_semi2d_slope_is_quarter():
     ns = [2 ** (4 * k) for k in range(3, 8)]
     lengths = [shuttle_scaling(n, Variant.SEMI_2D).length_one_way_um for n in ns]
     assert abs(log_log_slope(ns, lengths) - 0.25) < 0.01
+
+
+def test_slope_of_exact_square_root_law():
+    ns = [4**k for k in range(1, 12)]
+    assert abs(log_log_slope(ns, [math.sqrt(n) for n in ns]) - 0.5) <= 1e-12
+
+
+def test_slopes_of_scaling_sweep_are_unchanged_to_the_bit():
+    """The two sweeps of demo 05, against the slopes np.polyfit gave for
+    them before the package dropped numpy."""
+    tri_ns = [4**k for k in range(5, 16)]
+    tri = log_log_slope(tri_ns, [shuttle_scaling(n).length_one_way_um for n in tri_ns])
+    semi_ns = [2 ** (4 * k) for k in range(3, 8)]
+    semi = log_log_slope(
+        semi_ns, [shuttle_scaling(n, Variant.SEMI_2D).length_one_way_um for n in semi_ns])
+    assert type(tri) is float and type(semi) is float
+    assert tri == 0.5000000000000001
+    assert semi == 0.25
+
+
+@pytest.mark.parametrize("ns, lengths, cause", [
+    ([100], [0.5], "at least 2 points, got 1"),
+    ([], [], "at least 2 points, got 0"),
+    ([100, 400], [0.5], "2 ns but 1 lengths"),
+    ([100, 400, 1600], [0.5, 1.0], "3 ns but 2 lengths"),
+    ([100, 0], [0.5, 1.0], "positive, got 0"),
+    ([100, 400], [0.5, -1.0], "positive, got -1.0"),
+    ([100, 400], [0.5, math.nan], "positive, got nan"),
+    ([400, 400, 400], [0.5, 1.0, 2.0], "all ns equal 400"),
+])
+def test_slope_rejects_bad_input_by_cause(ns, lengths, cause):
+    """numpy used to warn and return nan or a meaningless number for each."""
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        log_log_slope(ns, lengths)
 
 
 def test_sweep_monotone_and_doubling_law():

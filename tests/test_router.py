@@ -420,6 +420,9 @@ def test_micro_op_reader_rejects_non_integer_durations(duration):
     ({"kind": "readout"}, "sites"),
     ({"kind": "teleport", "sites": [["M", 0]]}, "kind"),
     ({"sites": [["M", 0]]}, "kind"),
+    ({"kind": [], "sites": [["M", 0]]}, "kind"),
+    ({"kind": {}, "sites": [["M", 0]]}, "kind"),
+    ({"kind": "READOUT", "sites": [["M", 0]]}, "kind"),
 ])
 def test_micro_op_reader_rejects_wrong_kinds_and_site_counts(obj, field):
     """A one-site gate or an empty readout used to read back and then crash

@@ -226,6 +226,50 @@ def test_rebuilt_site_is_same_key(site):
     assert SiteCoord(Row.UPPER, 3) != SiteCoord(Row.LOWER, 3)
 
 
+def test_site_prints_in_the_short_form():
+    for site, text in ((SiteCoord(Row.UPPER, 3), "(U,3)"), (SiteCoord(Row.LOWER, 2, 1), "(L,2,1)"),
+                       (SiteCoord(Row.MIDDLE, 0, 0), "(M,0)")):
+        assert repr(site) == text
+        assert str(site) == text
+        assert f"{site}" == text
+
+
+def test_equal_sites_hash_equal():
+    a, b = SiteCoord(Row.LOWER, 5, 1), SiteCoord(Row.LOWER, 5, 1)
+    assert a == b and hash(a) == hash(b)
+    assert SiteCoord(Row.MIDDLE, 2) == SiteCoord(Row.MIDDLE, 2, 0)
+    assert hash(SiteCoord(Row.MIDDLE, 2)) == hash(SiteCoord(Row.MIDDLE, 2, 0))
+    assert SiteCoord(Row.UPPER, 1, 1) != SiteCoord(Row.UPPER, 1, 0)
+
+
+@pytest.mark.parametrize("m_rows", [1, 2])
+def test_every_lattice_site_round_trips_through_json(m_rows):
+    layout = tl.map_to_trilinear(tl.GridSpec(5, 4), loop=True, m_rows=m_rows)
+    for site in layout.lattice.sites:
+        obj = site_to_obj(site)
+        assert site_from_obj(obj) == site
+        assert site_to_obj(site_from_obj(obj)) == obj
+
+
+@pytest.mark.parametrize("obj, message", [
+    (["U", 1, 0, 9], "bad site object ['U', 1, 0, 9]"),
+    (["U"], "bad site object ['U']"),
+    ([], "bad site object []"),
+    ("U1", "bad site object 'U1'"),
+    (("U", 1), "bad site object ('U', 1)"),
+    ({0: "U", 1: 1}, "bad site object {0: 'U', 1: 1}"),
+    (["X", 1], "bad site object ['X', 1]"),
+    ([["U"], 1], "bad site object [['U'], 1]"),
+    (["U", 1.0], "bad site object ['U', 1.0]: coordinates must be integers"),
+    (["U", 1, True], "bad site object ['U', 1, True]: coordinates must be integers"),
+])
+def test_site_reader_rejects_anything_but_two_or_three_entries(obj, message):
+    """["U", 1, 0, 9] used to read as (U,1), dropping the extra entry."""
+    with pytest.raises(tl.InvalidSite) as info:
+        site_from_obj(obj)
+    assert str(info.value) == message
+
+
 def test_layout_identity_ignores_cached_extents():
     fresh = tl.map_to_trilinear(tl.GridSpec(6, 5), m_rows=2)
     read = tl.map_to_trilinear(tl.GridSpec(6, 5), m_rows=2)
