@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import (CircuitError, InvalidSite, NotNeighbors, Partitioned, Unrecoverable,
                      UnsupportedPair)
@@ -50,8 +50,15 @@ class MicroOpKind(Enum):
     SINGLE_QUBIT_PULSE = "single_qubit_pulse"
     READOUT = "readout"
 
+    # Members are singletons, so the C-level identity hash is a valid hash.
+    __hash__ = object.__hash__
+
 
 _KINDS = {k.value: k for k in MicroOpKind}
+# Module-level aliases: hot loops compare kinds and rows without an enum
+# attribute lookup.
+_VERTICAL, _HORIZONTAL, _GATE, _PULSE, _READOUT = MicroOpKind
+_UPPER, _LOWER = Row.UPPER, Row.LOWER
 
 
 @dataclass(frozen=True)
@@ -68,15 +75,15 @@ class Durations:
 DEFAULT_DURATIONS = Durations()
 
 
-@dataclass(frozen=True)
-class MicroOp:
+class MicroOp(NamedTuple):
     """One primitive action.
 
     `sites` semantics by kind: moves carry (src, dst); a two-qubit gate
     carries (mover site, partner site); pulses and readout carry the one
     site they act on. `freq_class` tags single-qubit pulses with the
     resonance class they drive ("magnet" or "bare"); `param` carries the
-    rotation for pulses.
+    rotation for pulses. A named tuple, so it is built in C; use
+    `_replace` to derive a changed copy.
     """
 
     kind: MicroOpKind
@@ -95,7 +102,7 @@ class MicroOp:
 
     @property
     def is_move(self) -> bool:
-        return self.kind in (MicroOpKind.VERTICAL_TRANSFER, MicroOpKind.HORIZONTAL_STEP)
+        return self.kind is _HORIZONTAL or self.kind is _VERTICAL
 
     def to_obj(self) -> dict:
         obj = {
@@ -121,30 +128,29 @@ class MicroOp:
             raise CircuitError(f"kind: expected a micro-op kind, "
                                f"got {obj.get('kind')!r}") from None
         sites = obj.get("sites")
-        count = 1 if kind in (MicroOpKind.SINGLE_QUBIT_PULSE, MicroOpKind.READOUT) else 2
+        count = 1 if kind is _PULSE or kind is _READOUT else 2
         if not isinstance(sites, list) or len(sites) != count:
             raise CircuitError(f"sites: a {kind.value} takes {count} sites, got {sites!r}")
-        return cls(
-            kind=kind,
-            sites=tuple(site_from_obj(s) for s in sites),
-            duration_ticks=duration,
-            freq_class=obj.get("freq_class"),
-            param=obj.get("param"),
-        )
+        freq_class = obj.get("freq_class")
+        if freq_class is not None and type(freq_class) is not str:
+            raise CircuitError(f"freq_class: expected a string, got {freq_class!r}")
+        src = site_from_obj(sites[0])
+        return cls(kind, (src,) if count == 1 else (src, site_from_obj(sites[1])), duration,
+                   freq_class, obj.get("param"))
 
 
 def move_op(src: SiteCoord, dst: SiteCoord,
             durations: Durations = DEFAULT_DURATIONS) -> MicroOp:
     """Move micro-op between two adjacent sites, typed by geometry."""
-    if src.row == dst.row and src.subrow == dst.subrow:
-        return MicroOp(MicroOpKind.HORIZONTAL_STEP, (src, dst), durations.horizontal_step)
-    return MicroOp(MicroOpKind.VERTICAL_TRANSFER, (src, dst), durations.vertical_transfer)
+    if src.row is dst.row and src.subrow == dst.subrow:
+        return MicroOp(_HORIZONTAL, (src, dst), durations.horizontal_step)
+    return MicroOp(_VERTICAL, (src, dst), durations.vertical_transfer)
 
 
 def move_direction(layout: TrilinearLayout, op: MicroOp) -> str:
     """Movement direction tag: east/west along the axis, up/down across rows."""
     src, dst = op.sites[0], op.sites[-1]
-    if op.kind is MicroOpKind.HORIZONTAL_STEP:
+    if op.kind is _HORIZONTAL:
         delta = dst.axis - src.axis
         if layout.loop:
             delta = (delta + layout.length) % layout.length
@@ -154,9 +160,9 @@ def move_direction(layout: TrilinearLayout, op: MicroOp) -> str:
 
 
 def _height(site: SiteCoord) -> int:
-    if site.row is Row.UPPER:
+    if site.row is _UPPER:
         return 1 + site.subrow
-    if site.row is Row.LOWER:
+    if site.row is _LOWER:
         return -1 - site.subrow
     return 0
 
@@ -254,8 +260,8 @@ class ShuttlePlan:
 
 
 def _counts(ops: Iterable[MicroOp]) -> tuple[int, int]:
-    h = sum(1 for op in ops if op.kind is MicroOpKind.HORIZONTAL_STEP)
-    v = sum(1 for op in ops if op.kind is MicroOpKind.VERTICAL_TRANSFER)
+    h = sum(1 for op in ops if op.kind is _HORIZONTAL)
+    v = sum(1 for op in ops if op.kind is _VERTICAL)
     return h, v
 
 

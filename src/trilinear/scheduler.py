@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from operator import attrgetter, itemgetter
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import CircuitError, MuxInfeasible, UnsupportedPair
 from .router import (
@@ -48,6 +48,9 @@ from .router import (
     Durations,
     MicroOp,
     MicroOpKind,
+    _GATE,
+    _HORIZONTAL,
+    _VERTICAL,
     _defect_ids,
     move_direction,
     plan_two_qubit,
@@ -87,9 +90,10 @@ _SET_BIT = {sigs: 1 << i for i, sigs in enumerate((*_MOVE_SIGNALS.values(),
 
 def signals_for_op(layout: TrilinearLayout, op: MicroOp) -> frozenset[Signal]:
     """Distinct AC signals a micro-op drives while active."""
-    if op.is_move:
+    kind = op.kind
+    if kind is _HORIZONTAL or kind is _VERTICAL:
         return _MOVE_SIGNALS[move_direction(layout, op)]
-    return _PULSE_SIGNALS[op.kind]
+    return _PULSE_SIGNALS[kind]
 
 
 @dataclass(frozen=True)
@@ -254,8 +258,9 @@ def circuit_from_json(doc) -> Circuit:
 # ----------------------------------------------------------------------
 # Schedules
 
-@dataclass(frozen=True)
-class ScheduledOp:
+class ScheduledOp(NamedTuple):
+    """A micro-op placed at a start tick; a named tuple, like `MicroOp`."""
+
     qubit: Cell
     op: MicroOp
     start_tick: int
@@ -277,7 +282,7 @@ class Schedule:
 
     @property
     def total_horizontal_steps(self) -> int:
-        return sum(1 for s in self.ops if s.op.kind is MicroOpKind.HORIZONTAL_STEP)
+        return sum(1 for s in self.ops if s.op.kind is _HORIZONTAL)
 
 
 @dataclass(frozen=True)
@@ -297,10 +302,15 @@ class WaveformUsage:
 
 def waveform_usage(schedule: Schedule) -> WaveformUsage:
     """The signals driven each tick; the max distinct count over ticks is the
-    schedule's AC-input requirement."""
+    schedule's AC-input requirement. Raises CircuitError for an op that runs
+    outside ticks 0 to the makespan."""
     per_tick: list[set[Signal]] = [set() for _ in range(schedule.makespan)]
     for sop in schedule.ops:
-        for t in range(sop.start_tick, sop.end_tick):
+        start, end = sop.start_tick, sop.end_tick
+        if start < 0 or end > schedule.makespan:
+            raise CircuitError(f"{sop.op.kind.value} of qubit {sop.qubit} runs from tick "
+                               f"{start} to {end}, outside the makespan {schedule.makespan}")
+        for t in range(start, end):
             per_tick[t] |= sop.signals
     return WaveformUsage(per_tick=tuple(map(frozenset, per_tick)))
 
@@ -478,7 +488,7 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     waiters: dict[int, list[int]] = {}   # active job -> jobs waiting on its end
     events: list[tuple[int, int]] = []   # (tick, job ending) or (tick, n + job woken)
     woken = [j for j in range(n) if not owed[j]]
-    started = 0
+    started = makespan = 0
     t = 0
     while True:
         for index in sorted(woken):
@@ -492,12 +502,10 @@ def compile(  # noqa: A001 - mirrors re.compile naming
                 heappush(events, (start, n + index))
                 continue
             for op, sigs, off in zip(job.ops, job.op_signals, job.offsets):
-                partner = job.partner if op.kind is MicroOpKind.TWO_QUBIT_GATE else None
-                scheduled.append(ScheduledOp(
-                    qubit=job.owner, op=op, start_tick=t + off, partner=partner,
-                    signals=sigs,
-                ))
+                partner = job.partner if op.kind is _GATE else None
+                scheduled.append(ScheduledOp(job.owner, op, t + off, partner, sigs))
             end = t + job.total_ticks
+            makespan = max(makespan, end)
             if len(committed) < end:
                 committed.extend(bytes(end - len(committed)))
             for a, b, bit in job.runs:
@@ -527,7 +535,6 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     if started < n:
         raise AssertionError("scheduler stalled with no active work")
 
-    makespan = max((s.end_tick for s in scheduled), default=0)
     return Schedule(
         ops=tuple(sorted(scheduled, key=attrgetter("start_tick", "qubit"))),
         makespan=makespan,
@@ -557,9 +564,11 @@ def validate_schedule(
     Checks occupancy (one qubit per site per tick), swap-throughs, dead
     site and dead barrier visits, that each move and gate joins lattice
     neighbours (a horizontal step exactly when it stays in its row),
-    per-qubit chaining/order, site bounds, and the per-tick
-    distinct-waveform budget. Signals are recomputed from the micro-ops,
-    independent of what the schedule carries.
+    per-qubit chaining/order, bounds (every site in the layout, every op
+    ended by the makespan), and the per-tick distinct-waveform budget.
+    Signals are recomputed from the micro-ops, independent of what the
+    schedule carries. The replay runs to the later of the makespan and the
+    last op's end, so an understated makespan hides no other violation.
 
     Sites are replayed as `layout.lattice` ids; a site outside the layout
     gets an id past the lattice's, so it is out of bounds exactly when its
@@ -572,7 +581,7 @@ def validate_schedule(
     dead, cut = _defect_ids(layout, defects)
     violations: list[Violation] = []
     report = violations.append
-    horizon = max(schedule.makespan, max((s.end_tick for s in schedule.ops), default=0))
+    horizon = makespan = schedule.makespan  # the replay runs to the last op's end
     homes = {cell: ids.setdefault(site, len(ids)) for cell, site in schedule.initial_positions}
 
     # Per op: its site ids, bounds, defects and the neighbour rule.
@@ -582,7 +591,12 @@ def validate_schedule(
     deltas = defaultdict(list)  # tick -> (signal set, 1 where it starts or -1 where it ends)
     for position, sop in enumerate(schedule.ops):
         op, start = sop.op, sop.start_tick
+        kind = op.kind
         end = start + op.duration_ticks
+        if end > makespan:
+            horizon = max(horizon, end)
+            report(Violation("bounds", start, f"{kind.value} of qubit {sop.qubit} ends at "
+                                              f"tick {end}, past the makespan {makespan}"))
         site_ids = [ids.setdefault(site, len(ids)) for site in op.sites]
         for site, i in zip(op.sites, site_ids):
             if i >= n:
@@ -590,8 +604,8 @@ def validate_schedule(
             elif i in dead:
                 report(Violation("dead_site", start, f"op visits dead site {site}"))
         a, b = site_ids[0], site_ids[-1]
-        move = op.is_move
-        gate = op.kind is MicroOpKind.TWO_QUBIT_GATE
+        move = kind is _HORIZONTAL or kind is _VERTICAL
+        gate = kind is _GATE
         if move:
             if (a, b) in cut:
                 report(Violation("dead_barrier", start,
@@ -603,13 +617,13 @@ def validate_schedule(
             in_row = op.src.row is op.dst.row and op.src.subrow == op.dst.subrow
             if b not in neighbors[a]:
                 problem = "joins sites that are not neighbours"
-            elif move and in_row != (op.kind is MicroOpKind.HORIZONTAL_STEP):
+            elif move and in_row != (kind is _HORIZONTAL):
                 problem = "stays in its row" if in_row else "leaves its row"
             else:
                 problem = None
             if problem:
                 report(Violation("adjacency", start,
-                                 f"{op.kind.value} {op.src}-{op.dst} {problem}"))
+                                 f"{kind.value} {op.src}-{op.dst} {problem}"))
         chains[sop.qubit].append((start, end, move, a, b, sop))
         sigs = signals_for_op(layout, op)
         deltas[start].append((sigs, 1))
@@ -732,35 +746,44 @@ def schedule_to_json(schedule: Schedule, seed: int) -> tuple[str, dict]:
 
     The text is json.dumps(doc, sort_keys=True, indent=2) + "\\n", written in
     one pass; with `indent` set that stdlib encoder runs in pure Python. Each
-    distinct cell, site tuple and signal multiset is encoded once per call.
+    distinct op head (duration, freq class, kind and partner), qubit, site
+    tuple and signal set is encoded once per call; `param` may be any JSON
+    value, so it is dumped per op.
     """
     usage = waveform_usage(schedule)
     summary = {"makespan": schedule.makespan, "max_waveform_classes": usage.max_distinct,
                "total_shuttle_steps": schedule.total_horizontal_steps}
-    # Leaf texts by value. Each type of key sits at one depth only.
+    # Texts by value. Keys of different types (a qubit cell, a site tuple, an
+    # op head, a signal set) never compare equal.
     memo: dict = {}
+    sep = ",\n" + "  " * 5  # between two fields of an op
 
-    def leaf(key, make) -> str:
+    def leaf(key, make):
         return memo.get(key) or memo.setdefault(key, make())
 
     def flat(values, depth: int) -> str:
         return _block("[]", [str(x) if type(x) is int else json.dumps(x) for x in values], depth)
 
+    def head(duration, freq_class, kind, partner) -> tuple[str, str]:
+        """An op's text up to its `param` field, and its `partner` field."""
+        fields = [f'"duration_ticks": {duration}']
+        if freq_class is not None:
+            fields.append(f'"freq_class": {json.dumps(freq_class)}')
+        fields.append(f'"kind": {json.dumps(kind.value)}')
+        return ("{" + sep[1:] + sep.join(fields),
+                "" if partner is None else f'{sep}"partner": {flat(partner, 5)}')
+
     ticks: dict[int, list[str]] = defaultdict(list)
     for sop in schedule.ops:
         op = sop.op
-        fields = [f'"duration_ticks": {op.duration_ticks}']
-        if op.freq_class is not None:
-            fields.append(f'"freq_class": {json.dumps(op.freq_class)}')
-        fields.append(f'"kind": {leaf(op.kind, lambda: json.dumps(op.kind.value))}')
-        if op.param is not None:
-            fields.append(f'"param": {_dump(op.param, 5)}')
-        if sop.partner is not None:
-            fields.append(f'"partner": {leaf(sop.partner, lambda: flat(sop.partner, 5))}')
-        fields.append(f'"qubit": {leaf(sop.qubit, lambda: flat(sop.qubit, 5))}')
-        fields.append('"sites": ' + leaf(op.sites, lambda: _block(
-            "[]", [flat(site_to_obj(s), 6) for s in op.sites], 5)))
-        ticks[sop.start_tick].append(_block("{}", fields, 4))
+        key = (op.duration_ticks, op.freq_class, op.kind, sop.partner)
+        first, partner = leaf(key, lambda: head(*key))
+        param = "" if op.param is None else f'{sep}"param": {_dump(op.param, 5)}'
+        ticks[sop.start_tick].append(
+            first + param + partner
+            + leaf(sop.qubit, lambda: f'{sep}"qubit": {flat(sop.qubit, 5)}')
+            + leaf(op.sites, lambda: f'{sep}"sites": ' + _block(
+                "[]", [flat(site_to_obj(s), 6) for s in op.sites], 5) + "\n" + "  " * 4 + "}"))
     return _block("{}", [
         '"initial_positions": ' + _block("[]", [
             _block("{}", [f'"cell": {flat(c, 3)}', f'"site": {flat(site_to_obj(s), 3)}'], 2)

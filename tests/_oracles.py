@@ -614,8 +614,9 @@ def validate_schedule(
 
     Checks occupancy (one qubit per site per tick), swap-throughs, dead
     site and dead barrier visits, per-qubit chaining/order, site bounds,
-    and the per-tick distinct-waveform budget. Signals are recomputed from
-    the micro-ops, independent of what the schedule carries.
+    ops ending past the makespan, and the per-tick distinct-waveform
+    budget. Signals are recomputed from the micro-ops, independent of what
+    the schedule carries.
 
     This is the SiteCoord replay the package used before it replayed
     lattice ids, plus the neighbour rule for moves and gates (`adjacency`);
@@ -632,6 +633,10 @@ def validate_schedule(
 
     # Bounds and dead-site/barrier checks per op.
     for sop in schedule.ops:
+        if sop.end_tick > schedule.makespan:
+            violations.append(Violation("bounds", sop.start_tick,
+                                        f"{sop.op.kind.value} of qubit {sop.qubit} ends at tick "
+                                        f"{sop.end_tick}, past the makespan {schedule.makespan}"))
         for site in sop.op.sites:
             if not layout.in_bounds(site):
                 violations.append(Violation("bounds", sop.start_tick,

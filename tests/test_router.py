@@ -432,6 +432,15 @@ def test_micro_op_reader_rejects_wrong_kinds_and_site_counts(obj, field):
         MicroOp.from_obj(obj)
 
 
+@pytest.mark.parametrize("freq_class", [["magnet"], {"magnet": 1}, 5, True])
+def test_micro_op_reader_rejects_non_string_freq_class(freq_class):
+    """The schedule writer keys its text memo by the op's fields, so a list
+    or dict there would break it; the reader rejects every non-string."""
+    obj = {"kind": "single_qubit_pulse", "sites": [["U", 0]], "freq_class": freq_class}
+    with pytest.raises(tl.CircuitError, match="^freq_class: expected a string"):
+        MicroOp.from_obj(obj)
+
+
 def test_micro_op_reader_accepts_positive_integer_durations():
     obj = {"kind": "horizontal_step", "sites": [["M", 0], ["M", 1]]}
     assert MicroOp.from_obj(obj).duration_ticks == 1

@@ -256,26 +256,26 @@ def _tamper(rng, schedule, layout, defects):
         i = rng.choice(moves)
         sites = list(ops[i].op.sites)
         sites[rng.randrange(2)] = rng.choice(list(layout.sites()))
-        ops[i] = replace(ops[i], op=replace(ops[i].op, sites=tuple(sites)))
+        ops[i] = ops[i]._replace(op=ops[i].op._replace(sites=tuple(sites)))
     elif kind == "partner" and gates:
         i = rng.choice(gates)
-        ops[i] = replace(ops[i], partner=rng.choice([None, *cells]))
+        ops[i] = ops[i]._replace(partner=rng.choice([None, *cells]))
     elif kind == "site" and ops:
         sites = list(ops[i].op.sites)
         dead = sorted(defects.dead_sites, key=tl.topology.site_key)
         sites[rng.randrange(len(sites))] = rng.choice(dead + outside)
         if ops[i].op.is_move and defects.dead_barriers and rng.random() < 0.5:
             sites = rng.sample(rng.choice(sorted(defects.dead_barriers, key=repr)), 2)
-        ops[i] = replace(ops[i], op=replace(ops[i].op, sites=tuple(sites)))
+        ops[i] = ops[i]._replace(op=ops[i].op._replace(sites=tuple(sites)))
     elif kind == "delete" and ops:
         del ops[i]
     elif kind == "rename" and ops:
         old, new = ops[i].qubit, rng.choice(cells)
-        ops = [replace(s, qubit=new) if s.qubit == old else s for s in ops]
+        ops = [s._replace(qubit=new) if s.qubit == old else s for s in ops]
     elif kind == "home" and homes:
         del homes[rng.randrange(len(homes))]
     elif ops:
-        ops[i] = replace(ops[i], start_tick=max(0, ops[i].start_tick + rng.randint(-3, 3)))
+        ops[i] = ops[i]._replace(start_tick=max(0, ops[i].start_tick + rng.randint(-3, 3)))
     return replace(schedule, ops=tuple(ops), initial_positions=tuple(homes))
 
 
@@ -384,6 +384,27 @@ def test_validator_flags_readout_during_shuttling(lay88):
     apart = validate_schedule(schedule, lay88, mux=MuxConfig(readout_coexists_with_shuttle=False))
     assert apart == [sch.Violation("mux", 0, "readout pulse shares a tick with shuttling")]
     assert validate_schedule(schedule, lay88, mux=MuxConfig()) == []
+
+
+def test_understated_makespan_is_a_bounds_violation():
+    """A 10-tick readout in a schedule of makespan 5 used to validate clean,
+    after which waveform_usage and schedule_to_json raised IndexError."""
+    layout = tl.map_to_trilinear(tl.GridSpec(2, 2))
+    home = layout.grid_to_site((0, 0))
+    readout = ScheduledOp((0, 0), MicroOp(MicroOpKind.READOUT, (home,), 10), 0,
+                          signals=frozenset({"readout_pulse"}))
+    schedule = _idle_schedule({(0, 0): home}, [readout], 5)
+    expected = [sch.Violation("bounds", 0, "readout of qubit (0, 0) ends at tick 10, "
+                                           "past the makespan 5")]
+    assert validate_schedule(schedule, layout) == expected
+    assert oracle_validate(schedule, layout) == expected
+    for write in (waveform_usage, lambda s: sch.schedule_to_json(s, 0)):
+        with pytest.raises(tl.CircuitError, match=r"^readout of qubit \(0, 0\) runs from "
+                                                  r"tick 0 to 10, outside the makespan 5$"):
+            write(schedule)
+    early = replace(schedule, ops=(readout._replace(start_tick=-1),), makespan=10)
+    with pytest.raises(tl.CircuitError, match="from tick -1 to 9, outside the makespan 10"):
+        waveform_usage(early)
 
 
 def test_validator_flags_moves_and_gates_between_non_neighbours(lay44):
@@ -590,6 +611,70 @@ def _random_circuit(rng, layout, n_ops, avoid=frozenset()):
                     ops.append(TwoQubit(a, rng.choice(pool)))
                     break
     return sch.Circuit(tuple(ops))
+
+
+# ----------------------------------------------------------------------
+# The op representation
+
+def test_op_reprs_are_the_dataclass_reprs_and_fields_are_read_only():
+    """Named tuples print what the frozen dataclasses printed."""
+    m3, m4 = SiteCoord(Row.MIDDLE, 3), SiteCoord(Row.MIDDLE, 4)
+    step = MicroOp(MicroOpKind.HORIZONTAL_STEP, (m3, m4))
+    pulse = MicroOp(MicroOpKind.SINGLE_QUBIT_PULSE, (SiteCoord(Row.UPPER, 2, 1),), 4,
+                    "magnet", {"theta": [0.5]})
+    step_text = ("MicroOp(kind=<MicroOpKind.HORIZONTAL_STEP: 'horizontal_step'>, "
+                 "sites=((M,3), (M,4)), duration_ticks=1, freq_class=None, param=None)")
+    assert repr(step) == step_text
+    assert repr(pulse) == (
+        "MicroOp(kind=<MicroOpKind.SINGLE_QUBIT_PULSE: 'single_qubit_pulse'>, "
+        "sites=((U,2,1),), duration_ticks=4, freq_class='magnet', param={'theta': [0.5]})")
+    assert repr(ScheduledOp((0, 1), step, 7)) == (
+        f"ScheduledOp(qubit=(0, 1), op={step_text}, start_tick=7, partner=None, "
+        "signals=frozenset())")
+    assert repr(ScheduledOp((0, 1), step, 7, (1, 1), frozenset({"two_qubit_pulse"}))) == (
+        f"ScheduledOp(qubit=(0, 1), op={step_text}, start_tick=7, partner=(1, 1), "
+        "signals=frozenset({'two_qubit_pulse'}))")
+    for obj, field in ((step, "kind"), (pulse, "param"), (ScheduledOp((0, 1), step, 7),
+                                                          "start_tick")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+
+
+_FINITE_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rng_seed=st.integers(0, 2**32), rows=st.integers(1, 6), cols=st.integers(2, 7),
+       loop=st.booleans(), n_dead=st.integers(0, 2), n_barriers=st.integers(0, 2),
+       n_ops=st.integers(1, 30), params=st.lists(_FINITE_JSON, min_size=1, max_size=6))
+def test_ops_read_back_equal_from_objects_and_schedule_json(rng_seed, rows, cols, loop, n_dead,
+                                                            n_barriers, n_ops, params):
+    """Every op reads back equal from its `to_obj`, and the schedule read
+    back from `schedule_to_json` holds the compiled ops apart from their
+    `signals`, which the JSON does not carry per op."""
+    case = _compiled_case(random.Random(rng_seed), rows, cols, loop, n_dead, n_barriers,
+                          n_ops, 8, True)
+    if case is None:
+        return
+    schedule = case[-1]
+    # Params of every finite JSON type, lists and dicts too, cycled over the pulses.
+    ops = list(schedule.ops)
+    pulses = [i for i, s in enumerate(ops) if s.op.kind is MicroOpKind.SINGLE_QUBIT_PULSE]
+    for k, i in enumerate(pulses):
+        ops[i] = ops[i]._replace(op=ops[i].op._replace(param=params[k % len(params)]))
+    schedule = replace(schedule, ops=tuple(ops))
+    for sop in schedule.ops:
+        assert MicroOp.from_obj(sop.op.to_obj()) == sop.op
+    doc = json.loads(sch.schedule_to_json(schedule, 0)[0])
+    read = [ScheduledOp(tuple(entry["qubit"]), MicroOp.from_obj(entry), tick["tick"],
+                        tuple(entry["partner"]) if "partner" in entry else None)
+            for tick in doc["ticks"] for entry in tick["ops"]]
+    assert read == [sop._replace(signals=frozenset()) for sop in schedule.ops]
 
 
 # ----------------------------------------------------------------------
