@@ -53,7 +53,7 @@ for budget in (8, 5, 4):
 
 # DC side: sampled floating gates hold their bias for ~an hour and refresh
 # once a second, so one DC input can serve thousands of gates.
-mux = sch.MuxConfig(n_dc_inputs=1, dc_refresh_interval_s=1.0, dc_hold_time_s=3600.0)
-report = sch.dc_refresh_plan(mux, n_gates=300)
+report = sch.dc_refresh_plan(n_gates=300, n_dc_inputs=1, dc_refresh_interval_s=1.0,
+                             dc_hold_time_s=3600.0)
 print(f"300 gates on one DC input: cycle {report.cycle_time_s:.0f}s, "
       f"feasible={report.feasible}, max {report.max_gates_per_input} gates/input")

@@ -17,8 +17,7 @@ from typing import Optional
 from . import metrics, protocol, router, scheduler, topology
 from .config import RunConfig, load_config
 from .errors import CircuitError, ConfigError, TrilinearError
-
-SCHEMA_VERSION = 1
+from .topology import SCHEMA_VERSION
 
 
 def _dump_json(doc) -> str:

@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError
-from .metrics import FidelityModel
 from .protocol import PhaseConfig, ReadoutFixture
 from .router import Durations
 from .scheduler import MuxConfig
@@ -40,7 +39,7 @@ def _get_int(doc: dict, key: str, default: int, path: str, minimum: int = 1) -> 
 
 
 def _get_float(doc: dict, key: str, default: float, path: str,
-               minimum: Optional[float] = None, maximum: Optional[float] = None) -> float:
+               minimum: Optional[float] = None) -> float:
     val = doc.get(key, default)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
@@ -49,8 +48,6 @@ def _get_float(doc: dict, key: str, default: float, path: str,
         raise ConfigError(f"{path}.{key}: expected a finite number, got {val}")
     if minimum is not None and val < minimum:
         raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {val}")
-    if maximum is not None and val > maximum:
-        raise ConfigError(f"{path}.{key}: must be <= {maximum}, got {val}")
     return val
 
 
@@ -68,7 +65,6 @@ class RunConfig:
     loop: bool = False
     m_rows: int = 1
     mux: MuxConfig = field(default_factory=MuxConfig)
-    fidelity: FidelityModel = field(default_factory=FidelityModel)
     durations: Durations = field(default_factory=Durations)
     hop_phase_magnet: float = 0.0
     hop_phase_bare: float = 0.0
@@ -89,36 +85,22 @@ class RunConfig:
 
 def config_from_json(doc: dict) -> RunConfig:
     doc = _expect_mapping(doc, "config", "grid", "pitch_nm", "loop", "m_rows", "mux",
-                          "fidelity", "durations", "protocol", "seed")
+                          "durations", "protocol", "seed")
     grid_doc = _expect_mapping(doc.get("grid"), "grid", "rows", "cols")
     grid = GridSpec(
         rows=_get_int(grid_doc, "rows", 8, "grid"),
         cols=_get_int(grid_doc, "cols", 8, "grid", minimum=2),
     )
 
-    mux_doc = _expect_mapping(doc.get("mux"), "mux", "n_ac_inputs", "n_dc_inputs",
-                              "dc_refresh_interval_s", "dc_hold_time_s",
+    mux_doc = _expect_mapping(doc.get("mux"), "mux", "n_ac_inputs",
                               "readout_coexists_with_shuttle")
-    refresh = _get_float(mux_doc, "dc_refresh_interval_s", 1.0, "mux", minimum=1e-12)
-    hold = _get_float(mux_doc, "dc_hold_time_s", 3600.0, "mux", minimum=1e-12)
-    if hold <= refresh:
-        raise ConfigError(f"mux.dc_hold_time_s: must exceed mux.dc_refresh_interval_s "
-                          f"({refresh}), got {hold}")
     mux = MuxConfig(
         n_ac_inputs=_get_int(mux_doc, "n_ac_inputs", 8, "mux"),
-        n_dc_inputs=_get_int(mux_doc, "n_dc_inputs", 1, "mux"),
-        dc_refresh_interval_s=refresh,
-        dc_hold_time_s=hold,
         readout_coexists_with_shuttle=_get_bool(
             mux_doc, "readout_coexists_with_shuttle", True, "mux"),
     )
 
-    # Every FidelityModel and Durations field is a config key with that default.
-    fid_fields = fields(FidelityModel)
-    fid_doc = _expect_mapping(doc.get("fidelity"), "fidelity", *(f.name for f in fid_fields))
-    fidelity = FidelityModel(**{
-        f.name: _get_float(fid_doc, f.name, f.default, "fidelity", 0.0, 1.0) for f in fid_fields})
-
+    # Every Durations field is a config key with that default.
     dur_fields = fields(Durations)
     dur_doc = _expect_mapping(doc.get("durations"), "durations", *(f.name for f in dur_fields))
     durations = Durations(**{f.name: _get_int(dur_doc, f.name, f.default, "durations")
@@ -139,7 +121,6 @@ def config_from_json(doc: dict) -> RunConfig:
         loop=_get_bool(doc, "loop", False, "config"),
         m_rows=m_rows,
         mux=mux,
-        fidelity=fidelity,
         durations=durations,
         hop_phase_magnet=_get_float(proto_doc, "hop_phase_magnet", 0.0, "protocol"),
         hop_phase_bare=_get_float(proto_doc, "hop_phase_bare", 0.0, "protocol"),

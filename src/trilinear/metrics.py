@@ -200,32 +200,35 @@ class FootprintEstimate:
     fanout_rows_per_side: int
 
 
+# Gate wires per dot, and the charge-sensor margin at each end of the array.
+GATES_PER_SITE = 3
+SENSOR_MARGIN_UM = 2.0
+
+
 def footprint_estimate(
     layout: TrilinearLayout,
     tsv_pitch_um: float = 0.8,
     fanout_rows: int | None = None,
-    gates_per_site: int = 3,
-    sensor_margin_um: float = 2.0,
 ) -> FootprintEstimate:
     """Chip-area estimate for the array plus its vertical-via gate fanout.
 
     Length: dot rows times pitch plus a sensor margin at each end. Width:
     the three dot rows plus, on each side, enough via rows at tsv pitch to
-    land every gate wire (gates_per_site wires per dot, split across both
+    land every gate wire (GATES_PER_SITE wires per dot, split across both
     sides). fanout_rows overrides the derived via-row count.
     """
-    if tsv_pitch_um <= 0 or sensor_margin_um < 0 or gates_per_site < 1:
+    if tsv_pitch_um <= 0:
         raise ConfigError("footprint parameters must be positive")
     core_length_um = layout.length * layout.pitch_nm / 1000.0
     n_rows = 2 * layout.m_rows + 1
     n_sites = layout.length * n_rows
     if fanout_rows is None:
         tsvs_per_row = max(1, int(core_length_um // tsv_pitch_um))
-        wires_per_side = -(-n_sites * gates_per_site // 2)
+        wires_per_side = -(-n_sites * GATES_PER_SITE // 2)
         fanout_rows = -(-wires_per_side // tsvs_per_row)
     core_width_um = n_rows * layout.pitch_nm / 1000.0
     return FootprintEstimate(
-        array_length_um=core_length_um + 2 * sensor_margin_um,
+        array_length_um=core_length_um + 2 * SENSOR_MARGIN_UM,
         array_width_um=core_width_um + 2 * fanout_rows * tsv_pitch_um,
         tsv_pitch_um=tsv_pitch_um,
         core_length_um=core_length_um,

@@ -31,6 +31,7 @@ from .errors import (CircuitError, InvalidSite, NotNeighbors, Partitioned, Unrec
                      UnsupportedPair)
 from .topology import (
     NO_DEFECTS,
+    SCHEMA_VERSION,
     Cell,
     DefectMap,
     Row,
@@ -39,8 +40,6 @@ from .topology import (
     site_from_obj,
     site_to_obj,
 )
-
-SCHEMA_VERSION = 1
 
 
 class MicroOpKind(Enum):
@@ -324,15 +323,6 @@ def gate_shuttle_plan(
     )
 
 
-def direct_gate_plan(layout: TrilinearLayout, a: Cell, b: Cell,
-                     durations: Durations = DEFAULT_DURATIONS) -> ShuttlePlan:
-    """Zero-shuttle plan for cells whose sites are already lattice-adjacent."""
-    sa, sb = layout.grid_to_site(a), layout.grid_to_site(b)
-    gate = MicroOp(MicroOpKind.TWO_QUBIT_GATE, (sa, sb), durations.two_qubit_gate)
-    return ShuttlePlan(qubit=a, ops=(gate,), horizontal_steps=0,
-                       vertical_transfers=0, shuttle_steps=0)
-
-
 def plan_two_qubit(
     layout: TrilinearLayout,
     q_a: Cell,
@@ -350,7 +340,9 @@ def plan_two_qubit(
     _require_single_row(layout)
     sa, sb = layout.grid_to_site(q_a), layout.grid_to_site(q_b)
     if layout.adjacent(sa, sb) and not defects.barrier_dead(sa, sb):
-        return direct_gate_plan(layout, q_a, q_b, durations)
+        gate = MicroOp(MicroOpKind.TWO_QUBIT_GATE, (sa, sb), durations.two_qubit_gate)
+        return ShuttlePlan(qubit=q_a, ops=(gate,), horizontal_steps=0,
+                           vertical_transfers=0, shuttle_steps=0)
     try:
         return gate_shuttle_plan(layout, q_a, q_b, defects, durations, blocked)
     except Partitioned:

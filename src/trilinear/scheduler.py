@@ -55,9 +55,11 @@ from .router import (
     move_direction,
     plan_two_qubit,
     reconfigure_for_defects,
+    rows_compatible,
 )
 from .topology import (
     NO_DEFECTS,
+    SCHEMA_VERSION,
     Cell,
     DefectMap,
     SiteCoord,
@@ -65,8 +67,6 @@ from .topology import (
     site_class,
     site_to_obj,
 )
-
-SCHEMA_VERSION = 1
 
 
 # A signal is its JSON name, e.g. "shuttle_phase_1@east" or "readout_pulse".
@@ -98,26 +98,15 @@ def signals_for_op(layout: TrilinearLayout, op: MicroOp) -> frozenset[Signal]:
 
 @dataclass(frozen=True)
 class MuxConfig:
-    """CryoCMOS control budget.
-
-    AC side: n_ac_inputs distinct waveforms can be fanned out per tick by
-    the switch matrix. DC side: each input refreshes one floating gate per
-    refresh interval; a gate's sampled bias survives for the hold time.
-    """
+    """CryoCMOS AC budget: n_ac_inputs distinct waveforms can be fanned out
+    per tick by the switch matrix."""
 
     n_ac_inputs: int = 8
-    n_dc_inputs: int = 1
-    dc_refresh_interval_s: float = 1.0
-    dc_hold_time_s: float = 3600.0
     readout_coexists_with_shuttle: bool = True
 
     def __post_init__(self) -> None:
-        if min(self.n_ac_inputs, self.n_dc_inputs) < 1:
+        if self.n_ac_inputs < 1:
             raise CircuitError("mux input counts must be positive")
-        if self.dc_refresh_interval_s <= 0:
-            raise CircuitError("dc_refresh_interval_s must be positive")
-        if self.dc_hold_time_s <= self.dc_refresh_interval_s:
-            raise CircuitError("dc_hold_time_s must exceed dc_refresh_interval_s")
 
 
 DEFAULT_MUX = MuxConfig()
@@ -146,18 +135,27 @@ class DcRefreshReport:
     max_gates_per_input: int
 
 
-def dc_refresh_plan(mux: MuxConfig, n_gates: int) -> DcRefreshReport:
-    """Round-robin refresh feasibility: full cycle must beat the hold time."""
+def dc_refresh_plan(n_gates: int, n_dc_inputs: int = 1, dc_refresh_interval_s: float = 1.0,
+                    dc_hold_time_s: float = 3600.0) -> DcRefreshReport:
+    """Round-robin refresh feasibility: each DC input refreshes one floating
+    gate per refresh interval, and the full cycle must beat the hold time
+    for which a gate's sampled bias survives."""
     if n_gates < 1:
         raise CircuitError("n_gates must be >= 1")
-    cycle = math.ceil(n_gates / mux.n_dc_inputs) * mux.dc_refresh_interval_s
+    if n_dc_inputs < 1:
+        raise CircuitError("mux input counts must be positive")
+    if dc_refresh_interval_s <= 0:
+        raise CircuitError("dc_refresh_interval_s must be positive")
+    if dc_hold_time_s <= dc_refresh_interval_s:
+        raise CircuitError("dc_hold_time_s must exceed dc_refresh_interval_s")
+    cycle = math.ceil(n_gates / n_dc_inputs) * dc_refresh_interval_s
     return DcRefreshReport(
         n_gates=n_gates,
-        n_dc_inputs=mux.n_dc_inputs,
+        n_dc_inputs=n_dc_inputs,
         cycle_time_s=cycle,
-        dc_hold_time_s=mux.dc_hold_time_s,
-        feasible=cycle <= mux.dc_hold_time_s,
-        max_gates_per_input=int(mux.dc_hold_time_s // mux.dc_refresh_interval_s),
+        dc_hold_time_s=dc_hold_time_s,
+        feasible=cycle <= dc_hold_time_s,
+        max_gates_per_input=int(dc_hold_time_s // dc_refresh_interval_s),
     )
 
 
@@ -205,8 +203,6 @@ class Circuit:
 
     def validate_against(self, layout: TrilinearLayout,
                          sacrificed: frozenset[Cell] = frozenset()) -> None:
-        from .router import rows_compatible
-
         for i, op in enumerate(self.ops):
             for cell in op_cells(op):
                 if not layout.grid.contains(cell):
@@ -565,10 +561,10 @@ def validate_schedule(
     site and dead barrier visits, that each move and gate joins lattice
     neighbours (a horizontal step exactly when it stays in its row),
     per-qubit chaining/order, bounds (every site in the layout, every op
-    ended by the makespan), and the per-tick distinct-waveform budget.
-    Signals are recomputed from the micro-ops, independent of what the
-    schedule carries. The replay runs to the later of the makespan and the
-    last op's end, so an understated makespan hides no other violation.
+    inside ticks 0 to the makespan), and the per-tick distinct-waveform
+    budget. Signals are recomputed from the micro-ops, independent of what
+    the schedule carries. The replay runs to the later of the makespan and
+    the last op's end, so an understated makespan hides no other violation.
 
     Sites are replayed as `layout.lattice` ids; a site outside the layout
     gets an id past the lattice's, so it is out of bounds exactly when its
@@ -593,6 +589,9 @@ def validate_schedule(
         op, start = sop.op, sop.start_tick
         kind = op.kind
         end = start + op.duration_ticks
+        if start < 0:
+            report(Violation("bounds", start, f"{kind.value} of qubit {sop.qubit} starts at "
+                                              f"tick {start}, before tick 0"))
         if end > makespan:
             horizon = max(horizon, end)
             report(Violation("bounds", start, f"{kind.value} of qubit {sop.qubit} ends at "
@@ -641,8 +640,9 @@ def validate_schedule(
                              f"qubit {cell} has ops but no initial position"))
             continue
         spans = parked[cell] = []
-        cur, t = homes[cell], 0
-        for start, end, move, a, b, sop in sorted(chain, key=itemgetter(0)):
+        chain.sort(key=itemgetter(0))
+        cur, t = homes[cell], min(0, chain[0][0])  # an op before tick 0 is a bounds violation
+        for start, end, move, a, b, sop in chain:
             if start < t:
                 report(Violation("order", 0, f"qubit {cell}: op at tick {start} overlaps "
                                              "the previous op"))

@@ -94,10 +94,6 @@ class GridSpec:
         if self.rows < 1 or self.cols < 1:
             raise InvalidGrid(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
 
-    @property
-    def n(self) -> int:
-        return self.rows * self.cols
-
     def contains(self, cell: Cell) -> bool:
         r, c = cell
         return 0 <= r < self.rows and 0 <= c < self.cols

@@ -578,8 +578,9 @@ def _hold_segments(sops: list[ScheduledOp], start_site: SiteCoord, horizon: int
     problems: list[str] = []
     segs: list[tuple[int, int, frozenset[SiteCoord]]] = []
     cur = start_site
-    t = 0
-    for sop in sorted(sops, key=lambda s: s.start_tick):
+    sops = sorted(sops, key=lambda s: s.start_tick)
+    t = min(0, sops[0].start_tick)  # an op before tick 0 is a bounds violation
+    for sop in sops:
         if sop.start_tick < t:
             problems.append(f"op at tick {sop.start_tick} overlaps the previous op")
         if sop.start_tick > t:
@@ -614,9 +615,9 @@ def validate_schedule(
 
     Checks occupancy (one qubit per site per tick), swap-throughs, dead
     site and dead barrier visits, per-qubit chaining/order, site bounds,
-    ops ending past the makespan, and the per-tick distinct-waveform
-    budget. Signals are recomputed from the micro-ops, independent of what
-    the schedule carries.
+    ops starting before tick 0 or ending past the makespan, and the
+    per-tick distinct-waveform budget. Signals are recomputed from the
+    micro-ops, independent of what the schedule carries.
 
     This is the SiteCoord replay the package used before it replayed
     lattice ids, plus the neighbour rule for moves and gates (`adjacency`);
@@ -633,6 +634,10 @@ def validate_schedule(
 
     # Bounds and dead-site/barrier checks per op.
     for sop in schedule.ops:
+        if sop.start_tick < 0:
+            violations.append(Violation("bounds", sop.start_tick,
+                                        f"{sop.op.kind.value} of qubit {sop.qubit} starts at "
+                                        f"tick {sop.start_tick}, before tick 0"))
         if sop.end_tick > schedule.makespan:
             violations.append(Violation("bounds", sop.start_tick,
                                         f"{sop.op.kind.value} of qubit {sop.qubit} ends at tick "

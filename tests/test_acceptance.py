@@ -292,11 +292,11 @@ def test_criterion_7_mux_arithmetic():
         ok &= usage.distinct_per_tick[1] == 4
         ok &= usage.max_distinct == 4
 
-    mux = sch.MuxConfig(n_dc_inputs=1, dc_refresh_interval_s=1.0, dc_hold_time_s=3600.0)
-    report = sch.dc_refresh_plan(mux, 300)
+    dc = dict(n_dc_inputs=1, dc_refresh_interval_s=1.0, dc_hold_time_s=3600.0)
+    report = sch.dc_refresh_plan(300, **dc)
     ok &= report.max_gates_per_input == 3600
     ok &= report.feasible and report.cycle_time_s == 300.0
-    ok &= sch.dc_refresh_plan(mux, 800).feasible   # hundreds of gates regime
+    ok &= sch.dc_refresh_plan(800, **dc).feasible   # hundreds of gates regime
     elapsed = time.monotonic() - t0
     _report(7, ok, f"k=1,2,8 shuttles -> 4 classes; 3600 gates/input, "
                    f"hundreds-of-gates regime feasible ({elapsed:.2f}s)")

@@ -170,6 +170,12 @@ def test_config_error_is_machine_readable(tmp_path, capsys):
     ({"durations": {"readuot": 3}}, "durations.readuot: unknown key"),
     ({"grid": {"rows": 4, "cols": 4}, "seeed": 1}, "config.seeed: unknown key"),
     ({"protocol": {"hop_phase": 0.1}}, "protocol.hop_phase: unknown key"),
+    # The fidelity budget and the DC refresh plan take their own parameters.
+    *(({"fidelity": {key: 0.99}}, "config.fidelity: unknown key")
+      for key in ("f_step", "f_transfer", "f_1q", "f_2q", "f_readout")),
+    ({"mux": {"n_dc_inputs": 9}}, "mux.n_dc_inputs: unknown key"),
+    ({"mux": {"dc_refresh_interval_s": 1.0}}, "mux.dc_refresh_interval_s: unknown key"),
+    ({"mux": {"dc_hold_time_s": 0.2}}, "mux.dc_hold_time_s: unknown key"),
 ])
 def test_config_rejects_unknown_keys(doc, message):
     with pytest.raises(ConfigError) as info:
@@ -180,15 +186,15 @@ def test_config_rejects_unknown_keys(doc, message):
 @pytest.mark.parametrize("doc, message", [
     ({"durations": {"readout": 0}}, "durations.readout: must be >= 1, got 0"),
     ({"durations": {"two_qubit_gate": 1.5}}, "durations.two_qubit_gate: expected an integer, got 1.5"),
-    ({"fidelity": {"f_1q": 2}}, "fidelity.f_1q: must be <= 1.0, got 2.0"),
-    ({"mux": {"dc_hold_time_s": 0.5}},
-     "mux.dc_hold_time_s: must exceed mux.dc_refresh_interval_s (1.0), got 0.5"),
+    ({"mux": {"n_ac_inputs": 0}}, "mux.n_ac_inputs: must be >= 1, got 0"),
+    ({"mux": {"readout_coexists_with_shuttle": 1}},
+     "mux.readout_coexists_with_shuttle: expected true/false, got 1"),
     ({"m_rows": 9}, "config.m_rows: must be <= grid.cols (8), got 9"),
     ({"protocol": {"hop_phase_bare": float("nan")}},
      "protocol.hop_phase_bare: expected a finite number, got nan"),
     ({"pitch_nm": float("inf")}, "config.pitch_nm: expected a finite number, got inf"),
-    ({"mux": {"dc_hold_time_s": float("-inf")}},
-     "mux.dc_hold_time_s: expected a finite number, got -inf"),
+    ({"protocol": {"hop_phase_magnet": float("-inf")}},
+     "protocol.hop_phase_magnet: expected a finite number, got -inf"),
     ({"durations": {"intra_stack_transfer": 1}}, "durations.intra_stack_transfer: unknown key"),
 ])
 def test_config_value_errors_name_the_field(doc, message):
@@ -198,13 +204,13 @@ def test_config_value_errors_name_the_field(doc, message):
 
 
 @pytest.mark.parametrize("command, doc, message", [
-    (["sweep", "--n", "100"], {"mux": {"dc_hold_time_s": 0.5}},
-     "mux.dc_hold_time_s: must exceed mux.dc_refresh_interval_s (1.0), got 0.5"),
+    (["sweep", "--n", "100"], {"grid": {"rows": 4, "cols": 4}, "m_rows": 5},
+     "config.m_rows: must be <= grid.cols (4), got 5"),
     (["map"], {"m_rows": 9}, "config.m_rows: must be <= grid.cols (8), got 9"),
 ])
 def test_cross_field_config_errors_exit_1(command, doc, message, tmp_path, capsys):
-    """Both used to escape the config check and exit 2 with the dataclass's
-    own error (CircuitError, InvalidGrid) and no field path."""
+    """An m_rows above grid.cols used to escape the config check and exit 2
+    with the layout's own error (InvalidGrid) and no field path."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main([command[0], "--config", str(path), *command[1:]]) == 1
@@ -233,11 +239,11 @@ def test_non_finite_config_numbers_exit_1(command, text, message, tmp_path, caps
 
 def test_config_reads_every_documented_key():
     config = config_from_json({
-        "fidelity": {"f_step": 0.5, "f_transfer": 0.6, "f_1q": 0.7, "f_2q": 0.8, "f_readout": 0.9},
+        "mux": {"n_ac_inputs": 5, "readout_coexists_with_shuttle": False},
         "durations": {"horizontal_step": 2, "vertical_transfer": 3, "two_qubit_gate": 4,
                       "single_qubit_pulse": 5, "readout": 6},
     })
-    assert config.fidelity == tl.metrics.FidelityModel(0.5, 0.6, 0.7, 0.8, 0.9)
+    assert config.mux == tl.MuxConfig(5, False)
     assert config.durations == tl.Durations(2, 3, 4, 5, 6)
 
 

@@ -407,6 +407,32 @@ def test_understated_makespan_is_a_bounds_violation():
         waveform_usage(early)
 
 
+def test_op_before_tick_0_is_a_bounds_violation():
+    """A lone readout at tick -3 used to be reported as an `order` violation,
+    "op at tick -3 overlaps the previous op", though the qubit had no
+    previous op."""
+    layout = tl.map_to_trilinear(tl.GridSpec(2, 2))
+    home = layout.grid_to_site((0, 0))
+    readout = ScheduledOp((0, 0), MicroOp(MicroOpKind.READOUT, (home,), 10), -3,
+                          signals=frozenset({"readout_pulse"}))
+    schedule = _idle_schedule({(0, 0): home}, [readout], 10)
+    expected = [sch.Violation("bounds", -3, "readout of qubit (0, 0) starts at tick -3, "
+                                            "before tick 0")]
+    assert validate_schedule(schedule, layout) == expected
+    assert oracle_validate(schedule, layout) == expected
+
+    # An op that really overlaps an earlier one is still an `order` violation.
+    second = readout._replace(start_tick=-1)
+    schedule = _idle_schedule({(0, 0): home}, [readout, second], 10)
+    expected = [
+        sch.Violation("bounds", -3, "readout of qubit (0, 0) starts at tick -3, before tick 0"),
+        sch.Violation("bounds", -1, "readout of qubit (0, 0) starts at tick -1, before tick 0"),
+        sch.Violation("order", 0, "qubit (0, 0): op at tick -1 overlaps the previous op"),
+    ]
+    assert validate_schedule(schedule, layout) == expected
+    assert oracle_validate(schedule, layout) == expected
+
+
 def test_validator_flags_moves_and_gates_between_non_neighbours(lay44):
     """The mover jumps along the Middle row and gates from there; this
     schedule used to validate clean."""
@@ -545,19 +571,35 @@ def test_ac_budget_holds_by_independent_signal_count(rng_seed, rows, cols, loop,
 # DC refresh arithmetic
 
 def test_dc_refresh_examples():
-    mux = MuxConfig(n_dc_inputs=1, dc_refresh_interval_s=1.0, dc_hold_time_s=3600.0)
-    report = dc_refresh_plan(mux, 300)
+    dc = dict(n_dc_inputs=1, dc_refresh_interval_s=1.0, dc_hold_time_s=3600.0)
+    report = dc_refresh_plan(300, **dc)
     assert report.feasible and report.cycle_time_s == 300.0
     assert report.max_gates_per_input == 3600
 
-    short = MuxConfig(n_dc_inputs=1, dc_refresh_interval_s=1.0, dc_hold_time_s=10.0)
-    assert not dc_refresh_plan(short, 100).feasible
+    short = dict(n_dc_inputs=1, dc_refresh_interval_s=1.0, dc_hold_time_s=10.0)
+    assert not dc_refresh_plan(100, **short).feasible
 
 
 def test_dc_refresh_scales_with_inputs():
-    mux = MuxConfig(n_dc_inputs=4, dc_refresh_interval_s=1.0, dc_hold_time_s=100.0)
-    assert dc_refresh_plan(mux, 400).cycle_time_s == 100.0
-    assert dc_refresh_plan(mux, 400).feasible
+    dc = dict(n_dc_inputs=4, dc_refresh_interval_s=1.0, dc_hold_time_s=100.0)
+    assert dc_refresh_plan(400, **dc).cycle_time_s == 100.0
+    assert dc_refresh_plan(400, **dc).feasible
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"n_dc_inputs": 0}, "mux input counts must be positive"),
+    ({"dc_refresh_interval_s": 0.0}, "dc_refresh_interval_s must be positive"),
+    ({"dc_refresh_interval_s": -1.0}, "dc_refresh_interval_s must be positive"),
+    ({"dc_hold_time_s": 1.0}, "dc_hold_time_s must exceed dc_refresh_interval_s"),
+    ({"dc_refresh_interval_s": 2.0, "dc_hold_time_s": 0.5},
+     "dc_hold_time_s must exceed dc_refresh_interval_s"),
+])
+def test_dc_refresh_plan_rejects_bad_parameters(kw, message):
+    """The DC parameters are checked where they are read; MuxConfig no longer
+    carries them."""
+    with pytest.raises(tl.CircuitError) as info:
+        dc_refresh_plan(300, **kw)
+    assert str(info.value) == message
 
 
 _SWAP_SITES = (SiteCoord(Row.MIDDLE, 4), SiteCoord(Row.MIDDLE, 5), SiteCoord(Row.UPPER, 4))
