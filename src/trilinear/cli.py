@@ -179,7 +179,7 @@ def cmd_simulate(config: RunConfig, args) -> int:
     defects = _load_defects(args.defects, layout)
     circuit = scheduler.circuit_from_json(_load_json_file(args.circuit, "circuit"))
     events, report = simulate_texts(circuit, layout, defects, config.fixture(layout),
-                                    config.phases(), config.durations)
+                                    config.phases, config.durations)
     _emit(events, args.out)
     if args.report is not None:
         _emit(report, args.report)
@@ -190,11 +190,7 @@ def cmd_simulate(config: RunConfig, args) -> int:
     return 0
 
 
-_VARIANTS = {
-    "trilinear": metrics.Variant.TRILINEAR,
-    "m_row": metrics.Variant.M_ROW,
-    "semi2d": metrics.Variant.SEMI_2D,
-}
+_VARIANTS = {v.value: v for v in metrics.Variant}
 
 
 def cmd_sweep(config: RunConfig, args) -> int:

@@ -66,8 +66,7 @@ class RunConfig:
     m_rows: int = 1
     mux: MuxConfig = field(default_factory=MuxConfig)
     durations: Durations = field(default_factory=Durations)
-    hop_phase_magnet: float = 0.0
-    hop_phase_bare: float = 0.0
+    phases: PhaseConfig = field(default_factory=PhaseConfig)
     set_spacing: Optional[int] = None
     seed: int = 0
 
@@ -75,15 +74,13 @@ class RunConfig:
         return TrilinearLayout(grid=self.grid, pitch_nm=self.pitch_nm,
                                loop=self.loop, m_rows=self.m_rows)
 
-    def phases(self) -> PhaseConfig:
-        return PhaseConfig(hop_phase_magnet=self.hop_phase_magnet,
-                           hop_phase_bare=self.hop_phase_bare)
-
     def fixture(self, layout: TrilinearLayout) -> ReadoutFixture:
         return ReadoutFixture.from_spacing(layout, self.set_spacing)
 
 
 def config_from_json(doc: dict) -> RunConfig:
+    if not isinstance(doc, dict):
+        raise ConfigError("config: expected an object")
     doc = _expect_mapping(doc, "config", "grid", "pitch_nm", "loop", "m_rows", "mux",
                           "durations", "protocol", "seed")
     grid_doc = _expect_mapping(doc.get("grid"), "grid", "rows", "cols")
@@ -122,8 +119,9 @@ def config_from_json(doc: dict) -> RunConfig:
         m_rows=m_rows,
         mux=mux,
         durations=durations,
-        hop_phase_magnet=_get_float(proto_doc, "hop_phase_magnet", 0.0, "protocol"),
-        hop_phase_bare=_get_float(proto_doc, "hop_phase_bare", 0.0, "protocol"),
+        phases=PhaseConfig(
+            hop_phase_magnet=_get_float(proto_doc, "hop_phase_magnet", 0.0, "protocol"),
+            hop_phase_bare=_get_float(proto_doc, "hop_phase_bare", 0.0, "protocol")),
         set_spacing=set_spacing,
         seed=_get_int(doc, "seed", 0, "config", minimum=0),
     )

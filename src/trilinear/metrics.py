@@ -217,7 +217,7 @@ def footprint_estimate(
     land every gate wire (GATES_PER_SITE wires per dot, split across both
     sides). fanout_rows overrides the derived via-row count.
     """
-    if tsv_pitch_um <= 0:
+    if tsv_pitch_um <= 0 or (fanout_rows is not None and fanout_rows < 1):
         raise ConfigError("footprint parameters must be positive")
     core_length_um = layout.length * layout.pitch_nm / 1000.0
     n_rows = 2 * layout.m_rows + 1

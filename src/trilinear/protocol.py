@@ -9,13 +9,13 @@ and immediately compensated in software (virtual Z), leaving the net
 ledger phase at zero after every completed operation.
 
 State is tracked symbolically: occupancy, per-qubit rotation logs, and a
-Z-phase ledger (accumulated plus compensation). Operations are pure: they
-return a new state, leaving the input untouched. An op costs time in the
-qubits and sites it touches, not the array size: qubits are indexed by
-resonance class, a result shares what the op leaves unchanged with its
-input, and a readout walks its row directly. Planning is occupancy blind
-like the router; composing many protocol operations in parallel is the
-scheduler's concern.
+Z-phase ledger of one accumulated phase per qubit, whose negation is the
+compensation. Operations are pure: they return a new state, leaving the
+input untouched. An op costs time in the qubits and sites it touches, not
+the array size: qubits are indexed by resonance class, a result shares
+what the op leaves unchanged with its input, and a readout walks its row
+directly. Planning is occupancy blind like the router; composing many
+protocol operations in parallel is the scheduler's concern.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .topology import (
     SiteCoord,
     TrilinearLayout,
     site_class,
-    site_key,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -62,6 +61,9 @@ NO_PHASES = PhaseConfig()
 class ArrayState:
     """Occupancy, rotation logs and the virtual-Z ledger.
 
+    The ledger keeps one accumulated phase per qubit; the compensation is
+    its negation, applied as each hop happens.
+
     States share structure: an op's result shares with its input every
     dict and set the op leaves unchanged, and every log list. So no state
     is written in place once an op has returned it: `_move` runs only on a
@@ -73,7 +75,6 @@ class ArrayState:
     occupancy: dict[SiteCoord, QubitId] = field(default_factory=dict)
     position: dict[QubitId, SiteCoord] = field(default_factory=dict)
     accumulated_phase: dict[QubitId, float] = field(default_factory=dict)
-    compensation: dict[QubitId, float] = field(default_factory=dict)
     rotation_log: dict[QubitId, list] = field(default_factory=dict)
     by_class: dict[SiteClass, set[QubitId]] = field(
         default_factory=lambda: {cls: set() for cls in SiteClass})
@@ -84,21 +85,19 @@ class ArrayState:
             occupancy=dict(self.occupancy),
             position=dict(self.position),
             accumulated_phase=dict(self.accumulated_phase),
-            compensation=dict(self.compensation),
             rotation_log=dict(self.rotation_log),
             by_class={cls: set(qs) for cls, qs in self.by_class.items()},
         )
 
     def _restored(self, logs: bool) -> "ArrayState":
         """The result of an op that restores occupancy: it shares occupancy,
-        position and by_class, and owns its ledger dicts, and its rotation
+        position and by_class, and owns its ledger dict, and its rotation
         log dict when `logs` (the op's log lists are shared still)."""
         return ArrayState(
             layout=self.layout,
             occupancy=self.occupancy,
             position=self.position,
             accumulated_phase=dict(self.accumulated_phase),
-            compensation=dict(self.compensation),
             rotation_log=dict(self.rotation_log) if logs else self.rotation_log,
             by_class=self.by_class,
         )
@@ -106,8 +105,14 @@ class ArrayState:
     def qubit_at(self, site: SiteCoord) -> Optional[QubitId]:
         return self.occupancy.get(site)
 
+    @property
+    def compensation(self) -> dict[QubitId, float]:
+        """The virtual-Z correction per qubit: the accumulated phase negated."""
+        return {q: -a for q, a in self.accumulated_phase.items()}
+
     def net_phase(self, qubit: QubitId) -> float:
-        return (self.accumulated_phase[qubit] + self.compensation[qubit]) % TWO_PI
+        a = self.accumulated_phase[qubit]
+        return (a + -a) % TWO_PI
 
     def qubits_on_class(self, cls: SiteClass) -> set[QubitId]:
         return set(self.by_class[cls])
@@ -119,9 +124,7 @@ class ArrayState:
         self.position[qubit] = dst
         self.by_class[site_class(src)].remove(qubit)
         self.by_class[site_class(dst)].add(qubit)
-        phase = phases.hop_phase(site_class(dst))
-        self.accumulated_phase[qubit] += phase
-        self.compensation[qubit] -= phase
+        self.accumulated_phase[qubit] += phases.hop_phase(site_class(dst))
 
     def _log_rotation(self, qubits: Iterable[QubitId], rotation) -> None:
         for qubit in qubits:
@@ -137,13 +140,12 @@ def init_half_filled(layout: TrilinearLayout, defects: DefectMap = NO_DEFECTS) -
     """
     state = ArrayState(layout=layout)
     qid = 0
-    for site in sorted(layout.outer_sites(), key=site_key):
+    for site in layout.outer_sites():
         if site_class(site) is not SiteClass.MAGNET or defects.is_dead(site):
             continue
         state.occupancy[site] = qid
         state.position[qid] = site
         state.accumulated_phase[qid] = 0.0
-        state.compensation[qid] = 0.0
         state.rotation_log[qid] = []
         state.by_class[SiteClass.MAGNET].add(qid)
         qid += 1
@@ -207,7 +209,6 @@ def addressed_single_qubit_gate(
     new = state._restored(logs=True)
     new._log_rotation(state.by_class[SiteClass.BARE] | {qubit}, rotation)
     new.accumulated_phase[qubit] = state.accumulated_phase[qubit] + out + back
-    new.compensation[qubit] = state.compensation[qubit] - out - back
     return ops, new
 
 
@@ -273,7 +274,6 @@ def readout(
     hop_phase = sum(phases.hop_phase(site_class(s)) for s in path[1:])
     hop_phase += sum(phases.hop_phase(site_class(s)) for s in back[1:])
     new.accumulated_phase[qubit] += hop_phase
-    new.compensation[qubit] -= hop_phase
     return ops, new
 
 
@@ -335,7 +335,10 @@ def _row_walk(layout: TrilinearLayout, home: SiteCoord, target: SiteCoord,
 class AddressabilityReport:
     intended: frozenset[QubitId]
     rotated: frozenset[QubitId]
-    bystanders: frozenset[QubitId]
+
+    @property
+    def bystanders(self) -> frozenset[QubitId]:
+        return self.rotated - self.intended
 
     @property
     def ok(self) -> bool:
@@ -375,5 +378,4 @@ def audit_addressed_gate(state: ArrayState, qubit: QubitId,
     return AddressabilityReport(
         intended=frozenset({qubit}),
         rotated=frozenset(rotated),
-        bystanders=frozenset(rotated - {qubit}),
     )

@@ -236,10 +236,15 @@ class ShuttlePlan:
 
     qubit: Cell
     ops: tuple[MicroOp, ...]
-    horizontal_steps: int
-    vertical_transfers: int
     shuttle_steps: int
-    one_way: bool = False
+
+    @property
+    def horizontal_steps(self) -> int:
+        return sum(1 for op in self.ops if op.kind is _HORIZONTAL)
+
+    @property
+    def vertical_transfers(self) -> int:
+        return sum(1 for op in self.ops if op.kind is _VERTICAL)
 
     @property
     def duration_ticks(self) -> int:
@@ -253,15 +258,9 @@ class ShuttlePlan:
             "horizontal_steps": self.horizontal_steps,
             "vertical_transfers": self.vertical_transfers,
             "shuttle_steps": self.shuttle_steps,
-            "one_way": self.one_way,
+            "one_way": False,
             "duration_ticks": self.duration_ticks,
         }
-
-
-def _counts(ops: Iterable[MicroOp]) -> tuple[int, int]:
-    h = sum(1 for op in ops if op.kind is _HORIZONTAL)
-    v = sum(1 for op in ops if op.kind is _VERTICAL)
-    return h, v
 
 
 def _path_ops(path: list[SiteCoord], durations: Durations) -> list[MicroOp]:
@@ -313,14 +312,7 @@ def gate_shuttle_plan(
     gate = MicroOp(MicroOpKind.TWO_QUBIT_GATE, (gate_pos, partner_site),
                    durations.two_qubit_gate)
     ops = tuple(_path_ops(path, durations) + [gate] + _path_ops(path[::-1], durations))
-    h, v = _counts(ops)
-    return ShuttlePlan(
-        qubit=mover,
-        ops=ops,
-        horizontal_steps=h,
-        vertical_transfers=v,
-        shuttle_steps=2 * (len(path) - 2),
-    )
+    return ShuttlePlan(qubit=mover, ops=ops, shuttle_steps=2 * (len(path) - 2))
 
 
 def plan_two_qubit(
@@ -341,8 +333,7 @@ def plan_two_qubit(
     sa, sb = layout.grid_to_site(q_a), layout.grid_to_site(q_b)
     if layout.adjacent(sa, sb) and not defects.barrier_dead(sa, sb):
         gate = MicroOp(MicroOpKind.TWO_QUBIT_GATE, (sa, sb), durations.two_qubit_gate)
-        return ShuttlePlan(qubit=q_a, ops=(gate,), horizontal_steps=0,
-                           vertical_transfers=0, shuttle_steps=0)
+        return ShuttlePlan(qubit=q_a, ops=(gate,), shuttle_steps=0)
     try:
         return gate_shuttle_plan(layout, q_a, q_b, defects, durations, blocked)
     except Partitioned:

@@ -20,7 +20,7 @@ on the end of an active job whose corridor it clashes with, or on a timer
 set past the ticks where its signals do not fit, and the clock jumps from
 event to event. The corridor reservation keeps movers from ever colliding,
 and whenever nothing is active the first unstarted job can start, so the
-serialized schedule bounds the makespan. The independent validator
+sum of the op durations bounds the makespan. The independent validator
 re-derives all rules from the schedule alone.
 
 Waveform accounting: a signal is the name the schedule JSON prints for it.
@@ -317,8 +317,7 @@ def waveform_usage(schedule: Schedule) -> WaveformUsage:
 @dataclass
 class _Job:
     index: int
-    owner: Cell
-    participants: tuple[Cell, ...]
+    participants: tuple[Cell, ...]  # the mover first, then a gate's partner
     ops: list[MicroOp]
     op_signals: list[frozenset[Signal]]
     offsets: list[int]
@@ -327,12 +326,10 @@ class _Job:
     runs: list[tuple[int, int, int]]
     total_ticks: int
     corridor: int   # bitmask over layout.lattice ids
-    partner: Optional[Cell] = None
 
 
-def _build_job(index: int, owner: Cell, ops: list[MicroOp], layout: TrilinearLayout,
-               participants: tuple[Cell, ...], partner: Optional[Cell],
-               extra_bits: int) -> _Job:
+def _build_job(index: int, ops: list[MicroOp], layout: TrilinearLayout,
+               participants: tuple[Cell, ...], extra_bits: int = 0) -> _Job:
     offsets: list[int] = []
     op_signals: list[frozenset[Signal]] = []
     runs: list[tuple[int, int, int]] = []
@@ -352,9 +349,8 @@ def _build_job(index: int, owner: Cell, ops: list[MicroOp], layout: TrilinearLay
         tick = end
         for site in op.sites:
             corridor |= 1 << ids[site]
-    return _Job(index=index, owner=owner, participants=participants, ops=ops,
-                op_signals=op_signals, offsets=offsets, runs=runs, total_ticks=tick,
-                corridor=corridor, partner=partner)
+    return _Job(index=index, participants=participants, ops=ops, op_signals=op_signals,
+                offsets=offsets, runs=runs, total_ticks=tick, corridor=corridor)
 
 
 @lru_cache(maxsize=16)
@@ -401,7 +397,6 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     defects: DefectMap = NO_DEFECTS,
     mux: MuxConfig = DEFAULT_MUX,
     durations: Durations = DEFAULT_DURATIONS,
-    serialize: bool = False,
 ) -> Schedule:
     """Greedy list scheduling of a circuit onto the layout.
 
@@ -416,9 +411,6 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     homes = {cell: layout.grid_to_site(cell) for cell in cells}
     occupied = set(homes.values())
     ids = layout.lattice.index
-    # Under `serialize` every corridor also holds one bit past the lattice,
-    # so any two jobs clash and one runs at a time.
-    serial_bit = 1 << len(layout.lattice.sites) if serialize else 0
 
     jobs: list[_Job] = []
     for index, cop in enumerate(circuit.ops):
@@ -427,13 +419,11 @@ def compile(  # noqa: A001 - mirrors re.compile naming
             mop = MicroOp(MicroOpKind.SINGLE_QUBIT_PULSE, (site,),
                           durations.single_qubit_pulse,
                           freq_class=site_class(site).value, param=cop.rotation)
-            jobs.append(_build_job(index, cop.cell, [mop], layout, (cop.cell,), None,
-                                   serial_bit))
+            jobs.append(_build_job(index, [mop], layout, (cop.cell,)))
         elif isinstance(cop, Measure):
             site = homes[cop.cell]
             mop = MicroOp(MicroOpKind.READOUT, (site,), durations.readout)
-            jobs.append(_build_job(index, cop.cell, [mop], layout, (cop.cell,), None,
-                                   serial_bit))
+            jobs.append(_build_job(index, [mop], layout, (cop.cell,)))
         else:
             blocked = occupied - {homes[cop.cell_a], homes[cop.cell_b]}
             plan = plan_two_qubit(layout, cop.cell_a, cop.cell_b, defects,
@@ -442,8 +432,8 @@ def compile(  # noqa: A001 - mirrors re.compile naming
             partner = cop.cell_b if mover == cop.cell_a else cop.cell_a
             # The partner's home is in the corridor, so the partner's next
             # job cannot start before this one ends.
-            jobs.append(_build_job(index, mover, list(plan.ops), layout, (mover, partner),
-                                   partner, serial_bit | 1 << ids[homes[partner]]))
+            jobs.append(_build_job(index, list(plan.ops), layout, (mover, partner),
+                                   1 << ids[homes[partner]]))
 
     for job in jobs:
         for op, need in zip(job.ops, job.op_signals):
@@ -497,9 +487,10 @@ def compile(  # noqa: A001 - mirrors re.compile naming
             if start > t:
                 heappush(events, (start, n + index))
                 continue
+            owner = job.participants[0]
             for op, sigs, off in zip(job.ops, job.op_signals, job.offsets):
-                partner = job.partner if op.kind is _GATE else None
-                scheduled.append(ScheduledOp(job.owner, op, t + off, partner, sigs))
+                partner = job.participants[1] if op.kind is _GATE else None
+                scheduled.append(ScheduledOp(owner, op, t + off, partner, sigs))
             end = t + job.total_ticks
             makespan = max(makespan, end)
             if len(committed) < end:

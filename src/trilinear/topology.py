@@ -192,29 +192,15 @@ class TrilinearLayout:
             axis %= self.length
         return SiteCoord(Row.LOWER, axis, sub)
 
+    @cached_property
+    def _cells_by_site(self) -> dict[SiteCoord, Cell]:
+        return {self.grid_to_site(cell): cell for cell in self.grid.cells()}
+
     def site_to_grid(self, site: SiteCoord) -> Optional[Cell]:
         """Inverse mapping; None for Middle sites and unmapped outer dots."""
         if not self.in_bounds(site):
             raise InvalidSite(f"site {site} outside layout")
-        if site.row is Row.MIDDLE:
-            return None
-        b = self.block_width
-        if site.row is Row.UPPER:
-            raw = site.axis
-        else:
-            raw = site.axis - self.shift
-            if self.loop:
-                raw %= self.length
-            if raw < 0 or raw >= self.lower_len:
-                return None
-        if site.row is Row.UPPER and raw >= self.upper_len:
-            return None
-        k, off = divmod(raw, b)
-        r = 2 * k + (0 if site.row is Row.UPPER else 1)
-        c = site.subrow * b + off
-        if r >= self.grid.rows or c >= self.grid.cols:
-            return None
-        return (r, c)
+        return self._cells_by_site.get(site)
 
     # ------------------------------------------------------------------
     # site lattice

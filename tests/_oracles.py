@@ -366,7 +366,6 @@ def readout(state, qubit, fixture, defects, phases, durations):
     hop_phase = sum(phases.hop_phase(site_class(s)) for s in path[1:])
     hop_phase += sum(phases.hop_phase(site_class(s)) for s in back[1:])
     new.accumulated_phase[qubit] += hop_phase
-    new.compensation[qubit] -= hop_phase
     return ops, new
 
 
@@ -474,8 +473,7 @@ def swap_throughs(sops) -> list:
     return out
 
 
-def admit_by_dependency(circuit, layout, defects=NO_DEFECTS, mux=None, durations=None,
-                        serialize=False):
+def admit_by_dependency(circuit, layout, defects=NO_DEFECTS, mux=None, durations=None):
     """`scheduler.compile`'s admission rule, stepped one tick at a time.
 
     At tick t the jobs ending at t release their corridors and their place
@@ -483,9 +481,8 @@ def admit_by_dependency(circuit, layout, defects=NO_DEFECTS, mux=None, durations
     program order, starts if it heads every participant's queue, its
     corridor (the plan's sites plus the partner's home) is disjoint from
     the active corridors, and adding its signal names keeps
-    `_mux_problems` empty at every tick of its span. With `serialize` a
-    job starts only when nothing is active. Plans come from the package's
-    router, as compile's do.
+    `_mux_problems` empty at every tick of its span. Plans come from the
+    package's router, as compile's do.
     """
     from trilinear.router import (DEFAULT_DURATIONS, MicroOp, MicroOpKind, plan_two_qubit,
                                   reconfigure_for_defects)
@@ -537,8 +534,6 @@ def admit_by_dependency(circuit, layout, defects=NO_DEFECTS, mux=None, durations
                 queues[cell].pop(0)
         for i in list(unstarted):
             owner, partner, cells, ops, corridor = jobs[i]
-            if serialize and active:
-                break
             if any(queues[cell][0] != i for cell in cells):
                 continue
             if any(corridor & jobs[k][4] for k in active):

@@ -101,6 +101,24 @@ def test_cli_seed_is_checked_like_the_config_seed(tmp_path, capsys):
     assert json.loads(out.read_text())["seed"] == 7
 
 
+@pytest.mark.parametrize("command", [["map"], ["schedule", "--seed", "5"]])
+def test_null_config_exits_1(command, tmp_path, capsys):
+    """A `null` config ran on all defaults, and schedule wrote "seed": 0
+    whatever --seed said; the document must be an object, as for `[]`."""
+    cfg = tmp_path / "null.json"
+    cfg.write_text("null", encoding="utf-8")
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"ops": []}), encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = [command[0], "--config", str(cfg), "--out", str(out), *command[1:]]
+    if command[0] == "schedule":
+        argv += ["--circuit", str(empty)]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": {"kind": "ConfigError", "message": "config: expected an object"}}
+    assert not out.exists()
+
+
 def test_simulate_event_log_and_report(cfg, tmp_path):
     circ = tmp_path / "circ.json"
     # (0,0) maps to an even-axis (magnet) dot, so it hosts a qubit.
@@ -522,3 +540,62 @@ def test_simulate_detour_outputs_match_golden_digests(name, tmp_path):
     digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                     for f in ("events.jsonl", "events.report.json"))
     assert digests == GOLDEN_SIMULATE_DETOURS[name]
+
+
+# sha256 of the route and map outputs on an 8x8 grid: stdout for a run that
+# exits 0, the error JSON on stderr for the one that exits 2. The route
+# counts are read back from the plan's ops, so these pin that reading too.
+GOLDEN_ROUTE_MAP = {
+    "route_in_place":
+        "c37ddf6b5371602a90a0ed9d7dd74140c110be72e4dcde2342bd76449fce9019",
+    "route_vertical":
+        "d9f7643a1d6f7c8dbc09dfb0c993f2cf80a55416f1cf05f39cacef42186b444e",
+    "route_same_row":
+        "ef366b4777af0bb3004e5821c0ecf46505e232f1bfbb35a8faf335b4c81c19d8",
+    "route_neighbouring_rows":
+        "e52e15c5b04ce9dc3b76f20f2ad695fdc7974542b90ca1f5df25131b23220e32",
+    "route_loop_wrap":
+        "30c43ce8ea1d03fbd7e8aa6baaf675be45a73a5a2e1230abb5a05427ea6624c7",
+    "route_detour":
+        "6275f71ea55d38951f780306ff3e976def4bcdcc555d91f03f5550d45af29562",
+    "route_partitioned":
+        "9b4abe2ffebdab637ee8c77e3c930423ad7f1a3f4a7a6d279fa1f1ccf1d55123",
+    "map_defects":
+        "74c45f24d9e2b4d1cb51fb4d3ec7b9d7b5eed2a984c88c724b0ef855b431d7e2",
+}
+
+
+def _route_map_inputs(name):
+    """(config, argv after --config, defects or None, exit code)."""
+    config = {"grid": {"rows": 8, "cols": 8}}
+    gates = {"route_in_place": ("3,4", "3,5"), "route_vertical": ("0,2", "1,2"),
+             "route_same_row": ("2,0", "2,7"), "route_neighbouring_rows": ("2,1", "3,6"),
+             "route_loop_wrap": ("0,3", "7,3"), "route_detour": ("0,2", "1,2"),
+             "route_partitioned": ("0,2", "1,2")}
+    if name == "map_defects":
+        defects = {"sites": [["U", 5], ["M", 11], ["L", 30]],
+                   "barriers": [[["U", 8], ["U", 9]], [["M", 20], ["M", 21]],
+                                [["L", 14], ["M", 14]], [["L", 2], ["L", 3]]]}
+        return config, ["map"], defects, 0
+    if name == "route_loop_wrap":
+        config = {**config, "loop": True}
+    defects = {"route_detour": {"sites": [["M", 4]]},
+               "route_partitioned": {"barriers": [[["U", 2], ["M", 2]]]}}.get(name)
+    return config, ["route", "--gate", *gates[name]], defects, (
+        2 if name == "route_partitioned" else 0)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ROUTE_MAP))
+def test_route_and_map_outputs_match_golden_digests(name, tmp_path, capsys):
+    config, argv, defects, code = _route_map_inputs(name)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    argv = [argv[0], "--config", str(cfg_path), *argv[1:]]
+    if defects is not None:
+        defects_path = tmp_path / "defects.json"
+        defects_path.write_text(json.dumps(defects), encoding="utf-8")
+        argv += ["--defects", str(defects_path)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    text = captured.out if code == 0 else captured.err
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_ROUTE_MAP[name]

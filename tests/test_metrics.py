@@ -232,6 +232,13 @@ def test_footprint_fanout_scales_with_tsv_pitch():
     assert double.array_width_um - core == pytest.approx(2 * (base.array_width_um - core))
 
 
+@pytest.mark.parametrize("fanout_rows", [0, -5])
+def test_footprint_rejects_non_positive_fanout_rows(fanout_rows):
+    """fanout_rows=-5 was accepted and gave a negative array width."""
+    with pytest.raises(tl.ConfigError, match="footprint parameters must be positive"):
+        footprint_estimate(tl.map_to_trilinear(tl.GridSpec(8, 8)), fanout_rows=fanout_rows)
+
+
 def test_footprint_tiny_grid_positive():
     fp = footprint_estimate(tl.map_to_trilinear(tl.GridSpec(2, 2)))
     assert fp.array_length_um > 0 and fp.array_width_um > 0

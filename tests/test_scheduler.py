@@ -134,8 +134,8 @@ def test_serialized_compile_never_faster(lay88):
         OneQubit((4, 4), "x"),
     ))
     parallel = compile_ok(circuit, lay88)
-    serial = compile_ok(circuit, lay88, serialize=True)
-    assert parallel.makespan <= serial.makespan
+    # Run back to back in program order, the same plans end at this sum.
+    assert parallel.makespan <= sum(s.op.duration_ticks for s in parallel.ops)
 
 
 def test_lowering_ac_budget_never_speeds_up_reference_set(lay88_loop):
@@ -154,7 +154,7 @@ def test_budget_anomaly_stays_within_serial_bound(lay88_loop):
     # budget can start an op earlier whose active window then delays a
     # successor by more than the budget gained. The first case pins exact
     # makespans; the second pins such an anomaly, budget 6 beating budget 8.
-    # The serialized schedule bounds every budget.
+    # The serialized span, the sum of the op durations, bounds every budget.
     cases = [
         (DefectMap.of(sites=[SiteCoord(Row.UPPER, 0)]),
          (OneQubit((5, 1), "x"), TwoQubit((0, 1), (0, 4)), TwoQubit((3, 6), (4, 1)),
@@ -167,52 +167,50 @@ def test_budget_anomaly_stays_within_serial_bound(lay88_loop):
     ]
     for defects, ops, expected, serial_span in cases:
         circuit = sch.Circuit(ops)
-        spans = {
-            budget: sch.compile(circuit, lay88_loop, defects,
-                                mux=MuxConfig(n_ac_inputs=budget)).makespan
+        schedules = {
+            budget: sch.compile(circuit, lay88_loop, defects, mux=MuxConfig(n_ac_inputs=budget))
             for budget in (4, 5, 6, 8, 16)
         }
+        spans = {budget: schedule.makespan for budget, schedule in schedules.items()}
         assert spans == expected
-        serial = sch.compile(circuit, lay88_loop, defects, serialize=True)
-        assert serial.makespan == serial_span
-        assert all(makespan <= serial.makespan for makespan in spans.values())
+        for schedule in schedules.values():
+            assert sum(s.op.duration_ticks for s in schedule.ops) == serial_span
+        assert all(makespan <= serial_span for makespan in spans.values())
     assert spans[6] < spans[8]  # the anomaly
 
 
 def test_parallel_never_beats_serialized_randomized(lay88_loop):
     # Provable for this greedy: every op is admissible no later than its
-    # serialized start, so the serialized makespan is an upper bound.
+    # serialized start, so the serialized makespan, the sum of the op
+    # durations, is an upper bound.
     rng = random.Random(99)
     for _ in range(30):
         circuit = _random_circuit(rng, lay88_loop, n_ops=12)
         parallel = sch.compile(circuit, lay88_loop)
-        serial = sch.compile(circuit, lay88_loop, serialize=True)
-        assert parallel.makespan <= serial.makespan
+        assert parallel.makespan <= sum(s.op.duration_ticks for s in parallel.ops)
 
 
 @settings(max_examples=300, deadline=None)
 @given(rng_seed=st.integers(0, 2**32), rows=st.integers(1, 8), cols=st.integers(2, 9),
        loop=st.booleans(), n_dead=st.integers(0, 2), n_barriers=st.integers(0, 2),
-       n_ops=st.integers(1, 40), n_ac=st.integers(4, 8), coexist=st.booleans(),
-       serialize=st.booleans())
+       n_ops=st.integers(1, 40), n_ac=st.integers(4, 8), coexist=st.booleans())
 def test_compile_matches_naive_admission_oracle(rng_seed, rows, cols, loop, n_dead, n_barriers,
-                                                n_ops, n_ac, coexist, serialize):
+                                                n_ops, n_ac, coexist):
     """The event-driven admission starts every job at the tick the naive
     tick-by-tick scan over all unstarted jobs starts it."""
     case = _compiled_case(random.Random(rng_seed), rows, cols, loop, n_dead, n_barriers,
-                          n_ops, n_ac, coexist, serialize)
+                          n_ops, n_ac, coexist)
     if case is None:
         return
     layout, defects, mux, circuit, schedule = case
-    expected = admit_by_dependency(circuit, layout, defects, mux, serialize=serialize)
+    expected = admit_by_dependency(circuit, layout, defects, mux)
     assert schedule.ops == expected.ops
     assert schedule.makespan == expected.makespan
     assert schedule.initial_positions == expected.initial_positions
     assert validate_schedule(schedule, layout, defects, mux) == []
 
 
-def _compiled_case(rng, rows, cols, loop, n_dead, n_barriers, n_ops, n_ac, coexist,
-                   serialize=False):
+def _compiled_case(rng, rows, cols, loop, n_dead, n_barriers, n_ops, n_ac, coexist):
     """(layout, defects, mux, circuit, schedule) for a random circuit on a
     rows x cols layout with random dead sites and barriers, or None when the
     defects leave no qubit. Defects that sever the array are dropped."""
@@ -232,10 +230,10 @@ def _compiled_case(rng, rows, cols, loop, n_dead, n_barriers, n_ops, n_ac, coexi
     mux = MuxConfig(n_ac_inputs=n_ac, readout_coexists_with_shuttle=coexist)
     circuit = _random_circuit(rng, layout, n_ops, sacrificed)
     try:
-        schedule = sch.compile(circuit, layout, defects, mux=mux, serialize=serialize)
+        schedule = sch.compile(circuit, layout, defects, mux=mux)
     except TrilinearError:  # a pair the defects cut off: keep the 1q and meas ops
         circuit = sch.Circuit(tuple(op for op in circuit.ops if not isinstance(op, TwoQubit)))
-        schedule = sch.compile(circuit, layout, defects, mux=mux, serialize=serialize)
+        schedule = sch.compile(circuit, layout, defects, mux=mux)
     return layout, defects, mux, circuit, schedule
 
 

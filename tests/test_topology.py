@@ -60,6 +60,26 @@ def test_middle_row_never_mapped(lay44):
         assert lay44.site_to_grid(site) is None
 
 
+@given(rows=st.integers(1, 8), cols=st.integers(2, 9), loop=st.booleans(),
+       m=st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_site_to_grid_inverts_the_fold(rows, cols, loop, m):
+    """Every site of the layout maps to the cell whose home it is by the
+    mapping definition, or to None when it is no cell's home; every cell's
+    home maps back to it; a site outside the layout raises InvalidSite."""
+    m = min(m, cols)
+    lay = tl.map_to_trilinear(tl.GridSpec(rows, cols), loop=loop, m_rows=m)
+    homes = {expected_site(rows, cols, cell, loop, m): cell for cell in lay.grid.cells()}
+    for site in lay.sites():
+        assert lay.site_to_grid(site) == homes.get((site.row.value, site.axis, site.subrow))
+    for cell in lay.grid.cells():
+        assert lay.site_to_grid(lay.grid_to_site(cell)) == cell
+    for site in (SiteCoord(Row.UPPER, lay.length), SiteCoord(Row.LOWER, -1),
+                 SiteCoord(Row.MIDDLE, 0, 1), SiteCoord(Row.LOWER, 0, m)):
+        with pytest.raises(tl.InvalidSite):
+            lay.site_to_grid(site)
+
+
 def test_neighbors_2d():
     grid = tl.GridSpec(4, 4)
     assert set(tl.neighbors_2d(grid, (0, 0))) == {(0, 1), (1, 0)}
