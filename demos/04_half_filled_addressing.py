@@ -6,7 +6,7 @@ Nanomagnets on every other dot split the array into two resonance classes.
 Qubits park on magnet dots; bare dots stay empty. A global pulse at the
 bare-dot frequency rotates only whoever sits on a bare dot, so hopping one
 qubit sideways before the pulse addresses exactly that qubit. Every hop
-imprints a known Z phase that software compensates on the spot.
+imprints a known Z phase that software tracks as a virtual-Z frame.
 """
 
 import trilinear as tl
@@ -21,28 +21,29 @@ print(f"half-filled: {len(state.position)} qubits on "
 for q in sorted(state.position):
     print(f"  qubit {q} at {state.position[q]}")
 
-# A global bare-class pulse with everyone parked is a no-op.
-idle = proto.apply_global_esr(state, tl.SiteClass.BARE, "x90")
+# A global bare-class pulse with everyone parked is a no-op: replaying it
+# over the placement finds no qubit on a bare dot.
+pulse = tl.MicroOp(tl.MicroOpKind.SINGLE_QUBIT_PULSE, (SiteCoord(Row.UPPER, 1),),
+                   freq_class=tl.SiteClass.BARE.value, param="x90")
 print("rotations after a pulse with all qubits parked:",
-      sum(len(log) for log in idle.rotation_log.values()))
+      sum(len(qubits) for qubits in proto.replay_rotations(state, [pulse]).values()))
 
 # Address qubit 2: hop out, pulse, hop back. The audit replays the micro-op
-# sequence and confirms exactly one qubit saw the drive.
-phases = proto.PhaseConfig(hop_phase_magnet=0.3, hop_phase_bare=0.3)
-ops, after = proto.addressed_single_qubit_gate(state, 2, "x90", phases)
+# sequence and confirms exactly one qubit saw the drive. Each hop imprints
+# a Z phase; software keeps their sum as the qubit's virtual-Z frame.
+ops = proto.addressed_single_qubit_gate(state, 2, "x90")
 print("addressed gate micro-ops:", [op.kind.value for op in ops])
 report = proto.audit_addressed_gate(state, 2, ops)
 print(f"rotated {sorted(report.rotated)}, bystanders {sorted(report.bystanders)}")
-print(f"ledger: accumulated {after.accumulated_phase[2]:+.2f} rad, "
-      f"compensation {after.compensation[2]:+.2f} rad, "
-      f"net {after.net_phase(2):.1e}")
-print("occupancy restored:", after.occupancy == state.occupancy)
+phases = proto.PhaseConfig(hop_phase_magnet=0.3, hop_phase_bare=0.3)
+print(f"virtual-Z frame of qubit 2: {proto.advance_frame(0.0, ops, phases):+.2f} rad")
+print("occupancy restored:", ops[-1].dst == state.position[2])
 
 # Readout: charge sensors sit along both sides every few dots; the qubit
 # shuttles to the nearest one and back.
 fixture = proto.ReadoutFixture.from_spacing(layout, 4)
 target = state.qubit_at(SiteCoord(Row.UPPER, 2))
-ops, after = proto.readout(state, target, fixture)
+ops = proto.readout(state, target, fixture)
 moves = sum(1 for op in ops if op.is_move)
 print(f"readout of qubit {target}: {moves} shuttle moves, "
       f"sensors at axes {fixture.axes}")

@@ -110,9 +110,12 @@ def simulate_texts(circuit: scheduler.Circuit, layout: topology.TrilinearLayout,
     Both are written as text in one pass. The bytes are those of one
     json.dumps(event, sort_keys=True) per line and of json.dumps(report,
     sort_keys=True, indent=2) + "\n"; each distinct site and event kind is
-    encoded once per call, and every float goes through json.dumps.
+    encoded once per call, and every float goes through json.dumps. Each
+    gate entry carries its target's virtual-Z frame after the gate; its
+    `net_phase`, the frame less the correction software applies, is 0.0.
     """
     state = protocol.init_half_filled(layout, defects)
+    frames: dict[int, float] = {}
     lines: list[str] = []
     gates: list[str] = []
     all_ok = True
@@ -146,23 +149,26 @@ def simulate_texts(circuit: scheduler.Circuit, layout: topology.TrilinearLayout,
                 f"op {index}: cell {cop.cell} maps to {site}, which hosts no qubit "
                 "in the half-filled scheme (bare or dead dot)"
             )
-        if isinstance(cop, scheduler.OneQubit):
-            ops, new_state = protocol.addressed_single_qubit_gate(
-                state, qubit, cop.rotation, phases, defects, durations)
+        gate = isinstance(cop, scheduler.OneQubit)
+        if gate:
+            ops = protocol.addressed_single_qubit_gate(state, qubit, cop.rotation, defects,
+                                                       durations)
+        else:
+            ops = protocol.readout(state, qubit, fixture, defects, durations)
+        frame = frames[qubit] = protocol.advance_frame(frames.get(qubit, 0.0), ops, phases)
+        if gate:
             report = protocol.audit_addressed_gate(state, qubit, ops)
             all_ok = all_ok and report.ok
             gates.append(scheduler._block("{}", [
                 f'"bystanders": {_ints(sorted(report.bystanders))}',
                 f'"cell": {_ints(cop.cell)}',
-                f'"net_phase": {json.dumps(new_state.net_phase(qubit))}',
+                f'"frame_phase": {json.dumps(frame)}',
+                '"net_phase": 0.0',
                 f'"ok": {json.dumps(report.ok)}',
                 f'"op_index": {index}',
                 f'"rotated": {_ints(sorted(report.rotated))}',
                 f'"target": {qubit}',
             ], 2))
-            state = new_state
-        else:
-            ops, state = protocol.readout(state, qubit, fixture, defects, phases, durations)
         _log_ops(ops, qubit)
 
     report_text = scheduler._block("{}", [

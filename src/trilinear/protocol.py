@@ -4,25 +4,24 @@ Dots under a nanomagnet (MAGNET class, even axis positions) host qubits;
 bare dots stay empty. A drive pulse at the bare-dot resonance rotates
 exactly the qubits sitting on bare dots at that moment, so hopping a
 single qubit one dot sideways before a global pulse addresses just that
-qubit. Each shuttle hop imprints a configurable Z phase which is logged
-and immediately compensated in software (virtual Z), leaving the net
-ledger phase at zero after every completed operation.
+qubit. Each shuttle hop imprints a configurable Z phase, which software
+tracks as the qubit's virtual-Z frame (`advance_frame`).
 
-State is tracked symbolically: occupancy, per-qubit rotation logs, and a
-Z-phase ledger of one accumulated phase per qubit, whose negation is the
-compensation. Operations are pure: they return a new state, leaving the
-input untouched. An op costs time in the qubits and sites it touches, not
-the array size: qubits are indexed by resonance class, a result shares
-what the op leaves unchanged with its input, and a readout walks its row
-directly. Planning is occupancy blind like the router; composing many
-protocol operations in parallel is the scheduler's concern.
+Every protocol op returns its qubit home, so the placement that
+`init_half_filled` makes never changes: an op reads the fixed
+`ArrayState` and returns only its micro-ops. Which qubits a pulse rotates
+is found by replaying the ops (`replay_rotations`). An op costs time in
+the sites it touches, not the array size: a readout walks its row
+directly. Planning is occupancy blind like the router, so a readout walk
+ignores the qubits parked on its way and may end on another qubit's dot;
+ROADMAP.md item 2 tracks making readouts collide with no qubit.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -54,110 +53,50 @@ class PhaseConfig:
         return self.hop_phase_magnet if cls is SiteClass.MAGNET else self.hop_phase_bare
 
 
-NO_PHASES = PhaseConfig()
-
-
-@dataclass
+@dataclass(frozen=True)
 class ArrayState:
-    """Occupancy, rotation logs and the virtual-Z ledger.
+    """Where each qubit is parked. Protocol ops read it and never change it.
 
-    The ledger keeps one accumulated phase per qubit; the compensation is
-    its negation, applied as each hop happens.
-
-    States share structure: an op's result shares with its input every
-    dict and set the op leaves unchanged, and every log list. So no state
-    is written in place once an op has returned it: `_move` runs only on a
-    `copy()`, which copies every container, and a log is replaced
-    (`_log_rotation`), never appended to in place. `_move` keeps the
-    `by_class` index in step."""
+    `position` is the one record; `occupancy` (its inverse) and `by_class`
+    (its qubits split by the resonance class of their dot) are derived
+    from it on first use."""
 
     layout: TrilinearLayout
-    occupancy: dict[SiteCoord, QubitId] = field(default_factory=dict)
-    position: dict[QubitId, SiteCoord] = field(default_factory=dict)
-    accumulated_phase: dict[QubitId, float] = field(default_factory=dict)
-    rotation_log: dict[QubitId, list] = field(default_factory=dict)
-    by_class: dict[SiteClass, set[QubitId]] = field(
-        default_factory=lambda: {cls: set() for cls in SiteClass})
+    position: dict[QubitId, SiteCoord]
 
-    def copy(self) -> "ArrayState":
-        return ArrayState(
-            layout=self.layout,
-            occupancy=dict(self.occupancy),
-            position=dict(self.position),
-            accumulated_phase=dict(self.accumulated_phase),
-            rotation_log=dict(self.rotation_log),
-            by_class={cls: set(qs) for cls, qs in self.by_class.items()},
-        )
+    @cached_property
+    def occupancy(self) -> dict[SiteCoord, QubitId]:
+        return {site: qubit for qubit, site in self.position.items()}
 
-    def _restored(self, logs: bool) -> "ArrayState":
-        """The result of an op that restores occupancy: it shares occupancy,
-        position and by_class, and owns its ledger dict, and its rotation
-        log dict when `logs` (the op's log lists are shared still)."""
-        return ArrayState(
-            layout=self.layout,
-            occupancy=self.occupancy,
-            position=self.position,
-            accumulated_phase=dict(self.accumulated_phase),
-            rotation_log=dict(self.rotation_log) if logs else self.rotation_log,
-            by_class=self.by_class,
-        )
+    @cached_property
+    def by_class(self) -> dict[SiteClass, frozenset[QubitId]]:
+        return {cls: frozenset(q for q, site in self.position.items() if site_class(site) is cls)
+                for cls in SiteClass}
 
     def qubit_at(self, site: SiteCoord) -> Optional[QubitId]:
         return self.occupancy.get(site)
-
-    @property
-    def compensation(self) -> dict[QubitId, float]:
-        """The virtual-Z correction per qubit: the accumulated phase negated."""
-        return {q: -a for q, a in self.accumulated_phase.items()}
-
-    def net_phase(self, qubit: QubitId) -> float:
-        a = self.accumulated_phase[qubit]
-        return (a + -a) % TWO_PI
-
-    def qubits_on_class(self, cls: SiteClass) -> set[QubitId]:
-        return set(self.by_class[cls])
-
-    def _move(self, qubit: QubitId, dst: SiteCoord, phases: PhaseConfig) -> None:
-        src = self.position[qubit]
-        del self.occupancy[src]
-        self.occupancy[dst] = qubit
-        self.position[qubit] = dst
-        self.by_class[site_class(src)].remove(qubit)
-        self.by_class[site_class(dst)].add(qubit)
-        self.accumulated_phase[qubit] += phases.hop_phase(site_class(dst))
-
-    def _log_rotation(self, qubits: Iterable[QubitId], rotation) -> None:
-        for qubit in qubits:
-            self.rotation_log[qubit] = self.rotation_log[qubit] + [rotation]
 
 
 def init_half_filled(layout: TrilinearLayout, defects: DefectMap = NO_DEFECTS) -> ArrayState:
     """Place one qubit on every alive magnet-class outer dot.
 
     Qubit ids count up the Upper row by axis and sub-row, then the Lower
-    row. Bare dots and the whole Middle row start empty; the ledger is
-    zeroed.
+    row. Bare dots and the whole Middle row start empty.
     """
-    state = ArrayState(layout=layout)
-    qid = 0
-    for site in layout.outer_sites():
-        if site_class(site) is not SiteClass.MAGNET or defects.is_dead(site):
-            continue
-        state.occupancy[site] = qid
-        state.position[qid] = site
-        state.accumulated_phase[qid] = 0.0
-        state.rotation_log[qid] = []
-        state.by_class[SiteClass.MAGNET].add(qid)
-        qid += 1
-    return state
+    sites = (site for site in layout.outer_sites()
+             if site_class(site) is SiteClass.MAGNET and not defects.is_dead(site))
+    return ArrayState(layout, dict(enumerate(sites)))
 
 
-def apply_global_esr(state: ArrayState, target_class: SiteClass, rotation) -> ArrayState:
-    """Globally drive one resonance class: every qubit parked or in transit
-    on a site of that class logs the rotation; all others are untouched."""
-    new = state._restored(logs=True)
-    new._log_rotation(state.by_class[target_class], rotation)
-    return new
+def advance_frame(frame: float, ops: Iterable[MicroOp], phases: PhaseConfig) -> float:
+    """A qubit's virtual-Z frame, in [0, 2π), after the hops among `ops`:
+    each hop adds the phase of its destination's class. The hop phase is
+    folded into [0, 2π) before it is added, so that a phase near the float
+    limit neither overflows nor absorbs the frame."""
+    for op in ops:
+        if op.is_move:
+            frame = (frame + phases.hop_phase(site_class(op.dst)) % TWO_PI) % TWO_PI
+    return frame
 
 
 def _pulse_op(target_class: SiteClass, rotation, site: SiteCoord,
@@ -171,16 +110,15 @@ def addressed_single_qubit_gate(
     state: ArrayState,
     qubit: QubitId,
     rotation,
-    phases: PhaseConfig = NO_PHASES,
     defects: DefectMap = NO_DEFECTS,
     durations: Durations = DEFAULT_DURATIONS,
-) -> tuple[list[MicroOp], ArrayState]:
+) -> list[MicroOp]:
     """Rotate one qubit with a global pulse: hop to a free neighboring bare
     dot, pulse the bare-dot resonance, hop back.
 
-    Both hops imprint and immediately compensate the configured Z phase,
-    so the net ledger stays at zero and occupancy is restored. Raises
-    NoAdjacentEmpty when both same-row neighbors are unavailable.
+    The pulse also rotates any other qubit on a bare dot; in the
+    half-filled placement there is none. Raises NoAdjacentEmpty when both
+    same-row neighbors are unavailable.
     """
     home = state.position[qubit]
     if site_class(home) is not SiteClass.MAGNET:
@@ -199,17 +137,9 @@ def addressed_single_qubit_gate(
             break
     if target is None:
         raise NoAdjacentEmpty(f"no free bare dot next to qubit {qubit} at {home}")
-
-    ops = [move_op(home, target, durations),
-           _pulse_op(SiteClass.BARE, rotation, target, durations),
-           move_op(target, home, durations)]
-    # The pulse finds the qubit on `target` beside every bare-class qubit;
-    # each hop imprints its destination's phase and compensates it.
-    out, back = phases.hop_phase(SiteClass.BARE), phases.hop_phase(SiteClass.MAGNET)
-    new = state._restored(logs=True)
-    new._log_rotation(state.by_class[SiteClass.BARE] | {qubit}, rotation)
-    new.accumulated_phase[qubit] = state.accumulated_phase[qubit] + out + back
-    return ops, new
+    return [move_op(home, target, durations),
+            _pulse_op(SiteClass.BARE, rotation, target, durations),
+            move_op(target, home, durations)]
 
 
 @dataclass(frozen=True)
@@ -243,17 +173,14 @@ def readout(
     qubit: QubitId,
     fixture: ReadoutFixture,
     defects: DefectMap = NO_DEFECTS,
-    phases: PhaseConfig = NO_PHASES,
     durations: Durations = DEFAULT_DURATIONS,
-) -> tuple[list[MicroOp], ArrayState]:
+) -> list[MicroOp]:
     """Shuttle a qubit to its nearest usable sensor dot, read it out, and
-    shuttle back. Raises Partitioned when every sensor dot is dead.
+    shuttle back the same way. Raises Partitioned when every sensor dot is
+    dead.
 
-    The round trip restores occupancy, so the returned state differs only
-    in the Z ledger (one imprint plus compensation per hop, both ways).
-    Transit over dots parked by other qubits is planned occupancy-blind,
-    like all routing here; serializing against them is the scheduler's
-    concern.
+    The walk ignores the qubits parked on its way: it may pass through,
+    or read out on, another qubit's dot (see ROADMAP.md item 2).
     """
     layout = state.layout
     home = state.position[qubit]
@@ -269,12 +196,7 @@ def readout(
     back = path[::-1]
     for a, b in zip(back, back[1:]):
         ops.append(move_op(a, b, durations))
-
-    new = state._restored(logs=False)
-    hop_phase = sum(phases.hop_phase(site_class(s)) for s in path[1:])
-    hop_phase += sum(phases.hop_phase(site_class(s)) for s in back[1:])
-    new.accumulated_phase[qubit] += hop_phase
-    return ops, new
+    return ops
 
 
 def _nearest_sensor(layout: TrilinearLayout, fixture: ReadoutFixture, home: SiteCoord,
@@ -346,10 +268,9 @@ class AddressabilityReport:
 
 
 def replay_rotations(state: ArrayState, ops: Iterable[MicroOp]) -> dict[int, set[QubitId]]:
-    """Walk a micro-op sequence over the state and return, per pulse index,
-    the set of qubits that pulse would rotate. Used to audit addressability
-    independently of the rotation logs. Only the qubits the ops move are
-    tracked, in local dicts over the untouched input."""
+    """Walk a micro-op sequence over the placement and return, per pulse
+    index, the set of qubits that pulse rotates. Only the qubits the ops
+    move are tracked, in local dicts over the fixed placement."""
     occupied: dict[SiteCoord, Optional[QubitId]] = {}  # sites the ops touched
     moved: dict[QubitId, SiteCoord] = {}
     rotated: dict[int, set[QubitId]] = {}

@@ -295,15 +295,17 @@ def shortest_shuttle_path(
 # ----------------------------------------------------------------------
 # Reference half-filled protocol ops and simulate writer
 
-def addressed_single_qubit_gate(state, qubit, rotation, phases, defects, durations):
-    """The gate as a full copy: hop out, log the pulse on every bare-class
-    qubit, hop back. `protocol.addressed_single_qubit_gate` must give the
-    same micro-ops and a state with equal contents."""
+def addressed_single_qubit_gate(state, qubit, rotation, defects, durations):
+    """The gate over its own occupancy dict, built from the positions: hop
+    out to the first free bare neighbour, pulse, hop back.
+    `protocol.addressed_single_qubit_gate` must give the same micro-ops, or
+    raise the same error."""
     from trilinear.errors import NoAdjacentEmpty
     from trilinear.protocol import _pulse_op
     from trilinear.router import move_op
     from trilinear.topology import SiteClass, site_class
 
+    occupancy = {site: q for q, site in state.position.items()}
     home = state.position[qubit]
     if site_class(home) is not SiteClass.MAGNET:
         raise NoAdjacentEmpty(f"qubit {qubit} is not parked on a magnet-class dot")
@@ -315,31 +317,23 @@ def addressed_single_qubit_gate(state, qubit, rotation, phases, defects, duratio
             continue
         cand = SiteCoord(home.row, axis, home.subrow)
         if (site_class(cand) is SiteClass.BARE and not defects.is_dead(cand)
-                and not defects.barrier_dead(home, cand)
-                and state.qubit_at(cand) is None):
+                and not defects.barrier_dead(home, cand) and cand not in occupancy):
             target = cand
             break
     if target is None:
         raise NoAdjacentEmpty(f"no free bare dot next to qubit {qubit} at {home}")
-    new = state.copy()
-    ops = [move_op(home, target, durations)]
-    new._move(qubit, target, phases)
-    ops.append(_pulse_op(SiteClass.BARE, rotation, target, durations))
-    for q in new.by_class[SiteClass.BARE]:
-        new.rotation_log[q] = new.rotation_log[q] + [rotation]
-    ops.append(move_op(target, home, durations))
-    new._move(qubit, home, phases)
-    return ops, new
+    return [move_op(home, target, durations),
+            _pulse_op(SiteClass.BARE, rotation, target, durations),
+            move_op(target, home, durations)]
 
 
-def readout(state, qubit, fixture, defects, phases, durations):
+def readout(state, qubit, fixture, defects, durations):
     """Readout by scanning every sensor axis and planning the walk with the
     general BFS. `protocol.readout` must give the same micro-ops, or raise
-    the same error, and a state with equal contents."""
+    the same error."""
     from trilinear import router
     from trilinear.errors import Partitioned
     from trilinear.router import MicroOp, MicroOpKind, move_op
-    from trilinear.topology import site_class
 
     layout = state.layout
     home = state.position[qubit]
@@ -362,44 +356,47 @@ def readout(state, qubit, fixture, defects, phases, durations):
     back = path[::-1]
     for a, b in zip(back, back[1:]):
         ops.append(move_op(a, b, durations))
-    new = state.copy()
-    hop_phase = sum(phases.hop_phase(site_class(s)) for s in path[1:])
-    hop_phase += sum(phases.hop_phase(site_class(s)) for s in back[1:])
-    new.accumulated_phase[qubit] += hop_phase
-    return ops, new
+    return ops
 
 
 def replay_rotations(state, ops) -> dict:
     """Per pulse index, the qubits that pulse rotates, by replaying every
-    move on a full copy of the state."""
-    from trilinear.protocol import NO_PHASES
+    move on full copies of the occupancy and positions and scanning every
+    position at each pulse. A move onto an occupied site leaves both
+    qubits there, and the last to arrive is the one a later move takes."""
     from trilinear.router import MicroOpKind
-    from trilinear.topology import SiteClass
+    from trilinear.topology import SiteClass, site_class
 
-    sim = state.copy()
+    occupancy = {site: q for q, site in state.position.items()}
+    position = dict(state.position)
     rotated = {}
     for i, op in enumerate(ops):
         if op.is_move:
-            qubit = sim.qubit_at(op.src)
+            qubit = occupancy.pop(op.src, None)
             if qubit is not None:
-                sim._move(qubit, op.dst, NO_PHASES)
+                occupancy[op.dst] = qubit
+                position[qubit] = op.dst
         elif op.kind is MicroOpKind.SINGLE_QUBIT_PULSE and op.freq_class is not None:
-            rotated[i] = set(sim.qubits_on_class(SiteClass(op.freq_class)))
+            cls = SiteClass(op.freq_class)
+            rotated[i] = {q for q, site in position.items() if site_class(site) is cls}
     return rotated
 
 
 def simulate_texts(circuit, layout, defects, fixture, phases, durations) -> tuple[str, str]:
     """The simulate event log and report, built as dicts with the reference
     ops above and dumped with one json.dumps per event and indent=2 for the
-    report. `cli.simulate_texts` must return the same two strings."""
+    report. A qubit's frame starts at 0 and takes each hop's phase, folded
+    into [0, 2*pi) first. `cli.simulate_texts` must return the same two
+    strings."""
     import json
+    import math
 
     from trilinear import protocol, scheduler
     from trilinear.errors import CircuitError
-    from trilinear.topology import site_to_obj
+    from trilinear.topology import site_class, site_to_obj
 
     state = protocol.init_half_filled(layout, defects)
-    events, gates = [], []
+    events, gates, frames = [], [], {}
     tick = 0
 
     def log_ops(ops, qubit):
@@ -408,6 +405,9 @@ def simulate_texts(circuit, layout, defects, fixture, phases, durations) -> tupl
             events.append({"tick": tick, "site": site_to_obj(op.dst), "qubit": qubit,
                            "event": op.kind.value})
             tick += op.duration_ticks
+            if op.is_move:
+                hop = phases.hop_phase(site_class(op.dst)) % (2 * math.pi)
+                frames[qubit] = (frames.get(qubit, 0.0) + hop) % (2 * math.pi)
 
     def qubit_for(cell, index):
         site = layout.grid_to_site(cell)
@@ -427,8 +427,8 @@ def simulate_texts(circuit, layout, defects, fixture, phases, durations) -> tupl
             )
         qubit = qubit_for(cop.cell, index)
         if isinstance(cop, scheduler.OneQubit):
-            ops, new_state = addressed_single_qubit_gate(
-                state, qubit, cop.rotation, phases, defects, durations)
+            ops = addressed_single_qubit_gate(state, qubit, cop.rotation, defects, durations)
+            log_ops(ops, qubit)
             rotated = set()
             for qubits in replay_rotations(state, ops).values():
                 rotated |= qubits
@@ -439,13 +439,11 @@ def simulate_texts(circuit, layout, defects, fixture, phases, durations) -> tupl
                 "rotated": sorted(rotated),
                 "bystanders": sorted(rotated - {qubit}),
                 "ok": rotated == {qubit},
-                "net_phase": new_state.net_phase(qubit),
+                "frame_phase": frames[qubit],
+                "net_phase": 0.0,
             })
-            log_ops(ops, qubit)
-            state = new_state
         else:
-            ops, state = readout(state, qubit, fixture, defects, phases, durations)
-            log_ops(ops, qubit)
+            log_ops(readout(state, qubit, fixture, defects, durations), qubit)
 
     lines = "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
     report = {"schema_version": 1, "gates": gates,

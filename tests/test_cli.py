@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 import subprocess
 import sys
@@ -135,6 +136,59 @@ def test_simulate_event_log_and_report(cfg, tmp_path):
     report = json.loads((tmp_path / "events.report.json").read_text())
     assert report["all_ok"] is True
     assert report["gates"][0]["rotated"] == [report["gates"][0]["target"]]
+
+
+def _simulate_run(tmp_path, config, ops):
+    """Run simulate on one config and circuit; the event log and report text."""
+    cfg_path, circ_path = tmp_path / "config.json", tmp_path / "circuit.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    circ_path.write_text(json.dumps({"ops": ops}), encoding="utf-8")
+    out = tmp_path / "events.jsonl"
+    assert main(["simulate", "--config", str(cfg_path), "--circuit", str(circ_path),
+                 "--out", str(out)]) == 0
+    return out.read_text(), (tmp_path / "events.report.json").read_text()
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_simulate_report_stays_json_at_huge_hop_phases(tmp_path):
+    """Hop phases near 1e308 used to overflow the summed phase, and the
+    report said "net_phase": NaN. Each hop's phase is now folded into
+    [0, 2pi) before it joins the frame, so the second gate's frame is the
+    first one advanced again, not absorbed by the unfolded phase."""
+    magnet, bare = 1e308, 1.7e308
+    config = {"grid": {"rows": 4, "cols": 4}, "loop": True,
+              "protocol": {"hop_phase_magnet": magnet, "hop_phase_bare": bare}}
+    gate = {"op": "1q", "cells": [[0, 0]], "param": "x90"}
+    _, report = _simulate_run(tmp_path, config, [gate, gate])
+    gates = _strict_json(report)["gates"]
+    two_pi = 2 * math.pi
+    frame = 0.0
+    for expected in gates:  # each gate hops onto a bare dot, then back onto a magnet dot
+        frame = ((frame + bare % two_pi) % two_pi + magnet % two_pi) % two_pi
+        assert expected["frame_phase"] == frame
+        assert expected["net_phase"] == 0.0
+    assert gates[0]["frame_phase"] != gates[1]["frame_phase"]
+
+
+def test_hop_phase_changes_the_report_not_the_event_log(tmp_path):
+    """The hop-phase keys used to change no output: the report's net phase
+    was 0.0 for every finite phase."""
+    ops = [{"op": "1q", "cells": [[0, 0]], "param": "x90"}, {"op": "meas", "cells": [[0, 2]]},
+           {"op": "1q", "cells": [[0, 2]], "param": "x90"}]
+    runs = []
+    for bare in (0.3, 0.7):
+        config = {"grid": {"rows": 4, "cols": 4},
+                  "protocol": {"hop_phase_magnet": 0.1, "hop_phase_bare": bare}}
+        (tmp_path / str(bare)).mkdir()
+        runs.append(_simulate_run(tmp_path / str(bare), config, ops))
+    (events_a, report_a), (events_b, report_b) = runs
+    assert events_a == events_b
+    assert report_a != report_b
 
 
 def test_simulate_rejects_two_qubit_ops(cfg, tmp_path, capsys):
@@ -455,9 +509,9 @@ def test_schedule_outputs_match_golden_digests(name, tmp_path):
 
 # sha256 of the simulate event log and report on a fixed input: an 8x8
 # loop, 200 seeded x90/meas ops in a 3:1 mix on qubit-hosting cells, and
-# non-zero hop phases so the Z ledger is exercised.
+# non-zero hop phases so the virtual-Z frames are exercised.
 GOLDEN_SIMULATE = ("7e67ea087adad03184e0374f81eb27891ad956df16110ce940c2c88aa7a5523a",
-                   "4dfa11864ac4545890c0b624d2a1bf0cf5b6f1380f5a8dff50c7ae863f8b645d")
+                   "fa91431b4f3648dead16ce872c941595b725f42749b22625133537502e0ebf93")
 
 
 def test_simulate_outputs_match_golden_digests(tmp_path):
@@ -492,9 +546,9 @@ def test_simulate_outputs_match_golden_digests(tmp_path):
 # dead outer barrier in the walks. Readouts there leave the straight row walk.
 GOLDEN_SIMULATE_DETOURS = {
     "grid5x7_stacked": ("4d2f142980e92cd55e94728e8da445f3276f4f0e032b28ef6614b5b6a544e167",
-                        "398746e6621329accb9b1ccc9d8169bff9de3a29386b3f1f22af83223becb80a"),
+                        "84f45559ea5f96a2d6d68809c600355beca580002471865491644597f5881ac6"),
     "loop6x8_dead_outer": ("23f5e4b40cac3b9e14930546509d9c1a9d7ee405b744bcd14692f007c276ba1d",
-                           "a77c8de4a7fa0ccf299f8a04208adb3fb9bc749022e5794b01467851b7bf209d"),
+                           "c4292334c77662465e0815467317adb51685e584577b2a688ca743f6d128fcee"),
 }
 
 

@@ -26,7 +26,7 @@ STDOUT_SHA256 = {
     "03_parallel_scheduling_and_mux.py":
         "d7399bf9d89d82b4e7839e363c8c86f291097451e7cd8decb805e3d4a522ec4e",
     "04_half_filled_addressing.py":
-        "f53d02489df0189e91f41988d0d862c7e639f7c1ab583f398dd1bfcbfcc04395",
+        "ca763ecd14d460d9da522d5cc8e5c2119060f42192d4aa32402242d2cfb50816",
     "05_scaling_sweep.py":
         "e5fc8510729a22fdde1e49532af78517c49a79c9d5585ab32c59d9683cb49e0c",
 }

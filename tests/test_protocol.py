@@ -1,6 +1,7 @@
 """Half-filled initialization, global-drive addressability, readout."""
 
 import copy
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,8 @@ import trilinear as tl
 from trilinear import protocol as proto
 from trilinear import scheduler as sch
 from trilinear.cli import simulate_texts
-from trilinear.protocol import PhaseConfig, ReadoutFixture
+from trilinear.protocol import ArrayState, PhaseConfig, ReadoutFixture
+from trilinear.router import move_op
 from trilinear.topology import DefectMap, Row, SiteClass, SiteCoord, site_class
 
 import _oracles
@@ -31,13 +33,6 @@ def test_half_filling_places_eight_qubits(state8):
     assert per_row == {Row.UPPER: 4, Row.LOWER: 4}
 
 
-def test_ledger_starts_at_zero(state8):
-    for q in state8.position:
-        assert state8.accumulated_phase[q] == 0.0
-        assert state8.net_phase(q) == 0.0
-        assert state8.rotation_log[q] == []
-
-
 def test_bare_dots_start_empty(state8):
     for site in state8.layout.sites():
         if site_class(site) is SiteClass.BARE:
@@ -50,73 +45,75 @@ def test_dead_dot_skipped_at_init(lay44_loop):
     assert len(state.position) == 7
 
 
+def _bare_pulse():
+    return tl.MicroOp(tl.MicroOpKind.SINGLE_QUBIT_PULSE, (SiteCoord(Row.UPPER, 1),),
+                      freq_class=SiteClass.BARE.value, param="x90")
+
+
 def test_global_pulse_on_bare_class_is_identity_when_parked(state8):
-    new = proto.apply_global_esr(state8, SiteClass.BARE, "x90")
-    assert all(log == [] for log in new.rotation_log.values())
+    assert proto.replay_rotations(state8, [_bare_pulse()]) == {0: set()}
 
 
 def test_global_pulse_hits_exactly_the_moved_qubit(state8):
-    moved = state8.copy()
-    moved._move(0, SiteCoord(Row.UPPER, 1), proto.NO_PHASES)
-    new = proto.apply_global_esr(moved, SiteClass.BARE, "x90")
-    rotated = {q for q, log in new.rotation_log.items() if log}
-    assert rotated == {0}
+    ops = [move_op(state8.position[0], SiteCoord(Row.UPPER, 1)), _bare_pulse()]
+    assert proto.replay_rotations(state8, ops) == {1: {0}}
 
 
 def test_global_pulse_hits_all_bare_residents(state8):
-    moved = state8.copy()
-    moved._move(0, SiteCoord(Row.UPPER, 1), proto.NO_PHASES)
-    moved._move(4, SiteCoord(Row.LOWER, 1), proto.NO_PHASES)
-    new = proto.apply_global_esr(moved, SiteClass.BARE, "x90")
-    rotated = {q for q, log in new.rotation_log.items() if log}
-    assert rotated == {0, 4}
+    ops = [move_op(state8.position[0], SiteCoord(Row.UPPER, 1)),
+           move_op(state8.position[4], SiteCoord(Row.LOWER, 1)), _bare_pulse()]
+    assert proto.replay_rotations(state8, ops) == {2: {0, 4}}
 
 
 def test_addressed_gate_rotates_only_target(state8):
     for target in sorted(state8.position):
-        ops, new = proto.addressed_single_qubit_gate(state8, target, "x90")
-        rotated = {q for q, log in new.rotation_log.items() if log}
-        assert rotated == {target}
+        ops = proto.addressed_single_qubit_gate(state8, target, "x90")
+        assert list(proto.replay_rotations(state8, ops).values()) == [{target}]
         report = proto.audit_addressed_gate(state8, target, ops)
         assert report.ok and not report.bystanders
 
 
 def test_addressed_gate_zero_phase_leaves_ledger(state8):
-    _, new = proto.addressed_single_qubit_gate(state8, 2, "x90")
-    assert new.accumulated_phase[2] == 0.0
-    assert new.net_phase(2) == 0.0
+    ops = proto.addressed_single_qubit_gate(state8, 2, "x90")
+    assert proto.advance_frame(0.0, ops, PhaseConfig()) == 0.0
+    assert proto.advance_frame(1.25, ops, PhaseConfig()) == 1.25
 
 
 def test_addressed_gate_phase_bookkeeping(state8):
-    phases = PhaseConfig(hop_phase_magnet=0.3, hop_phase_bare=0.3)
-    _, new = proto.addressed_single_qubit_gate(state8, 2, "x90", phases)
-    assert new.accumulated_phase[2] == pytest.approx(0.6)
-    assert new.compensation[2] == pytest.approx(-0.6)
-    assert new.net_phase(2) == pytest.approx(0.0, abs=1e-12)
+    """The hop out lands on a bare dot, the hop back on a magnet dot."""
+    ops = proto.addressed_single_qubit_gate(state8, 2, "x90")
+    assert proto.advance_frame(0.0, ops, PhaseConfig(0.3, 0.5)) == pytest.approx(0.8)
+    assert proto.advance_frame(6.0, ops, PhaseConfig(0.3, 0.5)) == pytest.approx(
+        6.8 - 2 * math.pi)
+
+
+def _replayed_occupancy(state, ops):
+    occupancy = dict(state.occupancy)
+    for op in ops:
+        if op.is_move:
+            occupancy[op.dst] = occupancy.pop(op.src)
+    return occupancy
 
 
 def test_addressed_gate_restores_occupancy(state8):
-    _, new = proto.addressed_single_qubit_gate(state8, 5, "x90")
-    assert new.occupancy == state8.occupancy
+    ops = proto.addressed_single_qubit_gate(state8, 5, "x90")
+    assert _replayed_occupancy(state8, ops) == state8.occupancy
 
 
 def test_no_adjacent_empty_raises(state8):
-    crowded = state8.copy()
-    home = crowded.position[1]
+    home = state8.position[1]
     left = SiteCoord(home.row, (home.axis - 1) % state8.layout.length)
     right = SiteCoord(home.row, (home.axis + 1) % state8.layout.length)
-    crowded._move(0, left, proto.NO_PHASES)
-    crowded._move(2, right, proto.NO_PHASES)
+    crowded = ArrayState(state8.layout, {**state8.position, 0: left, 2: right})
     with pytest.raises(tl.NoAdjacentEmpty):
         proto.addressed_single_qubit_gate(crowded, 1, "x90")
 
 
 def test_half_filling_preserved_by_protocol_ops(state8):
-    state = state8
     for target in (0, 3, 6):
-        _, state = proto.addressed_single_qubit_gate(state, target, "x90")
-    assert len(state.position) == 8
-    assert set(state.occupancy) == set(state8.occupancy)
+        ops = proto.addressed_single_qubit_gate(state8, target, "x90")
+        assert _replayed_occupancy(state8, ops) == state8.occupancy
+    assert len(state8.position) == 8
 
 
 # ----------------------------------------------------------------------
@@ -125,29 +122,29 @@ def test_half_filling_preserved_by_protocol_ops(state8):
 def test_readout_zero_steps_when_adjacent(state8):
     fixture = ReadoutFixture(axes=(0,), spacing=4)
     qubit = state8.qubit_at(SiteCoord(Row.UPPER, 0))
-    ops, new = proto.readout(state8, qubit, fixture)
+    ops = proto.readout(state8, qubit, fixture)
     kinds = [op.kind.value for op in ops]
     assert kinds == ["readout"]
-    assert new.occupancy == state8.occupancy
 
 
 def test_readout_two_steps_each_way(state8):
     fixture = ReadoutFixture.from_spacing(state8.layout, 4)
     assert fixture.axes == (0, 4)
     qubit = state8.qubit_at(SiteCoord(Row.UPPER, 2))
-    ops, new = proto.readout(state8, qubit, fixture)
+    ops = proto.readout(state8, qubit, fixture)
     steps = [op for op in ops if op.is_move]
     assert len(steps) == 4  # 2 out + 2 back
-    assert new.occupancy == state8.occupancy
+    assert steps[0].src == steps[-1].dst == SiteCoord(Row.UPPER, 2)
 
 
 def test_readout_accrues_and_compensates_phase(state8):
-    phases = PhaseConfig(hop_phase_magnet=0.1, hop_phase_bare=0.2)
+    """Two hops onto bare dots and two onto magnet dots: the frame that
+    software compensates is their sum."""
     fixture = ReadoutFixture.from_spacing(state8.layout, 4)
     qubit = state8.qubit_at(SiteCoord(Row.UPPER, 2))
-    _, new = proto.readout(state8, qubit, fixture, phases=phases)
-    assert new.net_phase(qubit) == pytest.approx(0.0, abs=1e-12)
-    assert new.accumulated_phase[qubit] != 0.0
+    ops = proto.readout(state8, qubit, fixture)
+    phases = PhaseConfig(hop_phase_magnet=0.1, hop_phase_bare=0.2)
+    assert proto.advance_frame(0.0, ops, phases) == pytest.approx(0.6)
 
 
 def test_readout_all_sensors_dead(state8):
@@ -165,74 +162,33 @@ def test_default_fixture_spacing(lay88):
 
 
 # ----------------------------------------------------------------------
-# Class index and purity under random op sequences
+# The placement under random op sequences
 
 LAY48_LOOP = tl.map_to_trilinear(tl.GridSpec(4, 8), loop=True)
-HOP_PHASES = PhaseConfig(hop_phase_magnet=0.3, hop_phase_bare=0.7)
 
 
 def _snapshot(state):
-    return copy.deepcopy((state.occupancy, state.position, state.accumulated_phase,
-                          state.compensation, state.rotation_log))
+    return copy.deepcopy((state.position, state.occupancy, state.by_class))
 
 
-def _assert_index_matches_scan(state):
-    for cls in SiteClass:
-        scan = {q for q, s in state.position.items() if site_class(s) is cls}
-        assert state.qubits_on_class(cls) == scan
-
-
-def _step(state, kind, a, b):
-    """Apply one op picked by (kind, a, b); return the next state."""
-    qubit = sorted(state.position)[a % len(state.position)]
-    if kind == "move":
-        free = [s for s in LAY48_LOOP.sites() if state.qubit_at(s) is None]
-        new = state.copy()
-        new._move(qubit, free[b % len(free)], HOP_PHASES)
-        return new
-    if kind == "gate":
-        try:
-            return proto.addressed_single_qubit_gate(state, qubit, f"r{b}", HOP_PHASES)[1]
-        except tl.NoAdjacentEmpty:
-            return state
-    if kind == "esr":
-        return proto.apply_global_esr(state, list(SiteClass)[b % 2], f"r{b}")
-    fixture = ReadoutFixture.from_spacing(LAY48_LOOP, 1 + b % 8)
-    return proto.readout(state, qubit, fixture, phases=HOP_PHASES)[1]
-
-
-@given(st.lists(st.tuples(st.sampled_from(["move", "gate", "esr", "readout"]),
-                          st.integers(0, 255), st.integers(0, 255)), max_size=40))
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 255), st.integers(0, 255)),
+                max_size=40))
 @settings(max_examples=80, deadline=None)
 def test_class_index_and_purity_under_random_ops(steps):
+    """Gates and readouts leave the placement, and its derived occupancy
+    and class index, as `init_half_filled` made them."""
     state = proto.init_half_filled(LAY48_LOOP)
-    _assert_index_matches_scan(state)
-    for kind, a, b in steps:
-        before = _snapshot(state)
-        new = _step(state, kind, a, b)
-        # A copy shares log lists with its input: an in-place append shows here.
+    for cls in SiteClass:
+        scan = {q for q, s in state.position.items() if site_class(s) is cls}
+        assert state.by_class[cls] == scan
+    before = _snapshot(state)
+    for gate, a, b in steps:
+        qubit = sorted(state.position)[a % len(state.position)]
+        if gate:
+            proto.addressed_single_qubit_gate(state, qubit, f"r{b}")
+        else:
+            proto.readout(state, qubit, ReadoutFixture.from_spacing(LAY48_LOOP, 1 + b % 8))
         assert _snapshot(state) == before
-        _assert_index_matches_scan(state)
-        _assert_index_matches_scan(new)
-        state = new
-
-
-def _full_snapshot(state):
-    return copy.deepcopy((_snapshot(state), state.by_class))
-
-
-@given(st.lists(st.tuples(st.sampled_from(["move", "gate", "esr", "readout"]),
-                          st.integers(0, 255), st.integers(0, 255)), max_size=40))
-@settings(max_examples=80, deadline=None)
-def test_every_earlier_state_survives_random_ops(steps):
-    """A result shares the containers its op leaves unchanged with the
-    input, so no later op may write into any state returned so far."""
-    states = [proto.init_half_filled(LAY48_LOOP)]
-    snapshots = [_full_snapshot(states[0])]
-    for kind, a, b in steps:
-        states.append(_step(states[-1], kind, a, b))
-        snapshots.append(_full_snapshot(states[-1]))
-    assert [_full_snapshot(s) for s in states] == snapshots
 
 
 # ----------------------------------------------------------------------
@@ -284,27 +240,16 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
-def _ledger(result):
-    """An op's micro-ops and resulting state, or its error; phases by repr,
-    as a NaN phase equals nothing."""
-    if isinstance(result[1], str):
-        return result
-    ops, state = result
-    return (ops, state.occupancy, state.position, repr(state.accumulated_phase),
-            repr(state.compensation), state.rotation_log,
-            {cls: sorted(qubits) for cls, qubits in state.by_class.items()})
-
-
 @given(_defective_layouts(), st.integers(0, 10**6), st.sampled_from((*range(1, 9), "loop")),
-       st.sampled_from(_PHASES), st.sampled_from(_PHASES), st.booleans())
+       st.booleans())
 @settings(max_examples=120, deadline=None)
 # The nearest sensor across the loop's join; one sensor half the loop away;
 # a dead barrier, then a dead dot, on the walk to sensor 0.
-@example(_LOOP24, 11, 8, 0.37, 0.81, False)
-@example(_LOOP24, 6, "loop", 0.37, 0.81, False)
-@example(_LOOP24_CUT, 2, 8, 0.37, 0.81, False)
-@example(_LOOP24_DEAD, 2, 8, 0.37, 0.81, False)
-def test_readout_matches_reference(case, pick, spacing, magnet, bare, home_dies):
+@example(_LOOP24, 11, 8, False)
+@example(_LOOP24, 6, "loop", False)
+@example(_LOOP24_CUT, 2, 8, False)
+@example(_LOOP24_DEAD, 2, 8, False)
+def test_readout_matches_reference(case, pick, spacing, home_dies):
     """Also with the qubit's own dot dead, which only the library API allows."""
     layout, defects, state = case
     if not state.position:
@@ -312,32 +257,30 @@ def test_readout_matches_reference(case, pick, spacing, magnet, bare, home_dies)
     qubit = sorted(state.position)[pick % len(state.position)]
     if home_dies:
         defects = DefectMap(defects.dead_sites | {state.position[qubit]}, defects.dead_barriers)
-    args = (state, qubit, _fixture(layout, spacing), defects, PhaseConfig(magnet, bare),
-            tl.Durations())
-    assert (_ledger(_outcome(proto.readout, *args))
-            == _ledger(_outcome(_oracles.readout, *args)))
+    args = (state, qubit, _fixture(layout, spacing), defects, tl.Durations())
+    assert _outcome(proto.readout, *args) == _outcome(_oracles.readout, *args)
 
 
-@given(_defective_layouts(), st.integers(0, 10**6), st.sampled_from(_PHASES),
-       st.sampled_from(_PHASES),
+@given(_defective_layouts(), st.integers(0, 10**6),
        st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=4))
 @settings(max_examples=100, deadline=None)
-def test_addressed_gate_matches_reference(case, pick, magnet, bare, moves):
-    """After moving a few qubits to random free dots, so that some sit on
-    bare dots, where the gate's pulse rotates them too."""
+def test_addressed_gate_matches_reference(case, pick, moves):
+    """On placements with a few qubits moved to random free dots, so that
+    some sit on bare dots, where they block a neighbour's hop."""
     layout, defects, state = case
     if not state.position:
         return
     sites = sorted(layout.sites(), key=tl.topology.site_key)
+    position = dict(state.position)
     for a, b in moves:
-        free = [s for s in sites if state.qubit_at(s) is None]
-        state = state.copy()
-        state._move(sorted(state.position)[a % len(state.position)], free[b % len(free)],
-                    proto.NO_PHASES)
-    qubit = sorted(state.position)[pick % len(state.position)]
-    args = (state, qubit, "x90", PhaseConfig(magnet, bare), defects, tl.Durations())
-    assert (_ledger(_outcome(proto.addressed_single_qubit_gate, *args))
-            == _ledger(_outcome(_oracles.addressed_single_qubit_gate, *args)))
+        taken = set(position.values())
+        free = [s for s in sites if s not in taken]
+        position[sorted(position)[a % len(position)]] = free[b % len(free)]
+    state = ArrayState(layout, position)
+    qubit = sorted(position)[pick % len(position)]
+    args = (state, qubit, "x90", defects, tl.Durations())
+    assert (_outcome(proto.addressed_single_qubit_gate, *args)
+            == _outcome(_oracles.addressed_single_qubit_gate, *args))
 
 
 @given(_defective_layouts(), st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6),
