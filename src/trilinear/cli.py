@@ -4,12 +4,18 @@ Every subcommand reads a JSON run config (--config), writes deterministic
 JSON/CSV outputs, and exits non-zero with a machine-readable error JSON on
 stderr when a pipeline error occurs (exit 1 for config/input problems,
 exit 2 for routing/scheduling errors such as a partitioned array).
+
+`main` may run many times in one process: the parser, recent layouts (with
+their lattices) and reconfigurations are built on first use, not at import,
+and reused, as they are frozen or only read; a call that raises caches nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -35,13 +41,20 @@ def _load_json_file(path: str, what: str):
     def reject(name: str):
         raise ConfigError(f"{what} {path}: {name} is not a JSON number")
 
+    def finite(text: str) -> float:
+        if math.isinf(value := float(text)):  # 1e400; json.dumps would write Infinity
+            raise ConfigError(f"{what} {path}: {text} is not a finite number")
+        return value
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=reject)
+            return json.load(fh, parse_constant=reject, parse_float=finite)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} line {exc.lineno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # too deep, a 5000-digit int, not UTF-8
+        raise ConfigError(f"{what} {path}: {exc}") from exc
 
 
 def _load_defects(path: Optional[str], layout) -> topology.DefectMap:
@@ -234,6 +247,7 @@ def cmd_sweep(config: RunConfig, args) -> int:
 # ----------------------------------------------------------------------
 # Entry point
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trilinear",

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -58,6 +59,10 @@ def _get_bool(doc: dict, key: str, default: bool, path: str) -> bool:
     return val
 
 
+# A layout is frozen, so equal ones share one lattice; `typed`: `map` writes 100 and 100.0 apart.
+_layout = lru_cache(maxsize=8, typed=True)(TrilinearLayout)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     grid: GridSpec = field(default_factory=lambda: GridSpec(8, 8))
@@ -71,8 +76,7 @@ class RunConfig:
     seed: int = 0
 
     def layout(self) -> TrilinearLayout:
-        return TrilinearLayout(grid=self.grid, pitch_nm=self.pitch_nm,
-                               loop=self.loop, m_rows=self.m_rows)
+        return _layout(self.grid, self.pitch_nm, self.loop, self.m_rows)
 
     def fixture(self, layout: TrilinearLayout) -> ReadoutFixture:
         return ReadoutFixture.from_spacing(layout, self.set_spacing)

@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (CircuitError, InvalidSite, NotNeighbors, Partitioned, Unrecoverable,
@@ -418,6 +419,7 @@ class Reconfiguration:
         return not self.repurposed_sites and not self.sacrificed_qubits
 
 
+@lru_cache(maxsize=8)
 def reconfigure_for_defects(layout: TrilinearLayout,
                             defects: DefectMap = NO_DEFECTS) -> Reconfiguration:
     """Repurpose outer dots stranded from the Middle row; report the cost.
@@ -429,7 +431,7 @@ def reconfigure_for_defects(layout: TrilinearLayout,
     row is never repurposed, so the repurposed dots never offer a way into
     the Middle row and repurposing one dot cannot restore access for
     another. Raises Unrecoverable when the defects sever the alive lattice
-    between surviving qubits.
+    between surviving qubits. Cached on the frozen (layout, defects); errors are not.
     """
     _require_single_row(layout)
     defects.validate_against(layout)

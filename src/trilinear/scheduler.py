@@ -62,10 +62,10 @@ from .topology import (
     SCHEMA_VERSION,
     Cell,
     DefectMap,
+    Row,
     SiteCoord,
     TrilinearLayout,
     site_class,
-    site_to_obj,
 )
 
 
@@ -732,62 +732,67 @@ def _block(brackets: str, items: list[str], depth: int) -> str:
             + brackets[1]) if items else brackets
 
 
+# The JSON text of each row and micro-op kind, as json.dumps writes its value.
+_ROW_TEXT = {row: json.dumps(row.value) for row in Row}
+_KIND_TEXT = {kind: json.dumps(kind.value) for kind in MicroOpKind}
+
+
+def _ints_text(values, depth: int) -> str:
+    """A JSON array, `depth` levels deep, of ints (other values via json.dumps)."""
+    return _block("[]", [str(v) if type(v) is int else json.dumps(v) for v in values], depth)
+
+
+def _site_text(site: SiteCoord, depth: int) -> str:
+    """site_to_obj(site) as JSON text, `depth` levels deep."""
+    return _block("[]", [_ROW_TEXT[site.row], *[str(v) if type(v) is int else json.dumps(v)
+                                                for v in site[1:3 if site.subrow else 2]]], depth)
+
+
 def schedule_to_json(schedule: Schedule, seed: int) -> tuple[str, dict]:
     """The schedule document as JSON text, plus its `summary` block.
 
     The text is json.dumps(doc, sort_keys=True, indent=2) + "\\n", written in
     one pass; with `indent` set that stdlib encoder runs in pure Python. Each
-    distinct op head (duration, freq class, kind and partner), qubit, site
-    tuple and signal set is encoded once per call; `param` may be any JSON
-    value, so it is dumped per op.
+    distinct op head (duration, freq class, kind and partner), qubit, site and
+    signal set is encoded once per call, and only the constant row and kind
+    texts outlive a call. `param` may be any JSON value, so it is dumped per op.
     """
     usage = waveform_usage(schedule)
     summary = {"makespan": schedule.makespan, "max_waveform_classes": usage.max_distinct,
                "total_shuttle_steps": schedule.total_horizontal_steps}
-    # Texts by value. Keys of different types (a qubit cell, a site tuple, an
-    # op head, a signal set) never compare equal.
+    # Texts by value. Keys of different types (a qubit cell, a site, a site
+    # tuple, an op head, a signal set) never compare equal.
     memo: dict = {}
+    get = memo.get
     sep = ",\n" + "  " * 5  # between two fields of an op
-
-    def leaf(key, make):
-        return memo.get(key) or memo.setdefault(key, make())
-
-    def flat(values, depth: int) -> str:
-        return _block("[]", [str(x) if type(x) is int else json.dumps(x) for x in values], depth)
-
-    def head(duration, freq_class, kind, partner) -> tuple[str, str]:
-        """An op's text up to its `param` field, and its `partner` field."""
-        fields = [f'"duration_ticks": {duration}']
-        if freq_class is not None:
-            fields.append(f'"freq_class": {json.dumps(freq_class)}')
-        fields.append(f'"kind": {json.dumps(kind.value)}')
-        return ("{" + sep[1:] + sep.join(fields),
-                "" if partner is None else f'{sep}"partner": {flat(partner, 5)}')
-
     ticks: dict[int, list[str]] = defaultdict(list)
     for sop in schedule.ops:
         op = sop.op
         key = (op.duration_ticks, op.freq_class, op.kind, sop.partner)
-        first, partner = leaf(key, lambda: head(*key))
+        head = get(key) or memo.setdefault(key, (  # the text up to `param`, and `partner`
+            f'{{{sep[1:]}"duration_ticks": {op.duration_ticks}'
+            + ("" if op.freq_class is None else f'{sep}"freq_class": {json.dumps(op.freq_class)}')
+            + f'{sep}"kind": {_KIND_TEXT[op.kind]}',
+            "" if sop.partner is None else f'{sep}"partner": {_ints_text(sop.partner, 5)}'))
+        qubit = get(sop.qubit) or memo.setdefault(
+            sop.qubit, f'{sep}"qubit": {_ints_text(sop.qubit, 5)}')
+        sites = get(op.sites) or memo.setdefault(op.sites, f'{sep}"sites": ' + _block("[]", [
+            get(s) or memo.setdefault(s, _site_text(s, 6)) for s in op.sites], 5) + "\n        }")
         param = "" if op.param is None else f'{sep}"param": {_dump(op.param, 5)}'
-        ticks[sop.start_tick].append(
-            first + param + partner
-            + leaf(sop.qubit, lambda: f'{sep}"qubit": {flat(sop.qubit, 5)}')
-            + leaf(op.sites, lambda: f'{sep}"sites": ' + _block(
-                "[]", [flat(site_to_obj(s), 6) for s in op.sites], 5) + "\n" + "  " * 4 + "}"))
+        ticks[sop.start_tick].append(head[0] + param + head[1] + qubit + sites)
     return _block("{}", [
         '"initial_positions": ' + _block("[]", [
-            _block("{}", [f'"cell": {flat(c, 3)}', f'"site": {flat(site_to_obj(s), 3)}'], 2)
+            _block("{}", [f'"cell": {_ints_text(c, 3)}', f'"site": {_site_text(s, 3)}'], 2)
             for c, s in schedule.initial_positions], 1),
         f'"makespan": {schedule.makespan}',
         f'"schema_version": {SCHEMA_VERSION}',
         f'"seed": {seed}',
         f'"summary": {_dump(summary, 1)}',
         '"ticks": ' + _block("[]", [
-            _block("{}", [f'"ops": {_block("[]", ticks[t], 3)}', f'"tick": {t}'], 2)
+            # One tick's object, two levels deep.
+            f'{{\n      "ops": {_block("[]", ticks[t], 3)},\n      "tick": {t}\n    }}'
             for t in sorted(ticks)], 1),
-        '"waveforms_per_tick": ' + _block("[]", [
-            leaf(sigs, lambda: _block("[]", [
-                json.dumps(x) for x in sorted(sigs)], 2))
+        '"waveforms_per_tick": ' + _block("[]", [get(sigs) or memo.setdefault(
+            sigs, _block("[]", [json.dumps(x) for x in sorted(sigs)], 2))
             for sigs in usage.per_tick], 1),
     ], 0) + "\n", summary

@@ -340,6 +340,46 @@ def test_non_standard_json_constants_in_inputs_exit_1(what, text, cfg, tmp_path,
     assert err["message"].endswith(" is not a JSON number")
 
 
+@pytest.mark.parametrize("what, text, number", [
+    ("circuit", '{"ops": [{"op": "1q", "cells": [[0, 0]], "param": 1e400}]}', "1e400"),
+    ("circuit", '{"ops": [{"op": "1q", "cells": [[0, 0]], "param": -1e400}]}', "-1e400"),
+    ("defects file", '{"sites": [["M", 1E+999]]}', "1E+999"),
+])
+def test_overflowing_numbers_in_inputs_exit_1(what, text, number, cfg, tmp_path, capsys):
+    """1e400 parsed as inf, and schedule exited 0 with "param": Infinity,
+    which is not JSON."""
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"ops": []}', encoding="utf-8")
+    flag = "--circuit" if what == "circuit" else "--defects"
+    out = tmp_path / "sched.json"
+    argv = ["schedule", "--config", cfg, "--circuit", str(empty), flag, str(path),
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": {
+        "kind": "ConfigError", "message": f"{what} {path}: {number} is not a finite number"}}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("param", [
+    b"[" * 100_000 + b"]" * 100_000,  # past the decoder's recursion limit on every Python
+    b"9" * 5000,                      # past the int conversion limit of 4300 digits
+    b'"\xff"',                        # not UTF-8
+], ids=["deep", "huge_int", "not_utf8"])
+def test_inputs_the_json_reader_rejects_exit_1(param, cfg, tmp_path, capsys):
+    """Each ended in a raw RecursionError, ValueError or UnicodeDecodeError
+    traceback."""
+    path = tmp_path / "circuit.json"
+    path.write_bytes(b'{"ops": [{"op": "1q", "cells": [[0, 0]], "param": %s}]}' % param)
+    out = tmp_path / "sched.json"
+    assert main(["schedule", "--config", cfg, "--circuit", str(path), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "ConfigError"
+    assert err["message"].startswith(f"circuit {path}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, text, code, kind, message", [
     ("schedule", '{"ops": ["1q"]}', 2, "CircuitError", "op 0: expected an object whose cells are"),
     ("schedule", '{"ops": [{"op": "2q", "cells": [[0, 0], [1]]}]}', 2, "CircuitError",
@@ -432,6 +472,88 @@ def test_module_entry_point(cfg, tmp_path):
     )
     assert result.returncode == 0
     assert "100,trilinear,5,10,0.5" in result.stdout
+
+
+def test_repeated_main_calls_match_fresh_interpreters(tmp_path, capsys, monkeypatch):
+    """`main` keeps its parser, layouts and reconfigurations across calls.
+    Each call of a sequence in one interpreter must write what it writes in
+    a fresh one, and a --seed must not carry over to the next call."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to this width
+
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    grid = {"rows": 4, "cols": 4}
+    config_a = write("a.json", {"grid": grid, "seed": 3})
+    config_b = write("b.json", {"grid": grid, "seed": 3, "loop": True})
+    config_bad = write("bad.json", {"grid": grid, "pitch_nm": -1})
+    inputs = ["--circuit", write("circuit.json", {"ops": [
+        {"op": "2q", "cells": [[1, 0], [2, 3]]}, {"op": "2q", "cells": [[0, 2], [1, 2]]},
+        {"op": "1q", "cells": [[1, 1]], "param": "x90"}, {"op": "meas", "cells": [[0, 1]]}]}),
+              "--defects", write("defects.json", {"sites": [["M", 5]]})]
+    calls = [["schedule", "--config", config_a, *inputs],
+             ["schedule", "--config", config_a, "--bogus"],
+             ["schedule", "--config", config_bad, *inputs],
+             ["schedule", "--config", config_b, *inputs, "--seed", "9"],
+             ["schedule", "--config", config_a, *inputs]]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    fresh = []
+    for argv in calls:
+        result = subprocess.run([sys.executable, "-m", "trilinear", *argv],
+                                capture_output=True, timeout=60, check=False)
+        # Decoded as bytes: text mode would turn the summary CSV's \r\n into \n.
+        fresh.append((result.returncode, result.stdout.decode(), result.stderr.decode()))
+    assert in_process == fresh
+    assert [code for code, _, _ in in_process] == [0, 2, 1, 0, 0]
+    docs = [json.JSONDecoder().raw_decode(in_process[i][1])[0] for i in (0, 3, 4)]
+    assert [doc["seed"] for doc in docs] == [3, 9, 3]
+    assert docs[0]["ticks"] != docs[1]["ticks"]  # the loop changed the routes
+    assert in_process[4] == in_process[0]
+
+
+def test_validate_leaves_the_shared_lattice_index_unchanged():
+    """Config layouts are shared across calls, so the validator must number
+    an out-of-layout site in a copy of the lattice index, not in the index."""
+    config = config_from_json({"grid": {"rows": 4, "cols": 4}})
+    layout = config.layout()
+    index = dict(layout.lattice.index)
+    schedule = tl.scheduler.compile(tl.Circuit((tl.OneQubit((0, 0), "x90"),)), layout)
+    sop = schedule.ops[0]
+    far = tl.SiteCoord(tl.Row.MIDDLE, 99)
+    bad = tl.Schedule((sop._replace(op=sop.op._replace(sites=(far,))),), schedule.makespan,
+                      schedule.initial_positions)
+    violations = tl.scheduler.validate_schedule(bad, layout)
+    assert "site (M,99) outside layout" in [v.message for v in violations]
+    assert config.layout() is layout
+    assert layout.lattice.index == index
+
+
+def test_unrecoverable_defects_raise_on_every_call(cfg, tmp_path, capsys):
+    """Reconfigurations are cached, errors are not."""
+    layout = config_from_json({"grid": {"rows": 4, "cols": 4}}).layout()
+    cut = {"sites": [["U", 3], ["M", 3], ["L", 3]]}
+    for _ in range(2):
+        with pytest.raises(tl.Unrecoverable):
+            tl.reconfigure_for_defects(layout, tl.topology.defects_from_obj(cut))
+    defects = tmp_path / "defects.json"
+    defects.write_text(json.dumps(cut), encoding="utf-8")
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text('{"ops": [{"op": "meas", "cells": [[0, 0]]}]}', encoding="utf-8")
+    argv = ["schedule", "--config", cfg, "--circuit", str(circuit), "--defects", str(defects)]
+    errors = []
+    for _ in range(2):
+        assert main(argv) == 2
+        errors.append(json.loads(capsys.readouterr().err)["error"]["kind"])
+    assert errors == ["Unrecoverable", "Unrecoverable"]
 
 
 def _seeded_circuit(rng, rows, cols, n_ops, avoid=frozenset()):

@@ -762,3 +762,29 @@ def test_schedule_json_matches_json_dumps_oracle(rng_seed, rows, cols, loop, max
     assert summary == doc["summary"]
     if not ops:
         assert '"ticks": []' in text and '"waveforms_per_tick": []' in text
+
+
+def test_schedule_json_writes_sub_rows_escapes_and_long_ints():
+    """Writer branches the oracle test cannot reach, as compile rejects
+    m_rows > 1: sub-row sites in ops and initial positions, a freq class
+    that needs escaping, and cells of 20-digit ints or of other JSON values."""
+    big = 10**19 + 7
+    up1, up2 = SiteCoord(Row.UPPER, 3, 1), SiteCoord(Row.UPPER, 3, 2)
+    mid, low = SiteCoord(Row.MIDDLE, 3), SiteCoord(Row.LOWER, 2**66, 1)
+    schedule = Schedule(ops=(
+        ScheduledOp((big, 2), MicroOp(MicroOpKind.VERTICAL_TRANSFER, (up1, up2)), 0,
+                    signals=frozenset({"shuttle_phase_1@up"})),
+        ScheduledOp((big, 2), MicroOp(MicroOpKind.SINGLE_QUBIT_PULSE, (up2,), 4, 'b"\u00e9',
+                                      [1.5, None]), 1, signals=frozenset({"one_qubit_drive"})),
+        ScheduledOp((-big, 0), MicroOp(MicroOpKind.TWO_QUBIT_GATE, (mid, low), 2), 1,
+                    partner=(big, -2**70), signals=frozenset({"two_qubit_pulse"})),
+        ScheduledOp((True, 2.5), MicroOp(MicroOpKind.READOUT, (low,), 10), 0,
+                    signals=frozenset({"readout_pulse"})),
+    ), makespan=10, initial_positions=(((big, 2), up1), ((-big, 0), mid), ((big, -2**70), low)))
+    seed = 2**64
+    text, summary = sch.schedule_to_json(schedule, seed)
+    doc = schedule_document(schedule)
+    assert text == json.dumps(doc | {"seed": seed}, sort_keys=True, indent=2) + "\n"
+    assert summary == doc["summary"]
+    assert [p["site"] for p in doc["initial_positions"]] == [["U", 3, 1], ["M", 3],
+                                                             ["L", 2**66, 1]]
