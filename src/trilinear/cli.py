@@ -15,13 +15,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Optional
 
 from . import metrics, protocol, router, scheduler, topology
-from .config import RunConfig, load_config
+from .config import RunConfig, _load_json_file, load_config
 from .errors import CircuitError, ConfigError, TrilinearError
 from .topology import SCHEMA_VERSION
 
@@ -35,26 +34,6 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
-
-
-def _load_json_file(path: str, what: str):
-    def reject(name: str):
-        raise ConfigError(f"{what} {path}: {name} is not a JSON number")
-
-    def finite(text: str) -> float:
-        if math.isinf(value := float(text)):  # 1e400; json.dumps would write Infinity
-            raise ConfigError(f"{what} {path}: {text} is not a finite number")
-        return value
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=reject, parse_float=finite)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {path} line {exc.lineno}: {exc.msg}") from exc
-    except (RecursionError, ValueError) as exc:  # too deep, a 5000-digit int, not UTF-8
-        raise ConfigError(f"{what} {path}: {exc}") from exc
 
 
 def _load_defects(path: Optional[str], layout) -> topology.DefectMap:

@@ -131,15 +131,33 @@ def config_from_json(doc: dict) -> RunConfig:
     )
 
 
-def load_config(path: str | Path, seed: Optional[int] = None) -> RunConfig:
-    """Read a config file; a given `seed` overrides the file's, checked alike."""
+def _load_json_file(path: str | Path, what: str, finite: bool = True):
+    """The JSON document in a file, or ConfigError naming `what` and the file:
+    unreadable, not UTF-8, not JSON, too deep, a 5000-digit int, or (with
+    `finite`) NaN, Infinity or 1e400, which a config leaves to its field checks."""
+    def reject(name: str):
+        raise ConfigError(f"{what} {path}: {name} is not a JSON number")
+
+    def finite_float(text: str) -> float:
+        if math.isinf(value := float(text)):  # 1e400; json.dumps would write Infinity
+            raise ConfigError(f"{what} {path}: {text} is not a finite number")
+        return value
+
+    hooks = {"parse_constant": reject, "parse_float": finite_float} if finite else {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh, **hooks)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} line {exc.lineno}: {exc.msg}") from exc
+        raise ConfigError(f"{what} {path} line {exc.lineno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # too deep, a 5000-digit int, not UTF-8
+        raise ConfigError(f"{what} {path}: {exc}") from exc
+
+
+def load_config(path: str | Path, seed: Optional[int] = None) -> RunConfig:
+    """Read a config file; a given `seed` overrides the file's, checked alike."""
+    doc = _load_json_file(path, "config", finite=False)
     if seed is not None and isinstance(doc, dict):
         doc = {**doc, "seed": seed}
     return config_from_json(doc)

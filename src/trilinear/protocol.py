@@ -185,9 +185,7 @@ def readout(
     layout = state.layout
     home = state.position[qubit]
     target = _nearest_sensor(layout, fixture, home, defects)
-    path = _row_walk(layout, home, target, defects)
-    if path is None:
-        path = router.shortest_shuttle_path(layout, home, target, defects)
+    path = router.shortest_shuttle_path(layout, home, target, defects)
 
     ops: list[MicroOp] = []
     for a, b in zip(path, path[1:]):
@@ -222,32 +220,6 @@ def _nearest_sensor(layout: TrilinearLayout, fixture: ReadoutFixture, home: Site
     if best is None:
         raise Partitioned("no usable sensor dot reachable for readout")
     return SiteCoord(home.row, best[1], home.subrow)
-
-
-def _row_walk(layout: TrilinearLayout, home: SiteCoord, target: SiteCoord,
-              defects: DefectMap) -> Optional[list[SiteCoord]]:
-    """The straight walk along the row from `home` to `target`, which is then
-    the one shortest path; None when the general search must decide: a dead
-    dot or dead barrier is in the way, or the two ways round a loop tie."""
-    if home == target:
-        return [home]
-    distance = layout.axis_distance(home.axis, target.axis)
-    if layout.loop:
-        ahead = (target.axis - home.axis) % layout.length
-        if 2 * ahead == layout.length:
-            return None
-        delta = 1 if ahead == distance else -1
-    else:
-        delta = 1 if target.axis > home.axis else -1
-    if defects.is_dead(home):
-        return None
-    path = [home]
-    for _ in range(distance):
-        site = SiteCoord(home.row, layout.step_axis(path[-1].axis, delta), home.subrow)
-        if defects.is_dead(site) or defects.barrier_dead(path[-1], site):
-            return None
-        path.append(site)
-    return path
 
 
 # ----------------------------------------------------------------------

@@ -192,6 +192,11 @@ def shortest_shuttle_path(
 
     Deterministic: ties prefer Middle-row travel, then the lower axis
     index. Raises Partitioned when no path exists.
+
+    The walk along a row (and sub-row) that src and dst share is the one
+    shortest path, as each step changes the axis by at most one, unless a dead
+    site, blocked site or dead barrier is in its way or a loop's two ways tie;
+    it steps over lattice ids, so like the search it allocates no new site.
     """
     blocked = frozenset(blocked)
     for end in (src, dst):
@@ -204,6 +209,20 @@ def shortest_shuttle_path(
     sites, index, neighbors = layout.lattice
     dead, cut = _defect_ids(layout, defects)
     start, goal = index[src], index[dst]
+    ahead = (dst.axis - src.axis) % layout.length if layout.loop else dst.axis - src.axis
+    if (src.row is dst.row and src.subrow == dst.subrow
+            and not (layout.loop and 2 * ahead == layout.length)):
+        delta = 1 if ahead == layout.axis_distance(src.axis, dst.axis) else -1
+        stride = 1 if src.row is Row.MIDDLE else layout.m_rows  # id step per axis step (`lattice`)
+        path, axis = [start], src.axis
+        while path[-1] != goal:
+            axis = (axis + delta) % layout.length
+            i = start + (axis - src.axis) * stride
+            if i in dead or (path[-1], i) in cut or (blocked and sites[i] in blocked):
+                break
+            path.append(i)
+        else:
+            return [sites[i] for i in path]
     # parent[i]: -1 unreached, -2 unusable, else the id that reached i.
     parent = [-1] * len(sites)
     for i in dead:

@@ -39,8 +39,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
+from itertools import count
 from operator import attrgetter, itemgetter
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import CircuitError, MuxInfeasible, UnsupportedPair
 from .router import (
@@ -540,6 +541,18 @@ class Violation:
     message: str
 
 
+def _overlaps(spans: list[tuple]) -> Iterator[tuple[tuple, tuple]]:
+    """Sort `spans` (tuples led by a first and an end tick) and yield each pair
+    (earlier, later) where the later starts before the earlier ends."""
+    spans.sort()
+    reach = -math.inf
+    for j, later in enumerate(spans):
+        if later[0] < reach:  # it overlaps some earlier span
+            yield from ((earlier, later) for earlier in spans[:j] if later[0] < earlier[1])
+        if later[1] > reach:
+            reach = later[1]
+
+
 def validate_schedule(
     schedule: Schedule,
     layout: TrilinearLayout,
@@ -557,154 +570,153 @@ def validate_schedule(
     the schedule carries. The replay runs to the later of the makespan and
     the last op's end, so an understated makespan hides no other violation.
 
-    Sites are replayed as `layout.lattice` ids; a site outside the layout
-    gets an id past the lattice's, so it is out of bounds exactly when its
-    id is at least the number of lattice sites.
+    Ops are replayed as records of ints (position in `schedule.ops`, ticks,
+    `layout.lattice` site ids, qubit indices in cell order) that the garbage
+    collector stops tracking at its first pass; a site outside the layout gets
+    an id past the lattice's, which marks it out of bounds. What an op's kind
+    and end sites decide is worked out once per (kind, first id, last id).
     """
     defects.validate_against(layout)
-    n = len(layout.lattice.sites)
-    neighbors = layout.lattice.neighbors
-    ids = dict(layout.lattice.index)
+    n, neighbors = len(layout.lattice.sites), layout.lattice.neighbors
+    ids = defaultdict(count(n).__next__, layout.lattice.index)  # new sites get new ids
     dead, cut = _defect_ids(layout, defects)
     violations: list[Violation] = []
     report = violations.append
     horizon = makespan = schedule.makespan  # the replay runs to the last op's end
-    homes = {cell: ids.setdefault(site, len(ids)) for cell, site in schedule.initial_positions}
+    homes = {cell: ids[site] for cell, site in schedule.initial_positions}
 
-    # Per op: its site ids, bounds, defects and the neighbour rule.
-    chains = defaultdict(list)  # qubit -> (start, end, is move, first id, last id, op)
-    moves = defaultdict(list)   # id pair -> (start, schedule position, end, src id, dst id, op)
-    gates = []                  # (start, end, partner site id, op)
-    deltas = defaultdict(list)  # tick -> (signal set, 1 where it starts or -1 where it ends)
-    for position, sop in enumerate(schedule.ops):
-        op, start = sop.op, sop.start_tick
-        kind = op.kind
-        end = start + op.duration_ticks
+    # Per op: bounds and dead checks of every site, then its edge facts.
+    facts = {}                  # (kind, first id, last id) -> (set bit, is move, edge, problems)
+    chains = defaultdict(list)  # qubit -> (start, end, position, first id, last id, is move)
+    moves = defaultdict(list)   # edge -> the same records of the moves over it
+    gates = []                  # (start, end, partner site id, position)
+    deltas = defaultdict(list)  # tick -> set bit where an op starts, minus it where one ends
+    for position, (qubit, op, start, _, _) in enumerate(schedule.ops):
+        kind, op_sites, duration, _, _ = op
+        end = start + duration
         if start < 0:
-            report(Violation("bounds", start, f"{kind.value} of qubit {sop.qubit} starts at "
+            report(Violation("bounds", start, f"{kind.value} of qubit {qubit} starts at "
                                               f"tick {start}, before tick 0"))
         if end > makespan:
             horizon = max(horizon, end)
-            report(Violation("bounds", start, f"{kind.value} of qubit {sop.qubit} ends at "
+            report(Violation("bounds", start, f"{kind.value} of qubit {qubit} ends at "
                                               f"tick {end}, past the makespan {makespan}"))
-        site_ids = [ids.setdefault(site, len(ids)) for site in op.sites]
-        for site, i in zip(op.sites, site_ids):
-            if i >= n:
+        for site in op_sites:  # leaves b at the last site's id
+            b = ids[site]
+            if b >= n:
                 report(Violation("bounds", start, f"site {site} outside layout"))
-            elif i in dead:
+            elif b in dead:
                 report(Violation("dead_site", start, f"op visits dead site {site}"))
-        a, b = site_ids[0], site_ids[-1]
-        move = kind is _HORIZONTAL or kind is _VERTICAL
-        gate = kind is _GATE
+        a = ids[op_sites[0]]
+        fact = facts.get((kind, a, b))
+        if fact is None:
+            src, dst = op_sites[0], op_sites[-1]
+            move = kind is _HORIZONTAL or kind is _VERTICAL
+            problems = []
+            if move and (a, b) in cut:
+                problems.append(("dead_barrier", f"move crosses dead barrier {src}-{dst}"))
+            in_row = src.row is dst.row and src.subrow == dst.subrow
+            if (move or kind is _GATE) and a < n and b < n and b not in neighbors[a]:
+                problems.append(("adjacency", f"{kind.value} {src}-{dst} joins sites that "
+                                              "are not neighbours"))
+            elif move and a < n and b < n and in_row != (kind is _HORIZONTAL):
+                problems.append(("adjacency", f"{kind.value} {src}-{dst} "
+                                              f"{'stays in' if in_row else 'leaves'} its row"))
+            fact = facts[kind, a, b] = (_SET_BIT[signals_for_op(layout, op)], move,
+                                        (a, b) if a < b else (b, a), tuple(problems))
+        bit, move, edge, problems = fact
+        for word, message in problems:
+            report(Violation(word, start, message))
+        record = (start, end, position, a, b, move)
+        chains[qubit].append(record)
         if move:
-            if (a, b) in cut:
-                report(Violation("dead_barrier", start,
-                                 f"move crosses dead barrier {op.src}-{op.dst}"))
-            moves[(a, b) if a < b else (b, a)].append((start, position, end, a, b, sop))
-        elif gate:
-            gates.append((start, end, b, sop))
-        if (move or gate) and a < n and b < n:
-            in_row = op.src.row is op.dst.row and op.src.subrow == op.dst.subrow
-            if b not in neighbors[a]:
-                problem = "joins sites that are not neighbours"
-            elif move and in_row != (kind is _HORIZONTAL):
-                problem = "stays in its row" if in_row else "leaves its row"
-            else:
-                problem = None
-            if problem:
-                report(Violation("adjacency", start,
-                                 f"{kind.value} {op.src}-{op.dst} {problem}"))
-        chains[sop.qubit].append((start, end, move, a, b, sop))
-        sigs = signals_for_op(layout, op)
-        deltas[start].append((sigs, 1))
-        deltas[end].append((sigs, -1))
+            moves[edge].append(record)
+        elif kind is _GATE:
+            gates.append((start, end, ids[op_sites[1]], position))
+        deltas[start].append(bit)
+        deltas[end].append(-bit)
     names = list(ids)  # id -> site
+    cells = sorted(chains.keys() | homes.keys())  # qubit index -> cell
 
-    # Per qubit: chain order, and the intervals in which it holds each site.
-    # `holds` has every hold of each site; `parked` has each qubit's holds of
-    # one site, the only ones in which it can be a gate partner.
-    holds = defaultdict(list)  # site id -> (first tick, end tick, qubit)
-    parked = {}                # qubit -> (first tick, end tick, site id)
-    for cell, chain in chains.items():
+    # Per qubit: chain order, and the intervals in which it holds each site. A
+    # move holds both; only in a hold of one site is a qubit parked (a partner).
+    holds = defaultdict(list)  # site id -> (first tick, end tick, qubit index, parked)
+    for q, cell in enumerate(cells):
+        chain = chains.get(cell, [])
         if cell not in homes:
             report(Violation("order", chain[0][0],
                              f"qubit {cell} has ops but no initial position"))
             continue
-        spans = parked[cell] = []
-        chain.sort(key=itemgetter(0))
-        cur, t = homes[cell], min(0, chain[0][0])  # an op before tick 0 is a bounds violation
-        for start, end, move, a, b, sop in chain:
+        chain.sort(key=itemgetter(0))  # by start tick, then schedule position
+        cur, t = homes[cell], min(0, chain[0][0]) if chain else 0  # t < 0: a bounds violation
+        for start, end, position, a, b, move in chain:
             if start < t:
                 report(Violation("order", 0, f"qubit {cell}: op at tick {start} overlaps "
                                              "the previous op"))
             if start > t:
-                spans.append((t, start, cur))
+                holds[cur].append((t, start, q, True))
             if a != cur:
-                what = "move at tick {} starts" if move else sop.op.kind.value + " at tick {} acts"
+                what = ("move at tick {} starts" if move
+                        else schedule.ops[position].op.kind.value + " at tick {} acts")
                 report(Violation("order", 0, f"qubit {cell}: {what.format(start)} at {names[a]}, "
                                              f"qubit is at {names[cur]}"))
             if move and a != b:
-                holds[a].append((start, end, cell))
-                holds[b].append((start, end, cell))
+                holds[a].append(hold := (start, end, q, False))
+                holds[b].append(hold)
             else:
-                spans.append((start, end, a))
-            if move:
-                cur = b
-            t = max(t, end)
-        if t < horizon:
-            spans.append((t, horizon, cur))
-        for t0, t1, i in spans:
-            holds[i].append((t0, t1, cell))
-    for cell, i in homes.items():
-        if cell not in chains:
-            holds[i].append((0, horizon, cell))
-            parked[cell] = [(0, horizon, i)]
+                holds[a].append((start, end, q, True))
+            cur = b if move else cur
+            if end > t:
+                t = end
+        if t < horizon or not chain:  # an idle qubit holds its home even at makespan 0
+            holds[cur].append((t, horizon, q, True))
 
     # Occupancy: two different qubits holding one site at overlapping times.
     for i, spans in holds.items():
-        spans.sort()
-        for k, (_, a1, qa) in enumerate(spans):
-            for j in range(k + 1, len(spans)):
-                b0, _, qb = spans[j]
-                if b0 >= a1:
-                    break
-                if qa != qb:
-                    report(Violation("occupancy", b0, f"qubits {qa} and {qb} both hold "
-                                                      f"{names[i]} around tick {b0}"))
+        for (_, _, qa, _), (b0, _, qb, _) in _overlaps(spans):
+            if qa != qb:
+                report(Violation("occupancy", b0, f"qubits {cells[qa]} and {cells[qb]} both "
+                                                  f"hold {names[i]} around tick {b0}"))
 
     # Gate partners must sit at the partner site for the whole gate.
-    for start, end, b, sop in gates:
-        if sop.partner is None:
+    for start, end, b, position in gates:
+        partner = schedule.ops[position].partner
+        if partner is None:
             report(Violation("order", start, "gate op without a partner qubit"))
-        elif not any(t0 <= start and end <= t1 and i == b
-                     for t0, t1, i in parked.get(sop.partner, ())):
-            report(Violation("order", start, f"partner {sop.partner} not parked at "
-                                             f"{sop.op.sites[1]} during gate"))
+        elif not any(t0 <= start and end <= t1 and parked and cells[q] == partner
+                     for t0, t1, q, parked in holds.get(b, ())):
+            report(Violation("order", start, f"partner {partner} not parked at "
+                                             f"{names[b]} during gate"))
 
     # Swap-throughs: moves over one site pair in opposite directions at
-    # overlapping times, scanned in start order. The move earlier in the
-    # schedule names the qubits and the sites.
+    # overlapping times. The move earlier in the schedule names the qubits
+    # and the sites.
     for pair in moves.values():
-        pair.sort()
-        for k, (s0, p, e0, a, b, x) in enumerate(pair):
-            for j in range(k + 1, len(pair)):
-                s1, q, e1, c, d, y = pair[j]
-                if s1 >= e0:
-                    break
-                if s0 < e1 and a == d and b == c:
-                    first, second = (x, y) if p < q else (y, x)
-                    report(Violation("swap", s1, f"qubits {first.qubit} and {second.qubit} "
-                                     f"swap through {first.op.src}-{first.op.dst}"))
+        for (s0, _, p, a, b, _), (s1, e1, q, c, d, _) in _overlaps(pair):
+            if s0 < e1 and a == d and b == c:
+                first, second = (schedule.ops[k] for k in sorted((p, q)))
+                report(Violation("swap", s1, f"qubits {first.qubit} and {second.qubit} "
+                                 f"swap through {first.op.src}-{first.op.dst}"))
 
     # Waveform budget over the segments between op boundaries. Each op drives
-    # one fixed signal set, so the live signals are the union of the sets
-    # with a positive count.
-    running = defaultdict(int)
+    # one fixed signal set, so the live signals are the sets that more ops
+    # have started than ended, and their problems depend on that mask alone.
+    running = dict.fromkeys(_SET_BIT.values(), 0)  # set bit -> ops started minus ended
+    live, problems_of = 0, {}  # the bits with a positive count; live mask -> problems
     for t in sorted(deltas):
-        for sigs, sign in deltas[t]:
-            running[sigs] += sign
-        live = set().union(*(sigs for sigs, count in running.items() if count > 0))
-        violations.extend(Violation("mux", t, msg) for msg in _mux_problems(live, mux))
+        for bit in deltas[t]:
+            if bit > 0:
+                running[bit] += 1
+                if running[bit] == 1:
+                    live |= bit
+            else:
+                running[-bit] -= 1
+                if running[-bit] == 0:
+                    live ^= -bit
+        if live not in problems_of:
+            problems_of[live] = _mux_problems(
+                set().union(*(sigs for sigs, bit in _SET_BIT.items() if live & bit)), mux)
+        violations.extend(Violation("mux", t, msg) for msg in problems_of[live])
 
     violations.sort(key=lambda v: (v.tick, v.kind, v.message))
     return violations

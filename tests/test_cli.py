@@ -380,6 +380,23 @@ def test_inputs_the_json_reader_rejects_exit_1(param, cfg, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    b"[" * 100_000 + b"]" * 100_000,             # past the decoder's recursion limit
+    b'{"seed": ' + b"9" * 5000 + b"}",            # past the int conversion limit
+    b'{"grid": {"rows": 4, "cols": 4}, "x": "\xe9"}',  # a Latin-1 byte, not UTF-8
+], ids=["deep", "huge_int", "latin1"])
+def test_configs_the_json_reader_rejects_exit_1(text, tmp_path, capsys):
+    """The config was read with a bare json.load, so `map --config` ended in
+    a raw RecursionError, ValueError or UnicodeDecodeError traceback on
+    each; it now goes through the reader that circuit and defects files use."""
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    assert main(["map", "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "ConfigError"
+    assert err["message"].startswith(f"config {path}: ")
+
+
 @pytest.mark.parametrize("command, text, code, kind, message", [
     ("schedule", '{"ops": ["1q"]}', 2, "CircuitError", "op 0: expected an object whose cells are"),
     ("schedule", '{"ops": [{"op": "2q", "cells": [[0, 0], [1]]}]}', 2, "CircuitError",

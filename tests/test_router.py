@@ -126,6 +126,43 @@ def test_path_identical_to_reference_bfs(query):
             == _path_or_error(reference_path, *query))
 
 
+@st.composite
+def row_queries(draw):
+    """Two usable sites on one row and sub-row (the Middle row included, and
+    loops where the two ways round tie at half the length), with dead
+    sites, blocked sites and dead barriers drawn mostly on that row, so
+    that the straight walk is sometimes clear and sometimes cut."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(2, 9))
+    m_rows, loop = draw(st.integers(1, min(3, cols))), draw(st.booleans())
+    lay = tl.map_to_trilinear(tl.GridSpec(rows, cols), loop=loop, m_rows=m_rows)
+    row = draw(st.sampled_from(list(Row)))
+    sub = 0 if row is Row.MIDDLE else draw(st.integers(0, m_rows - 1))
+    line = [SiteCoord(row, axis, sub) for axis in range(lay.length)]
+    src = draw(st.sampled_from(line))
+    if loop and lay.length % 2 == 0 and draw(st.booleans()):
+        dst = SiteCoord(row, (src.axis + lay.length // 2) % lay.length, sub)
+    else:
+        dst = draw(st.sampled_from(line))
+    pool = [s for s in line if s not in (src, dst)] * 3
+    pool += [s for s in lay.sites() if s not in (src, dst)]
+    dead = draw(st.lists(st.sampled_from(pool), max_size=2))
+    blocked = draw(st.lists(st.sampled_from(pool), max_size=2))
+    steps = [(a, b) for a in line for b in lay.site_neighbors(a) if b in line]
+    barriers = draw(st.lists(st.sampled_from(steps), max_size=2)) if steps else []
+    return lay, src, dst, DefectMap.of(sites=dead, barriers=barriers), blocked
+
+
+@given(row_queries())
+@settings(max_examples=400, deadline=None)
+def test_row_walk_identical_to_reference_bfs(query):
+    """Between two sites of one row the router may take the straight walk
+    without a search; it must still return the reference BFS's path, or
+    raise its error, when a dead site, a blocked site or a dead barrier is
+    in the way, or the two ways round a loop tie."""
+    assert (_path_or_error(tl.shortest_shuttle_path, *query)
+            == _path_or_error(reference_path, *query))
+
+
 # ----------------------------------------------------------------------
 # Vertical gate plans
 

@@ -237,20 +237,35 @@ def _compiled_case(rng, rows, cols, loop, n_dead, n_barriers, n_ops, n_ac, coexi
     return layout, defects, mux, circuit, schedule
 
 
+_EDGE_KINDS = (MicroOpKind.HORIZONTAL_STEP, MicroOpKind.VERTICAL_TRANSFER,
+               MicroOpKind.TWO_QUBIT_GATE)
+
+
 def _tamper(rng, schedule, layout, defects):
     """The schedule with one random corruption: a start shifted, a move
     retargeted to any site, a gate partner changed or dropped, a dead or
     out-of-layout site or a dead barrier swapped in, an op deleted, a qubit
-    renamed, or an initial position dropped."""
+    renamed, an initial position dropped, a move or gate given another of
+    those kinds on the same sites, or a third site appended to a move or
+    gate."""
     ops, homes = list(schedule.ops), list(schedule.initial_positions)
     moves = [i for i, s in enumerate(ops) if s.op.is_move]
     gates = [i for i, s in enumerate(ops) if s.op.kind is MicroOpKind.TWO_QUBIT_GATE]
     cells = list(layout.grid.cells())
     outside = [SiteCoord(Row.MIDDLE, layout.length), SiteCoord(Row.UPPER, -1),
                SiteCoord(Row.LOWER, 0, 1)]
-    kind = rng.choice(("shift", "retarget", "partner", "site", "delete", "rename", "home"))
+    kind = rng.choice(("shift", "retarget", "partner", "site", "delete", "rename", "home",
+                       "kind", "extra"))
     i = rng.randrange(len(ops)) if ops else None
-    if kind == "retarget" and moves:
+    if kind in ("kind", "extra") and (moves or gates):
+        i = rng.choice(moves + gates)
+        op = ops[i].op
+        if kind == "kind":
+            op = op._replace(kind=rng.choice([k for k in _EDGE_KINDS if k is not op.kind]))
+        else:
+            op = op._replace(sites=(*op.sites, rng.choice([*layout.sites(), *outside])))
+        ops[i] = ops[i]._replace(op=op)
+    elif kind == "retarget" and moves:
         i = rng.choice(moves)
         sites = list(ops[i].op.sites)
         sites[rng.randrange(2)] = rng.choice(list(layout.sites()))
@@ -296,6 +311,35 @@ def test_validator_matches_sitecoord_oracle(rng_seed, rows, cols, loop, n_dead, 
         schedule = _tamper(rng, schedule, layout, defects)
     violations = validate_schedule(schedule, layout, defects, mux)
     event("violations" if violations else "clean")
+    assert violations == oracle_validate(schedule, layout, defects, mux)
+
+
+def test_validator_matches_oracle_on_a_large_tampered_schedule():
+    """A compiled 16x16 schedule with several corruptions validates to
+    exactly the oracle's list. Three idle qubits are then parked on one
+    site, so that their holds tie on both ticks and the order of the qubits
+    in each occupancy message rests on cell order alone."""
+    rng = random.Random(1618)
+    layout, defects, mux, _, schedule = _compiled_case(rng, 16, 16, True, 2, 2, 120, 5, False)
+    for _ in range(8):
+        schedule = _tamper(rng, schedule, layout, defects)
+    violations = validate_schedule(schedule, layout, defects, mux)
+    assert {v.kind for v in violations} >= {"occupancy", "order"}
+    assert violations == oracle_validate(schedule, layout, defects, mux)
+
+    homes = dict(schedule.initial_positions)
+    busy = {s.qubit for s in schedule.ops}
+    idle = sorted((cell for cell in homes if cell not in busy), key=lambda c: (-c[1], c[0]))
+    for cell in idle[1:3]:
+        homes[cell] = homes[idle[0]]
+    schedule = replace(schedule, initial_positions=tuple(homes.items()))
+    violations = validate_schedule(schedule, layout, defects, mux)
+    site = homes[idle[0]]
+    first, second, third = sorted(idle[:3])
+    tied = [v.message for v in violations
+            if v.kind == "occupancy" and f"hold {site} " in v.message]
+    assert tied == [f"qubits {a} and {b} both hold {site} around tick 0"
+                    for a, b in ((first, second), (first, third), (second, third))]
     assert violations == oracle_validate(schedule, layout, defects, mux)
 
 
