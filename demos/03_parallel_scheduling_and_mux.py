@@ -40,7 +40,7 @@ print("violations in the compiled schedule:",
 # Waveform accounting: both movers share the four conveyor phases, and the
 # peak distinct-class count is the schedule's AC input requirement.
 usage = sch.waveform_usage(pair)
-print(f"distinct waveform classes per tick: {usage.distinct_per_tick}")
+print(f"distinct waveform classes per tick: {tuple(map(len, usage.per_tick))}")
 print(f"AC inputs required: {usage.max_distinct}")
 
 # Tightening the AC budget never speeds a schedule up.

@@ -6,8 +6,9 @@ stderr when a pipeline error occurs (exit 1 for config/input problems,
 exit 2 for routing/scheduling errors such as a partitioned array).
 
 `main` may run many times in one process: the parser, recent layouts (with
-their lattices) and reconfigurations are built on first use, not at import,
-and reused, as they are frozen or only read; a call that raises caches nothing.
+their lattices), reconfigurations and half-filled placements are built on
+first use, not at import, and reused, as they are frozen or only read; a
+call that raises caches nothing.
 """
 
 from __future__ import annotations
@@ -101,67 +102,74 @@ def simulate_texts(circuit: scheduler.Circuit, layout: topology.TrilinearLayout,
 
     Both are written as text in one pass. The bytes are those of one
     json.dumps(event, sort_keys=True) per line and of json.dumps(report,
-    sort_keys=True, indent=2) + "\n"; each distinct site and event kind is
-    encoded once per call, and every float goes through json.dumps. Each
-    gate entry carries its target's virtual-Z frame after the gate; its
-    `net_phase`, the frame less the correction software applies, is 0.0.
+    sort_keys=True, indent=2) + "\n". Each gate entry carries its target's
+    virtual-Z frame after the gate; its `net_phase`, the frame less the
+    correction software applies, is 0.0.
+
+    Every op returns its qubit home, so a qubit's gates (or readouts) share
+    one plan per call: the protocol op and audit run once, and a repeat only
+    writes its ticks and folds its frame. Plans are keyed by (cell, is gate):
+    the rotation reaches only the pulse's `param`, which nothing here reads.
     """
     state = protocol.init_half_filled(layout, defects)
-    frames: dict[int, float] = {}
-    lines: list[str] = []
-    gates: list[str] = []
-    all_ok = True
-    tick = 0
-    encoded: dict = {}
-
-    def _log_ops(ops, qubit) -> None:
-        nonlocal tick
-        for op in ops:
-            kind, site = op.kind, op.dst
-            kind_text = encoded.get(kind) or encoded.setdefault(kind, json.dumps(kind.value))
-            site_text = encoded.get(site) or encoded.setdefault(
-                site, json.dumps(topology.site_to_obj(site)))
-            lines.append(f'{{"event": {kind_text}, "qubit": {qubit}, '
-                         f'"site": {site_text}, "tick": {tick}}}\n')
-            tick += op.duration_ticks
-
-    def _ints(values) -> str:
-        return scheduler._block("[]", [str(v) for v in values], 3)
-
+    # A plan: each event line's text up to its tick value, that tick's offset,
+    # the ticks, the folded hop phases, the qubit and, for a gate, the entry's
+    # texts around its frame and op index; tuples the collector stops tracking.
+    plans, frames, lines, gates = {}, {}, [], []
+    sites: dict = {}  # site -> (its event text from the site key on, its hop phase)
+    all_ok, tick = True, 0
     for index, cop in enumerate(circuit.ops):
         if isinstance(cop, scheduler.TwoQubit):
-            raise CircuitError(
-                f"op {index}: two-qubit ops are outside the half-filled "
-                "protocol simulator; use the schedule command"
-            )
-        site = layout.grid_to_site(cop.cell)
-        qubit = state.qubit_at(site)
-        if qubit is None:
-            raise CircuitError(
-                f"op {index}: cell {cop.cell} maps to {site}, which hosts no qubit "
-                "in the half-filled scheme (bare or dead dot)"
-            )
-        gate = isinstance(cop, scheduler.OneQubit)
-        if gate:
-            ops = protocol.addressed_single_qubit_gate(state, qubit, cop.rotation, defects,
-                                                       durations)
-        else:
-            ops = protocol.readout(state, qubit, fixture, defects, durations)
-        frame = frames[qubit] = protocol.advance_frame(frames.get(qubit, 0.0), ops, phases)
-        if gate:
-            report = protocol.audit_addressed_gate(state, qubit, ops)
-            all_ok = all_ok and report.ok
-            gates.append(scheduler._block("{}", [
-                f'"bystanders": {_ints(sorted(report.bystanders))}',
-                f'"cell": {_ints(cop.cell)}',
-                f'"frame_phase": {json.dumps(frame)}',
-                '"net_phase": 0.0',
-                f'"ok": {json.dumps(report.ok)}',
-                f'"op_index": {index}',
-                f'"rotated": {_ints(sorted(report.rotated))}',
-                f'"target": {qubit}',
-            ], 2))
-        _log_ops(ops, qubit)
+            raise CircuitError(f"op {index}: two-qubit ops are outside the half-filled "
+                               "protocol simulator; use the schedule command")
+        key = (cop.cell, isinstance(cop, scheduler.OneQubit))
+        if key not in plans:
+            if not layout.grid.contains(cop.cell):
+                raise CircuitError(f"op {index}: cell {cop.cell} outside grid")
+            site = layout.grid_to_site(cop.cell)
+            qubit = state.qubit_at(site)
+            if qubit is None:
+                raise CircuitError(f"op {index}: cell {cop.cell} maps to {site}, which hosts "
+                                   "no qubit in the half-filled scheme (bare or dead dot)")
+            entry = None
+            if key[1]:
+                ops = protocol.addressed_single_qubit_gate(state, qubit, cop.rotation, defects,
+                                                           durations)
+                report = protocol.audit_addressed_gate(state, qubit, ops)
+                all_ok = all_ok and report.ok
+                entry = tuple(scheduler._block("{}", [
+                    f'"bystanders": {scheduler._ints_text(sorted(report.bystanders), 3)}',
+                    f'"cell": {scheduler._ints_text(cop.cell, 3)}',
+                    '"frame_phase": \0',
+                    '"net_phase": 0.0',
+                    f'"ok": {"true" if report.ok else "false"}',
+                    '"op_index": \0',
+                    f'"rotated": {scheduler._ints_text(sorted(report.rotated), 3)}',
+                    f'"target": {qubit}',
+                ], 2).split("\0"))
+            else:
+                ops = protocol.readout(state, qubit, fixture, defects, durations)
+            heads, offsets, hops, offset = [], [], [], 0
+            for op in ops:
+                dst = op.dst
+                known = sites.get(dst)
+                if known is None:  # site_to_obj(dst) as text, as scheduler._site_text writes it
+                    known = sites[dst] = (', "site": [{}], "tick": '.format(", ".join(
+                        [scheduler._ROW_TEXT[dst.row], *map(str, dst[1:3 if dst.subrow else 2])])),
+                        phases.folded_hop_phase(dst))
+                heads.append(f'{{"event": {scheduler._KIND_TEXT[op.kind]}, "qubit": {qubit}'
+                             + known[0])
+                offsets.append(offset)
+                offset += op.duration_ticks
+                if op.is_move:
+                    hops.append(known[1])
+            plans[key] = (tuple(heads), tuple(offsets), offset, tuple(hops), qubit, entry)
+        heads, offsets, ticks, hops, qubit, entry = plans[key]
+        lines += [f"{head}{tick + off}}}\n" for head, off in zip(heads, offsets)]
+        tick += ticks
+        frame = frames[qubit] = protocol.add_hops(frames.get(qubit, 0.0), hops)
+        if entry is not None:
+            gates.append(f"{entry[0]}{json.dumps(frame)}{entry[1]}{index}{entry[2]}")
 
     report_text = scheduler._block("{}", [
         f'"all_ok": {json.dumps(all_ok)}',
@@ -179,12 +187,10 @@ def cmd_simulate(config: RunConfig, args) -> int:
     events, report = simulate_texts(circuit, layout, defects, config.fixture(layout),
                                     config.phases, config.durations)
     _emit(events, args.out)
-    if args.report is not None:
-        _emit(report, args.report)
-    elif args.out is not None:
-        _emit(report, str(Path(args.out).with_suffix(".report.json")))
-    else:
-        sys.stdout.write(report)
+    report_path = args.report
+    if report_path is None and args.out is not None:
+        report_path = str(Path(args.out).with_suffix(".report.json"))
+    _emit(report, report_path)
     return 0
 
 

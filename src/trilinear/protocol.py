@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from . import router
@@ -49,8 +49,12 @@ class PhaseConfig:
     hop_phase_magnet: float = 0.0
     hop_phase_bare: float = 0.0
 
-    def hop_phase(self, cls: SiteClass) -> float:
-        return self.hop_phase_magnet if cls is SiteClass.MAGNET else self.hop_phase_bare
+    def folded_hop_phase(self, site: SiteCoord) -> float:
+        """The phase of a hop onto `site`, that of its class, folded into
+        [0, 2π), so that a phase near the float limit neither overflows nor
+        absorbs the frame it is added to."""
+        magnet = site_class(site) is SiteClass.MAGNET
+        return (self.hop_phase_magnet if magnet else self.hop_phase_bare) % TWO_PI
 
 
 @dataclass(frozen=True)
@@ -77,26 +81,30 @@ class ArrayState:
         return self.occupancy.get(site)
 
 
+@lru_cache(maxsize=8)
 def init_half_filled(layout: TrilinearLayout, defects: DefectMap = NO_DEFECTS) -> ArrayState:
     """Place one qubit on every alive magnet-class outer dot.
 
     Qubit ids count up the Upper row by axis and sub-row, then the Lower
-    row. Bare dots and the whole Middle row start empty.
+    row. Bare dots and the whole Middle row start empty. Cached on the
+    frozen (layout, defects): the state is only ever read, never changed.
     """
     sites = (site for site in layout.outer_sites()
              if site_class(site) is SiteClass.MAGNET and not defects.is_dead(site))
     return ArrayState(layout, dict(enumerate(sites)))
 
 
+def add_hops(frame: float, hops: Iterable[float]) -> float:
+    """A virtual-Z frame, in [0, 2π), after hops of the folded phases `hops`."""
+    for h in hops:
+        frame = (frame + h) % TWO_PI
+    return frame
+
+
 def advance_frame(frame: float, ops: Iterable[MicroOp], phases: PhaseConfig) -> float:
     """A qubit's virtual-Z frame, in [0, 2π), after the hops among `ops`:
-    each hop adds the phase of its destination's class. The hop phase is
-    folded into [0, 2π) before it is added, so that a phase near the float
-    limit neither overflows nor absorbs the frame."""
-    for op in ops:
-        if op.is_move:
-            frame = (frame + phases.hop_phase(site_class(op.dst)) % TWO_PI) % TWO_PI
-    return frame
+    each takes `phases.folded_hop_phase` of its destination."""
+    return add_hops(frame, [phases.folded_hop_phase(op.dst) for op in ops if op.is_move])
 
 
 def _pulse_op(target_class: SiteClass, rotation, site: SiteCoord,
@@ -124,18 +132,16 @@ def addressed_single_qubit_gate(
     if site_class(home) is not SiteClass.MAGNET:
         raise NoAdjacentEmpty(f"qubit {qubit} is not parked on a magnet-class dot")
     layout = state.layout
-    target: Optional[SiteCoord] = None
     for delta in (1, -1):
         axis = layout.step_axis(home.axis, delta)
         if axis is None:
             continue
-        cand = SiteCoord(home.row, axis, home.subrow)
-        if (site_class(cand) is SiteClass.BARE and not defects.is_dead(cand)
-                and not defects.barrier_dead(home, cand)
-                and state.qubit_at(cand) is None):
-            target = cand
+        target = SiteCoord(home.row, axis, home.subrow)
+        if (site_class(target) is SiteClass.BARE and not defects.is_dead(target)
+                and not defects.barrier_dead(home, target)
+                and state.qubit_at(target) is None):
             break
-    if target is None:
+    else:
         raise NoAdjacentEmpty(f"no free bare dot next to qubit {qubit} at {home}")
     return [move_op(home, target, durations),
             _pulse_op(SiteClass.BARE, rotation, target, durations),
@@ -187,14 +193,10 @@ def readout(
     target = _nearest_sensor(layout, fixture, home, defects)
     path = router.shortest_shuttle_path(layout, home, target, defects)
 
-    ops: list[MicroOp] = []
-    for a, b in zip(path, path[1:]):
-        ops.append(move_op(a, b, durations))
-    ops.append(MicroOp(MicroOpKind.READOUT, (target,), durations.readout))
     back = path[::-1]
-    for a, b in zip(back, back[1:]):
-        ops.append(move_op(a, b, durations))
-    return ops
+    return ([move_op(a, b, durations) for a, b in zip(path, path[1:])]
+            + [MicroOp(MicroOpKind.READOUT, (target,), durations.readout)]
+            + [move_op(a, b, durations) for a, b in zip(back, back[1:])])
 
 
 def _nearest_sensor(layout: TrilinearLayout, fixture: ReadoutFixture, home: SiteCoord,
@@ -264,11 +266,5 @@ def replay_rotations(state: ArrayState, ops: Iterable[MicroOp]) -> dict[int, set
 
 def audit_addressed_gate(state: ArrayState, qubit: QubitId,
                          ops: Iterable[MicroOp]) -> AddressabilityReport:
-    rotated_by_pulse = replay_rotations(state, ops)
-    rotated: set[QubitId] = set()
-    for qubits in rotated_by_pulse.values():
-        rotated |= qubits
-    return AddressabilityReport(
-        intended=frozenset({qubit}),
-        rotated=frozenset(rotated),
-    )
+    rotated = frozenset().union(*replay_rotations(state, ops).values())
+    return AddressabilityReport(intended=frozenset({qubit}), rotated=rotated)

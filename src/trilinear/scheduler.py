@@ -289,10 +289,6 @@ class WaveformUsage:
     per_tick: tuple[frozenset[Signal], ...]
 
     @property
-    def distinct_per_tick(self) -> tuple[int, ...]:
-        return tuple(map(len, self.per_tick))
-
-    @property
     def max_distinct(self) -> int:
         return max(map(len, self.per_tick), default=0)
 

@@ -393,9 +393,14 @@ def simulate_texts(circuit, layout, defects, fixture, phases, durations) -> tupl
 
     from trilinear import protocol, scheduler
     from trilinear.errors import CircuitError
-    from trilinear.topology import site_class, site_to_obj
+    from trilinear.topology import site_to_obj
 
-    state = protocol.init_half_filled(layout, defects)
+    # One qubit per alive magnet (even-axis) outer dot, numbered up the Upper
+    # row by axis and sub-row, then the Lower row; built here, not cached.
+    outer = (SiteCoord(row, axis, sub) for row in (Row.UPPER, Row.LOWER)
+             for axis in range(layout.length) for sub in range(layout.m_rows))
+    state = protocol.ArrayState(layout, dict(enumerate(
+        site for site in outer if site.axis % 2 == 0 and not defects.is_dead(site))))
     events, gates, frames = [], [], {}
     tick = 0
 
@@ -406,10 +411,15 @@ def simulate_texts(circuit, layout, defects, fixture, phases, durations) -> tupl
                            "event": op.kind.value})
             tick += op.duration_ticks
             if op.is_move:
-                hop = phases.hop_phase(site_class(op.dst)) % (2 * math.pi)
+                # A hop onto an even axis (a magnet dot) takes the magnet phase.
+                phase = phases.hop_phase_bare if op.dst.axis % 2 else phases.hop_phase_magnet
+                hop = phase % (2 * math.pi)
                 frames[qubit] = (frames.get(qubit, 0.0) + hop) % (2 * math.pi)
 
     def qubit_for(cell, index):
+        rows, cols = layout.grid.rows, layout.grid.cols
+        if not (0 <= cell[0] < rows and 0 <= cell[1] < cols):
+            raise CircuitError(f"op {index}: cell {cell} outside grid")
         site = layout.grid_to_site(cell)
         qubit = state.qubit_at(site)
         if qubit is None:

@@ -201,6 +201,24 @@ def test_simulate_rejects_two_qubit_ops(cfg, tmp_path, capsys):
     assert err["error"]["kind"] == "CircuitError"
 
 
+@pytest.mark.parametrize("cell", [[9, 9], [-1, 0]])
+def test_simulate_names_the_op_of_a_cell_outside_the_grid(cell, tmp_path, capsys):
+    """simulate used to exit with InvalidGrid and no op index; it now gives
+    the CircuitError that schedule gives."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"grid": {"rows": 4, "cols": 4}, "loop": True}), encoding="utf-8")
+    circ = tmp_path / "circ.json"
+    circ.write_text(json.dumps({"ops": [{"op": "1q", "cells": [[0, 0]], "param": "x90"},
+                                        {"op": "meas", "cells": [cell]}]}), encoding="utf-8")
+    errors = []
+    for command in ("schedule", "simulate"):
+        code = main([command, "--config", str(cfg), "--circuit", str(circ),
+                     "--out", str(tmp_path / "out.json")])
+        errors.append((code, json.loads(capsys.readouterr().err)))
+    message = f"op 1: cell {tuple(cell)} outside grid"
+    assert errors == [(2, {"error": {"kind": "CircuitError", "message": message}})] * 2
+
+
 def test_sweep_reference_points(cfg, capsys):
     assert main(["sweep", "--config", cfg, "--n", "100,10000,1000000"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -1,6 +1,7 @@
 """Half-filled initialization, global-drive addressability, readout."""
 
 import copy
+import json
 import math
 
 import pytest
@@ -319,3 +320,74 @@ def test_simulate_texts_match_reference(case, picks, spacing, magnet, bare):
     args = (sch.Circuit(tuple(ops)), layout, defects, _fixture(layout, spacing), PhaseConfig(magnet, bare),
             tl.Durations())
     assert _outcome(simulate_texts, *args) == _outcome(_oracles.simulate_texts, *args)
+
+
+# Rotations as a circuit file may give them: only the pulse's `param` holds
+# one, and a list or dict is not hashable.
+_PARAMS = ("x90", None, 0.5, [1, 2], {"theta": 1})
+
+
+@given(_defective_layouts(), st.integers(0, 10**6),
+       st.lists(st.tuples(st.integers(0, 3), st.sampled_from((*_PARAMS, "meas"))), max_size=30),
+       st.sampled_from(_PHASES), st.sampled_from(_PHASES))
+@settings(max_examples=100, deadline=None)
+def test_simulate_plans_match_reference(case, start, picks, magnet, bare):
+    """Ops on at most three cells, so most of them repeat a plan of their
+    (qubit, kind), with rotations that change from op to op; pick 3 is a
+    cell outside the grid. Byte for byte, or the same error."""
+    layout, defects, state = case
+    cells = sorted(layout.grid.cells())
+    hosted = [c for c in cells if state.qubit_at(layout.grid_to_site(c)) is not None] or cells
+    pool = [hosted[(start + i) % len(hosted)] for i in range(3)] + [(layout.grid.rows, 0)]
+    ops = [sch.Measure(pool[k]) if param == "meas" else sch.OneQubit(pool[k], param)
+           for k, param in picks]
+    args = (sch.Circuit(tuple(ops)), layout, defects, _fixture(layout, 4), PhaseConfig(magnet, bare),
+            tl.Durations())
+    assert _outcome(simulate_texts, *args) == _outcome(_oracles.simulate_texts, *args)
+
+
+def test_repeated_gates_plan_once_and_keep_their_frames(lay44_loop, monkeypatch):
+    """k gates on one qubit run the protocol gate once, yet each reports its
+    own frame; k readouts run the readout once."""
+    calls = {"gate": 0, "readout": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(proto, "addressed_single_qubit_gate",
+                        counted("gate", proto.addressed_single_qubit_gate))
+    monkeypatch.setattr(proto, "readout", counted("readout", proto.readout))
+    k = len(_PARAMS)
+    ops = [sch.OneQubit((0, 0), param) for param in _PARAMS] + [sch.Measure((0, 0))] * k
+    _, report = simulate_texts(sch.Circuit(tuple(ops)), lay44_loop, DefectMap.of(),
+                               ReadoutFixture.from_spacing(lay44_loop), PhaseConfig(0.0, 0.37),
+                               tl.Durations())
+    assert calls == {"gate": 1, "readout": 1}
+    frames = [g["frame_phase"] for g in json.loads(report)["gates"]]
+    assert len(frames) == len(set(frames)) == k
+
+
+def test_simulate_over_defect_maps_in_turn_matches_reference():
+    """The cached placement of one defect map never serves another: maps A,
+    B, then A again, in one process."""
+    layout = tl.map_to_trilinear(tl.GridSpec(4, 6), loop=True)
+    u2, u4 = SiteCoord(Row.UPPER, 2), SiteCoord(Row.UPPER, 4)
+    # Cells on magnet dots alive in both maps; the qubit ids past U2 differ.
+    sites = {cell: layout.grid_to_site(cell) for cell in sorted(layout.grid.cells())}
+    ops = tuple(op for cell, site in sites.items() if site.axis % 2 == 0 and site not in (u2, u4)
+                for op in (sch.OneQubit(cell, "x90"), sch.Measure(cell)))
+    a, b = DefectMap.of(sites=[u2]), DefectMap.of(sites=[u4])
+    for defects in (a, b, a):
+        args = (sch.Circuit(ops), layout, defects, ReadoutFixture.from_spacing(layout),
+                PhaseConfig(0.3, 0.5), tl.Durations())
+        assert _outcome(simulate_texts, *args) == _outcome(_oracles.simulate_texts, *args)
+
+
+def test_placement_is_cached_per_layout_and_defects(lay44_loop):
+    dead = DefectMap.of(sites=[SiteCoord(Row.UPPER, 0)])
+    state = proto.init_half_filled(lay44_loop, dead)
+    assert proto.init_half_filled(lay44_loop, dead) is state
+    assert proto.init_half_filled(lay44_loop) is not state
