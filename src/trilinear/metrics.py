@@ -221,10 +221,9 @@ def footprint_estimate(
         raise ConfigError("footprint parameters must be positive")
     core_length_um = layout.length * layout.pitch_nm / 1000.0
     n_rows = 2 * layout.m_rows + 1
-    n_sites = layout.length * n_rows
     if fanout_rows is None:
         tsvs_per_row = max(1, int(core_length_um // tsv_pitch_um))
-        wires_per_side = -(-n_sites * GATES_PER_SITE // 2)
+        wires_per_side = -(-layout.n_sites * GATES_PER_SITE // 2)
         fanout_rows = -(-wires_per_side // tsvs_per_row)
     core_width_um = n_rows * layout.pitch_nm / 1000.0
     return FootprintEstimate(

@@ -10,8 +10,8 @@ Routing is occupancy-blind: only dead sites, dead barriers and the sites
 the caller explicitly blocks constrain a path. Collisions between
 concurrently moving qubits are the scheduler's concern.
 
-Path search and the reconfiguration flood run over `layout.lattice`'s
-internal int site ids, whose ascending order is the tie-break, and so does
+Path search and the reconfiguration flood run over the layout's int site
+ids (see `topology`), whose ascending order is the tie-break, and so does
 the schedule validator; `SiteCoord` stays at the API and in JSON.
 
 Step accounting: `horizontal_steps` counts HorizontalStep micro-ops only;
@@ -174,11 +174,10 @@ def _defect_ids(layout: TrilinearLayout,
                 defects: DefectMap) -> tuple[set[int], set[tuple[int, int]]]:
     """Ids of the dead sites, and cut id pairs both ways, inside the layout.
     Path search, reconfiguration and the schedule validator share it."""
-    index = layout.lattice.index
-    dead = {index[s] for s in defects.dead_sites if s in index}
-    cut = {(index[a], index[b]) for pair in defects.dead_barriers
-           for a, b in (pair, pair[::-1]) if a in index and b in index}
-    return dead, cut
+    site_id, inside = layout.site_id, layout.in_bounds
+    dead = {site_id(s) for s in defects.dead_sites if inside(s)}
+    cut = {(site_id(a), site_id(b)) for a, b in defects.dead_barriers if inside(a) and inside(b)}
+    return dead, cut | {(j, i) for i, j in cut}
 
 
 def shortest_shuttle_path(
@@ -196,7 +195,7 @@ def shortest_shuttle_path(
     The walk along a row (and sub-row) that src and dst share is the one
     shortest path, as each step changes the axis by at most one, unless a dead
     site, blocked site or dead barrier is in its way or a loop's two ways tie;
-    it steps over lattice ids, so like the search it allocates no new site.
+    it steps over site ids, so like the search it allocates no new site.
     """
     blocked = frozenset(blocked)
     for end in (src, dst):
@@ -206,43 +205,41 @@ def shortest_shuttle_path(
             raise Partitioned(f"path endpoint {end} is unusable")
     if src == dst:
         return [src]
-    sites, index, neighbors = layout.lattice
+    site, neighbor_ids = layout.id_site, layout.neighbor_ids
     dead, cut = _defect_ids(layout, defects)
-    start, goal = index[src], index[dst]
+    start, goal = layout.site_id(src), layout.site_id(dst)
     ahead = (dst.axis - src.axis) % layout.length if layout.loop else dst.axis - src.axis
     if (src.row is dst.row and src.subrow == dst.subrow
             and not (layout.loop and 2 * ahead == layout.length)):
         delta = 1 if ahead == layout.axis_distance(src.axis, dst.axis) else -1
-        stride = 1 if src.row is Row.MIDDLE else layout.m_rows  # id step per axis step (`lattice`)
+        stride = 1 if src.row is Row.MIDDLE else layout.m_rows  # id step per axis step
         path, axis = [start], src.axis
         while path[-1] != goal:
             axis = (axis + delta) % layout.length
             i = start + (axis - src.axis) * stride
-            if i in dead or (path[-1], i) in cut or (blocked and sites[i] in blocked):
+            if i in dead or (path[-1], i) in cut or (blocked and site(i) in blocked):
                 break
             path.append(i)
         else:
-            return [sites[i] for i in path]
-    # parent[i]: -1 unreached, -2 unusable, else the id that reached i.
-    parent = [-1] * len(sites)
-    for i in dead:
-        parent[i] = -2
+            return [site(i) for i in path]
+    # parent[i]: -1 unusable, else the id that reached i; unreached ids are absent.
+    parent = dict.fromkeys(dead, -1)
     parent[start] = start
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for nb in neighbors[cur]:
-            if parent[nb] != -1 or (cur, nb) in cut:
+        for nb in neighbor_ids(cur):
+            if nb in parent or (cur, nb) in cut:
                 continue
-            if blocked and sites[nb] in blocked:
-                parent[nb] = -2
+            if blocked and site(nb) in blocked:
+                parent[nb] = -1
                 continue
             parent[nb] = cur
             if nb == goal:
                 path = [goal]
                 while path[-1] != start:
                     path.append(parent[path[-1]])
-                return [sites[i] for i in reversed(path)]
+                return [site(i) for i in reversed(path)]
             queue.append(nb)
     raise Partitioned(f"no shuttle path from {src} to {dst}")
 
@@ -449,36 +446,40 @@ def reconfigure_for_defects(layout: TrilinearLayout,
     sacrificed. The rule is local: a dot with a live link to the Middle
     row is never repurposed, so the repurposed dots never offer a way into
     the Middle row and repurposing one dot cannot restore access for
-    another. Raises Unrecoverable when the defects sever the alive lattice
-    between surviving qubits. Cached on the frozen (layout, defects); errors are not.
+    another, and the stranded dots follow from the defect list alone. Raises
+    Unrecoverable when the defects sever the alive lattice between surviving
+    qubits; with no defects nothing is looked at. Cached on the frozen
+    (layout, defects); errors are not.
     """
     _require_single_row(layout)
     defects.validate_against(layout)
-    sites, index, neighbors = layout.lattice
+    if not defects.dead_sites and not defects.dead_barriers:
+        return Reconfiguration(frozenset(), frozenset())
     dead, cut = _defect_ids(layout, defects)
-    # Outer ids follow the Middle row's, and a Middle id is its axis.
-    repurposed = {i for i in range(layout.length, len(sites)) if i not in dead and (
-        sites[i].axis in dead or (i, sites[i].axis) in cut)}
-
-    homes = {cell: index[layout.grid_to_site(cell)] for cell in layout.grid.cells()}
-    sacrificed = {cell for cell, i in homes.items() if i in dead or i in repurposed}
-    survivors = [i for cell, i in homes.items() if cell not in sacrificed]
+    # Outer ids follow the Middle row's, so a Middle id's outer neighbours are
+    # past it, and with one outer row a side each is at the Middle site's axis.
+    n, site, neighbor_ids = layout.length, layout.id_site, layout.neighbor_ids
+    repurposed = {j for i in dead if i < n for j in neighbor_ids(i) if j >= n}
+    repurposed = (repurposed | {j for i, j in cut if i < n <= j}) - dead
+    sacrificed = {cell for i in (*dead, *repurposed) if (cell := layout.site_to_grid(site(i)))}
+    survivors = [layout.site_id(layout.grid_to_site(cell)) for cell in layout.grid.cells()
+                 if cell not in sacrificed]
 
     # Survivors must share one alive-lattice component: flood from each
     # survivor not yet reached. Dead sites start out reached.
-    reached = [i in dead for i in range(len(sites))]
+    reached = set(dead)
     components = 0
     for i in survivors:
-        if reached[i]:
+        if i in reached:
             continue
         components += 1
-        reached[i] = True
+        reached.add(i)
         stack = [i]
         while stack:
             cur = stack.pop()
-            for nb in neighbors[cur]:
-                if not reached[nb] and (cur, nb) not in cut:
-                    reached[nb] = True
+            for nb in neighbor_ids(cur):
+                if nb not in reached and (cur, nb) not in cut:
+                    reached.add(nb)
                     stack.append(nb)
     if components > 1:
         raise Unrecoverable(
@@ -487,6 +488,6 @@ def reconfigure_for_defects(layout: TrilinearLayout,
         )
 
     return Reconfiguration(
-        repurposed_sites=frozenset(sites[i] for i in repurposed),
+        repurposed_sites=frozenset(map(site, repurposed)),
         sacrificed_qubits=frozenset(sacrificed),
     )

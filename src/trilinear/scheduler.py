@@ -63,6 +63,7 @@ from .topology import (
     SCHEMA_VERSION,
     Cell,
     DefectMap,
+    _Memo,
     Row,
     SiteCoord,
     TrilinearLayout,
@@ -322,7 +323,7 @@ class _Job:
     # that drive one signal set, e.g. a whole shuttle leg.
     runs: list[tuple[int, int, int]]
     total_ticks: int
-    corridor: int   # bitmask over layout.lattice ids
+    corridor: int   # bitmask over site ids
 
 
 def _build_job(index: int, ops: list[MicroOp], layout: TrilinearLayout,
@@ -330,7 +331,7 @@ def _build_job(index: int, ops: list[MicroOp], layout: TrilinearLayout,
     offsets: list[int] = []
     op_signals: list[frozenset[Signal]] = []
     runs: list[tuple[int, int, int]] = []
-    ids = layout.lattice.index
+    site_id = layout.site_id
     corridor = extra_bits
     tick = 0
     for op in ops:
@@ -344,8 +345,8 @@ def _build_job(index: int, ops: list[MicroOp], layout: TrilinearLayout,
         else:
             runs.append((tick, end, bit))
         tick = end
-        for site in op.sites:
-            corridor |= 1 << ids[site]
+    for site in {site for op in ops for site in op.sites}:
+        corridor |= 1 << site_id(site)
     return _Job(index=index, participants=participants, ops=ops, op_signals=op_signals,
                 offsets=offsets, runs=runs, total_ticks=tick, corridor=corridor)
 
@@ -407,7 +408,6 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     cells = circuit.cells()
     homes = {cell: layout.grid_to_site(cell) for cell in cells}
     occupied = set(homes.values())
-    ids = layout.lattice.index
 
     jobs: list[_Job] = []
     for index, cop in enumerate(circuit.ops):
@@ -430,7 +430,7 @@ def compile(  # noqa: A001 - mirrors re.compile naming
             # The partner's home is in the corridor, so the partner's next
             # job cannot start before this one ends.
             jobs.append(_build_job(index, list(plan.ops), layout, (mover, partner),
-                                   1 << ids[homes[partner]]))
+                                   1 << layout.site_id(homes[partner])))
 
     for job in jobs:
         for op, need in zip(job.ops, job.op_signals):
@@ -567,14 +567,15 @@ def validate_schedule(
     the last op's end, so an understated makespan hides no other violation.
 
     Ops are replayed as records of ints (position in `schedule.ops`, ticks,
-    `layout.lattice` site ids, qubit indices in cell order) that the garbage
-    collector stops tracking at its first pass; a site outside the layout gets
-    an id past the lattice's, which marks it out of bounds. What an op's kind
-    and end sites decide is worked out once per (kind, first id, last id).
+    site ids, qubit indices in cell order) that the garbage collector stops
+    tracking at its first pass; a site outside the layout gets an id past the
+    layout's, which marks it out of bounds. What an op's kind and end sites
+    decide is worked out once per (kind, first id, last id).
     """
     defects.validate_against(layout)
-    n, neighbors = len(layout.lattice.sites), layout.lattice.neighbors
-    ids = defaultdict(count(n).__next__, layout.lattice.index)  # new sites get new ids
+    n, outside = layout.n_sites, count(layout.n_sites)
+    # Site -> id; a site outside the layout gets the next id past the layout's.
+    ids = _Memo(lambda site: layout.site_id(site) if layout.in_bounds(site) else next(outside))
     dead, cut = _defect_ids(layout, defects)
     violations: list[Violation] = []
     report = violations.append
@@ -612,7 +613,7 @@ def validate_schedule(
             if move and (a, b) in cut:
                 problems.append(("dead_barrier", f"move crosses dead barrier {src}-{dst}"))
             in_row = src.row is dst.row and src.subrow == dst.subrow
-            if (move or kind is _GATE) and a < n and b < n and b not in neighbors[a]:
+            if (move or kind is _GATE) and a < n and b < n and b not in layout.neighbor_ids(a):
                 problems.append(("adjacency", f"{kind.value} {src}-{dst} joins sites that "
                                               "are not neighbours"))
             elif move and a < n and b < n and in_row != (kind is _HORIZONTAL):
@@ -631,7 +632,7 @@ def validate_schedule(
             gates.append((start, end, ids[op_sites[1]], position))
         deltas[start].append(bit)
         deltas[end].append(-bit)
-    names = list(ids)  # id -> site
+    names = {i: site for site, i in ids.items()}
     cells = sorted(chains.keys() | homes.keys())  # qubit index -> cell
 
     # Per qubit: chain order, and the intervals in which it holds each site. A

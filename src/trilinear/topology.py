@@ -17,6 +17,11 @@ Coordinate conventions (fixed for the whole package):
 With m_rows = M > 1 each outer row becomes M stacked sub-rows and each
 grid row occupies an axis block of ceil(C/M) instead of C, compressing
 the shuttle distance accordingly.
+
+Site ids: on a layout of length n, a Middle site's id is its axis, an Upper
+site's is n + axis*M + subrow and a Lower site's is n + n*M + axis*M + subrow.
+The ids are dense in [0, n*(2M+1)), and ascending ids are the router's
+tie-break order. They are arithmetic, so nothing array-sized is built.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import InvalidGrid, InvalidSite
 
@@ -116,12 +121,18 @@ def neighbors_2d(grid: GridSpec, cell: Cell) -> list[Cell]:
     return out
 
 
-class Lattice(NamedTuple):
-    """A layout's sites by dense int id, and each site's neighbour ids."""
+class _Memo(dict):
+    """A dict that fills itself: looking up a missing key stores and returns
+    `build(key)`, so it holds only the keys looked up, and a hit is a plain
+    dict lookup."""
 
-    sites: tuple[SiteCoord, ...]
-    index: dict[SiteCoord, int]
-    neighbors: tuple[tuple[int, ...], ...]
+    def __init__(self, build: Callable) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
 @dataclass(frozen=True)
@@ -192,15 +203,17 @@ class TrilinearLayout:
             axis %= self.length
         return SiteCoord(Row.LOWER, axis, sub)
 
-    @cached_property
-    def _cells_by_site(self) -> dict[SiteCoord, Cell]:
-        return {self.grid_to_site(cell): cell for cell in self.grid.cells()}
-
     def site_to_grid(self, site: SiteCoord) -> Optional[Cell]:
         """Inverse mapping; None for Middle sites and unmapped outer dots."""
         if not self.in_bounds(site):
             raise InvalidSite(f"site {site} outside layout")
-        return self._cells_by_site.get(site)
+        lower = site.row is Row.LOWER
+        # Undo the Lower row's shift; on a loop the shifted axis wrapped.
+        axis = site.axis - self.shift * lower
+        block, off = divmod(axis % self.length if self.loop else axis, self.block_width)
+        r, c = 2 * block + lower, site.subrow * self.block_width + off
+        mapped = site.row is not Row.MIDDLE and 0 <= r < self.grid.rows and c < self.grid.cols
+        return (r, c) if mapped else None
 
     # ------------------------------------------------------------------
     # site lattice
@@ -235,40 +248,60 @@ class TrilinearLayout:
         d = abs(a - b)
         return min(d, self.length - d) if self.loop else d
 
+    @property
+    def n_sites(self) -> int:
+        return self.length * (2 * self.m_rows + 1)
+
+    def site_id(self, site: SiteCoord) -> int:
+        """The id of a site in bounds (see the module docstring)."""
+        if site.row is Row.MIDDLE:
+            return site.axis
+        base = self.length if site.row is Row.UPPER else self.length * (1 + self.m_rows)
+        return base + site.axis * self.m_rows + site.subrow
+
+    @cached_property
+    def id_site(self) -> Callable[[int], SiteCoord]:
+        """`id_site(i)`: the site with id `i`. Like `neighbor_ids`, it keeps what
+        it computes, so a path over ids allocates no new site per step."""
+        n, m = self.length, self.m_rows
+
+        def id_site(i: int) -> SiteCoord:
+            if not 0 <= i < n * (2 * m + 1):
+                raise InvalidSite(f"site id {i} outside layout")
+            if i < n:
+                return SiteCoord(Row.MIDDLE, i)
+            row = Row.UPPER if i < n + n * m else Row.LOWER
+            return SiteCoord(row, *divmod(i - n - (n * m if row is Row.LOWER else 0), m))
+        return _Memo(id_site).__getitem__
+
+    @cached_property
+    def neighbor_ids(self) -> Callable[[int], tuple[int, ...]]:
+        """`neighbor_ids(i)`: ids of the sites adjacent to id `i`, ascending: one
+        axis step along its row and sub-row (wrapping on loops), and at its
+        axis one row or sub-row transfer inwards and outwards."""
+        n, m, loop, id_site = self.length, self.m_rows, self.loop, self.id_site
+
+        def neighbor_ids(i: int) -> tuple[int, ...]:
+            row, axis, sub = id_site(i)
+            if row is Row.MIDDLE:  # out to sub-row 0 of both outer rows
+                stride, ids = 1, {n + i * m, n + n * m + i * m}
+            else:  # in to the Middle row or the inner sub-row, out to the next
+                stride, ids = m, {i - 1 if sub else axis} | ({i + 1} if sub + 1 < m else set())
+            for a in (axis - 1, axis + 1):
+                a = a % n if loop else a
+                if 0 <= a < n and a != axis:
+                    ids.add(i + (a - axis) * stride)
+            return tuple(sorted(ids))
+        return _Memo(neighbor_ids).__getitem__
+
     def site_neighbors(self, site: SiteCoord) -> list[SiteCoord]:
-        """Lattice-adjacent sites, in ascending `lattice` id order."""
-        sites, index, neighbors = self.lattice
-        if site not in index:
+        """Lattice-adjacent sites, in ascending site id order."""
+        if not self.in_bounds(site):
             raise InvalidSite(f"site {site} outside layout")
-        return [sites[i] for i in neighbors[index[site]]]
+        return [self.id_site(i) for i in self.neighbor_ids(self.site_id(site))]
 
     def adjacent(self, a: SiteCoord, b: SiteCoord) -> bool:
         return b in self.site_neighbors(a)
-
-    @cached_property
-    def lattice(self) -> Lattice:
-        """Sites by dense int id in the router's tie-break order (Middle, where
-        id = axis, then Upper, then Lower; each by axis, then sub-row), and
-        each site's neighbours as ascending ids: one axis step along its row
-        and sub-row (wrapping on loops), and at its axis one row or sub-row
-        transfer inwards and outwards."""
-        n, m = self.length, self.m_rows
-        along = [sorted({self.step_axis(a, d) for d in (-1, 1)} - {a, None}) for a in range(n)]
-        sites, neighbors = [], []
-        for row, base, subrows in ((Row.MIDDLE, 0, 1), (Row.UPPER, n, m),
-                                   (Row.LOWER, n + n * m, m)):
-            for axis in range(n):
-                for sub in range(subrows):
-                    sites.append(SiteCoord(row, axis, sub))
-                    nbs = [base + a * subrows + sub for a in along[axis]]
-                    if row is Row.MIDDLE:
-                        nbs += (n + axis * m, n + n * m + axis * m)
-                    else:
-                        nbs.append(base + axis * m + sub - 1 if sub else axis)
-                        if sub + 1 < m:
-                            nbs.append(base + axis * m + sub + 1)
-                    neighbors.append(tuple(sorted(nbs)))
-        return Lattice(tuple(sites), {s: i for i, s in enumerate(sites)}, tuple(neighbors))
 
 
 def map_to_trilinear(

@@ -212,7 +212,7 @@ def tick_signal_names(schedule, layout) -> list[list[str]]:
 def site_neighbors(layout: TrilinearLayout, site: SiteCoord) -> list[SiteCoord]:
     """Lattice-adjacent sites: one axis step, one row/sub-row transfer.
 
-    The rule written out on coordinates; `layout.lattice` and
+    The rule written out on coordinates; `layout.neighbor_ids` and
     `layout.site_neighbors` must give the same sites."""
     if not layout.in_bounds(site):
         raise InvalidSite(f"site {site} outside layout")

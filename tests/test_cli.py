@@ -555,21 +555,28 @@ def test_repeated_main_calls_match_fresh_interpreters(tmp_path, capsys, monkeypa
     assert in_process[4] == in_process[0]
 
 
-def test_validate_leaves_the_shared_lattice_index_unchanged():
-    """Config layouts are shared across calls, so the validator must number
-    an out-of-layout site in a copy of the lattice index, not in the index."""
+def test_validate_numbers_outside_sites_within_one_call():
+    """Config layouts are shared across calls. The validator numbers a site
+    outside the layout past the layout's ids for that call only: a clean
+    schedule validated after it is clean, and a second outside site is named
+    as itself."""
     config = config_from_json({"grid": {"rows": 4, "cols": 4}})
     layout = config.layout()
-    index = dict(layout.lattice.index)
     schedule = tl.scheduler.compile(tl.Circuit((tl.OneQubit((0, 0), "x90"),)), layout)
     sop = schedule.ops[0]
-    far = tl.SiteCoord(tl.Row.MIDDLE, 99)
-    bad = tl.Schedule((sop._replace(op=sop.op._replace(sites=(far,))),), schedule.makespan,
-                      schedule.initial_positions)
-    violations = tl.scheduler.validate_schedule(bad, layout)
-    assert "site (M,99) outside layout" in [v.message for v in violations]
+    far, farther = tl.SiteCoord(tl.Row.MIDDLE, 99), tl.SiteCoord(tl.Row.UPPER, 98)
+    bad = tl.Schedule((sop._replace(op=sop.op._replace(sites=(far,))),
+                       sop._replace(op=sop.op._replace(sites=(farther,)),
+                                    start_tick=sop.end_tick)),
+                      2 * schedule.makespan, schedule.initial_positions)
+    first = [v.message for v in tl.scheduler.validate_schedule(bad, layout)]
+    assert tl.scheduler.validate_schedule(schedule, config.layout()) == []
+    assert "site (M,99) outside layout" in first
+    assert "site (U,98) outside layout" in first
+    for tick, site in ((0, "(M,99)"), (4, "(U,98)")):
+        assert (f"qubit (0, 0): single_qubit_pulse at tick {tick} acts at {site}, "
+                "qubit is at (U,0)") in first
     assert config.layout() is layout
-    assert layout.lattice.index == index
 
 
 def test_unrecoverable_defects_raise_on_every_call(cfg, tmp_path, capsys):

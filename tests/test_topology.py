@@ -134,18 +134,23 @@ def test_mapping_matches_definition(dims, loop, m):
 @example(dims=(1, 2), loop=True, m=1)    # length 2: both axis steps land on one site
 @example(dims=(2, 2), loop=True, m=1)
 @settings(max_examples=120, deadline=None)
-def test_lattice_table_matches_site_neighbors(dims, loop, m):
-    """Ids number the sites in the router's tie-break order, and each id's
-    neighbour tuple is the reference `site_neighbors` in that order,
-    self-steps and repeats dropped."""
+def test_site_ids_match_site_neighbors(dims, loop, m):
+    """Ids are dense in [0, n_sites) and number the sites in the router's
+    tie-break order, `id_site` inverts `site_id` and returns one object per
+    id, and each id's neighbour ids are the reference `site_neighbors` in
+    that order, self-steps and repeats dropped."""
     rows, cols = dims
     lay = tl.map_to_trilinear(tl.GridSpec(rows, cols), loop=loop, m_rows=min(m, cols))
-    lattice = lay.lattice
-    assert list(lattice.sites) == sorted(lay.sites(), key=bfs_key)
-    assert lattice.index == {site: i for i, site in enumerate(lattice.sites)}
-    assert len(lattice.neighbors) == len(lattice.sites)
-    for site, nbs in zip(lattice.sites, lattice.neighbors):
-        assert [lattice.sites[i] for i in nbs] == sorted(site_neighbors(lay, site), key=bfs_key)
+    order = sorted(lay.sites(), key=bfs_key)
+    assert [lay.site_id(site) for site in order] == list(range(lay.n_sites))
+    for site in order:
+        i = lay.site_id(site)
+        assert lay.id_site(i) == site and lay.id_site(i) is lay.id_site(i)
+        assert [lay.id_site(j) for j in lay.neighbor_ids(i)] == sorted(
+            site_neighbors(lay, site), key=bfs_key)
+    for i in (-1, lay.n_sites):
+        with pytest.raises(tl.InvalidSite):
+            lay.id_site(i)
 
 
 @given(dims=st.tuples(st.integers(2, 12), st.integers(2, 12)))
@@ -265,7 +270,7 @@ def test_equal_sites_hash_equal():
 @pytest.mark.parametrize("m_rows", [1, 2])
 def test_every_lattice_site_round_trips_through_json(m_rows):
     layout = tl.map_to_trilinear(tl.GridSpec(5, 4), loop=True, m_rows=m_rows)
-    for site in layout.lattice.sites:
+    for site in layout.sites():
         obj = site_to_obj(site)
         assert site_from_obj(obj) == site
         assert site_to_obj(site_from_obj(obj)) == obj
