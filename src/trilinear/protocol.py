@@ -143,9 +143,9 @@ def addressed_single_qubit_gate(
             break
     else:
         raise NoAdjacentEmpty(f"no free bare dot next to qubit {qubit} at {home}")
-    return [move_op(home, target, durations),
+    return [move_op(home, target, durations, layout),
             _pulse_op(SiteClass.BARE, rotation, target, durations),
-            move_op(target, home, durations)]
+            move_op(target, home, durations, layout)]
 
 
 @dataclass(frozen=True)
@@ -192,11 +192,9 @@ def readout(
     home = state.position[qubit]
     target = _nearest_sensor(layout, fixture, home, defects)
     path = router.shortest_shuttle_path(layout, home, target, defects)
-
-    back = path[::-1]
-    return ([move_op(a, b, durations) for a, b in zip(path, path[1:])]
+    return (router._path_ops(layout, path, durations)
             + [MicroOp(MicroOpKind.READOUT, (target,), durations.readout)]
-            + [move_op(a, b, durations) for a, b in zip(back, back[1:])])
+            + router._path_ops(layout, path[::-1], durations))
 
 
 def _nearest_sensor(layout: TrilinearLayout, fixture: ReadoutFixture, home: SiteCoord,

@@ -8,7 +8,8 @@ partner (vertical adjacency), then retraces the leg and transfers home.
 
 Routing is occupancy-blind: only dead sites, dead barriers and the sites
 the caller explicitly blocks constrain a path. Collisions between
-concurrently moving qubits are the scheduler's concern.
+concurrently moving qubits are the scheduler's concern. A blocked set is
+used as given, not copied per op, and move micro-ops are shared per layout.
 
 Path search and the reconfiguration flood run over the layout's int site
 ids (see `topology`), whose ascending order is the tie-break, and so does
@@ -38,6 +39,7 @@ from .topology import (
     Row,
     SiteCoord,
     TrilinearLayout,
+    _Memo,
     site_from_obj,
     site_to_obj,
 )
@@ -139,12 +141,22 @@ class MicroOp(NamedTuple):
                    freq_class, obj.get("param"))
 
 
-def move_op(src: SiteCoord, dst: SiteCoord,
-            durations: Durations = DEFAULT_DURATIONS) -> MicroOp:
-    """Move micro-op between two adjacent sites, typed by geometry."""
+def move_op(src: SiteCoord, dst: SiteCoord, durations: Durations = DEFAULT_DURATIONS,
+            layout: Optional[TrilinearLayout] = None) -> MicroOp:
+    """Move micro-op between two adjacent sites, typed by geometry; given the
+    layout, the one op it shares for this edge and `durations`."""
+    if layout is not None:
+        return _moves(layout, durations)[src, dst]
     if src.row is dst.row and src.subrow == dst.subrow:
         return MicroOp(_HORIZONTAL, (src, dst), durations.horizontal_step)
     return MicroOp(_VERTICAL, (src, dst), durations.vertical_transfer)
+
+
+def _moves(layout: TrilinearLayout, durations: Durations) -> _Memo:
+    moves = layout.memos.get(durations)
+    if moves is None:  # each op keeps its key as its sites: one tuple per edge
+        moves = layout.memos[durations] = _Memo(lambda e: move_op(*e, durations)._replace(sites=e))
+    return moves
 
 
 def move_direction(layout: TrilinearLayout, op: MicroOp) -> str:
@@ -196,8 +208,9 @@ def shortest_shuttle_path(
     shortest path, as each step changes the axis by at most one, unless a dead
     site, blocked site or dead barrier is in its way or a loop's two ways tie;
     it steps over site ids, so like the search it allocates no new site.
+    A set `blocked` is used as given; another iterable is copied.
     """
-    blocked = frozenset(blocked)
+    blocked = blocked if isinstance(blocked, (set, frozenset)) else frozenset(blocked)
     for end in (src, dst):
         if not layout.in_bounds(end):
             raise InvalidSite(f"path endpoint {end} outside layout")
@@ -280,8 +293,9 @@ class ShuttlePlan:
         }
 
 
-def _path_ops(path: list[SiteCoord], durations: Durations) -> list[MicroOp]:
-    return [move_op(a, b, durations) for a, b in zip(path, path[1:])]
+def _path_ops(layout: TrilinearLayout, path: list[SiteCoord], durations: Durations) -> list:
+    moves = _moves(layout, durations)
+    return [moves[edge] for edge in zip(path, path[1:])]
 
 
 def _require_single_row(layout: TrilinearLayout) -> None:
@@ -303,12 +317,18 @@ def gate_shuttle_plan(
 
     Shape: transfer into the Middle row at the mover's own axis, shuttle
     to the partner's axis (detouring around defects), gate against the
-    partner from the adjacent site, retrace, transfer home.
+    partner from the adjacent site, retrace, transfer home. The path avoids
+    `blocked` less the mover's home plus the partner's; `blocked` is copied
+    (never changed) only when that differs from it.
     """
     _require_single_row(layout)
-    blocked = frozenset(blocked)
     mover_site = layout.grid_to_site(mover)
     partner_site = layout.grid_to_site(partner)
+    if (not isinstance(blocked, (set, frozenset)) or mover_site in blocked
+            or partner_site not in blocked):
+        blocked = set(blocked)
+        blocked.discard(mover_site)
+        blocked.add(partner_site)
     if defects.is_dead(mover_site) or defects.is_dead(partner_site):
         raise Partitioned(f"gate endpoint site is dead ({mover}, {partner})")
 
@@ -324,11 +344,11 @@ def gate_shuttle_plan(
     if defects.barrier_dead(gate_pos, partner_site):
         raise Partitioned(f"barrier at the gate site {gate_pos}-{partner_site} is dead")
 
-    path = [mover_site] + shortest_shuttle_path(
-        layout, entry, gate_pos, defects, blocked | {partner_site})
+    path = [mover_site] + shortest_shuttle_path(layout, entry, gate_pos, defects, blocked)
     gate = MicroOp(MicroOpKind.TWO_QUBIT_GATE, (gate_pos, partner_site),
                    durations.two_qubit_gate)
-    ops = tuple(_path_ops(path, durations) + [gate] + _path_ops(path[::-1], durations))
+    ops = tuple(_path_ops(layout, path, durations) + [gate]
+                + _path_ops(layout, path[::-1], durations))
     return ShuttlePlan(qubit=mover, ops=ops, shuttle_steps=2 * (len(path) - 2))
 
 

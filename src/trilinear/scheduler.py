@@ -20,8 +20,9 @@ on the end of an active job whose corridor it clashes with, or on a timer
 set past the ticks where its signals do not fit, and the clock jumps from
 event to event. The corridor reservation keeps movers from ever colliding,
 and whenever nothing is active the first unstarted job can start, so the
-sum of the op durations bounds the makespan. The independent validator
-re-derives all rules from the schedule alone.
+sum of the op durations bounds the makespan. The budget is checked in place on
+clash bytes per signal set, updated over each started job's span only. The
+independent validator re-derives all rules from the schedule alone.
 
 Waveform accounting: a signal is the name the schedule JSON prints for it.
 All conveyor movement in one direction shares one fixed set of four phased
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import count
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import CircuitError, MuxInfeasible, UnsupportedPair
@@ -352,37 +353,35 @@ def _build_job(index: int, ops: list[MicroOp], layout: TrilinearLayout,
 
 
 @lru_cache(maxsize=16)
-def _clash_tables(mux: MuxConfig) -> dict[int, bytes]:
-    """Per set bit, a bytes.translate table that maps a tick's byte of live
-    sets to 1 where adding that set breaks the AC budget, else 0."""
+def _clash_tables(mux: MuxConfig) -> dict[int, tuple[bytes, bytes]]:
+    """Per set bit, bytes.translate tables over a tick's byte of live sets: to 1
+    where adding that set breaks the AC budget (else 0), and to it with the set."""
     tables = {bit: bytearray(256) for bit in _SET_BIT.values()}
     for sets in range(1 << len(_SET_BIT)):
         live = set().union(*(sigs for sigs, bit in _SET_BIT.items() if sets & bit))
         for sigs, bit in _SET_BIT.items():
             tables[bit][sets] = bool(_mux_problems(live | sigs, mux))
-    return {bit: bytes(table) for bit, table in tables.items()}
+    return {bit: (bytes(t), bytes(sets | bit for sets in range(256))) for bit, t in tables.items()}
 
 
-def _earliest_fit(runs: list[tuple[int, int, int]], start: int, committed: bytearray,
-                  clashes: dict[int, bytes]) -> int:
+def _earliest_fit(runs: list[tuple[int, int, int]], start: int,
+                  clashes: dict[int, bytearray]) -> int:
     """The first start from `start` on at which no run's signals clash with
-    the ticks already committed. Ticks past the end of `committed` are empty;
-    `clashes[bit]` maps a tick's byte to 1 where adding set `bit` to it breaks
-    the AC budget."""
-    checked = 0  # runs in a row that fit at `start`
-    i = 0
-    while checked < len(runs):
+    the ticks already committed. `clashes[bit][t]` is 1 where adding set `bit`
+    to tick t breaks the AC budget, searched in place; later ticks are empty."""
+    n, checked, i = len(runs), 0, 0  # checked: runs in a row that fit at `start`
+    while checked < n:
         a, b, bit = runs[i]
-        i = (i + 1) % len(runs)
+        i = (i + 1) % n
         # The run needs b - a clash-free ticks in a row from tick start + a.
         # Committed signals only grow, so no start that keeps a clashing
         # tick inside the run can fit: skip to the first such gap.
-        clash = committed[start + a:].translate(clashes[bit])
-        gap = clash.find(bytes(b - a))
+        ticks, first = clashes[bit], start + a
+        gap = ticks.find(bytes(b - a), first)
         if gap < 0:
-            gap = clash.rfind(1) + 1
-        if gap:
-            start += gap
+            gap = ticks.rfind(1, first) + 1
+        if gap > first:
+            start += gap - first
             checked = 1
         else:
             checked += 1
@@ -411,20 +410,16 @@ def compile(  # noqa: A001 - mirrors re.compile naming
 
     jobs: list[_Job] = []
     for index, cop in enumerate(circuit.ops):
-        if isinstance(cop, OneQubit):
+        if not isinstance(cop, TwoQubit):
             site = homes[cop.cell]
-            mop = MicroOp(MicroOpKind.SINGLE_QUBIT_PULSE, (site,),
-                          durations.single_qubit_pulse,
-                          freq_class=site_class(site).value, param=cop.rotation)
-            jobs.append(_build_job(index, [mop], layout, (cop.cell,)))
-        elif isinstance(cop, Measure):
-            site = homes[cop.cell]
-            mop = MicroOp(MicroOpKind.READOUT, (site,), durations.readout)
+            mop = (MicroOp(MicroOpKind.SINGLE_QUBIT_PULSE, (site,), durations.single_qubit_pulse,
+                           freq_class=site_class(site).value, param=cop.rotation)
+                   if isinstance(cop, OneQubit) else
+                   MicroOp(MicroOpKind.READOUT, (site,), durations.readout))
             jobs.append(_build_job(index, [mop], layout, (cop.cell,)))
         else:
-            blocked = occupied - {homes[cop.cell_a], homes[cop.cell_b]}
-            plan = plan_two_qubit(layout, cop.cell_a, cop.cell_b, defects,
-                                  durations, blocked)
+            # The router leaves the mover's home out of `occupied` itself.
+            plan = plan_two_qubit(layout, cop.cell_a, cop.cell_b, defects, durations, occupied)
             mover = plan.qubit
             partner = cop.cell_b if mover == cop.cell_a else cop.cell_a
             # The partner's home is in the corridor, so the partner's next
@@ -464,8 +459,9 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     # Nothing else that a job is blocked on can change between events, so
     # this starts each job at the first tick at which it is admissible.
     committed = bytearray()              # the signal sets live at each tick
-    clashes = _clash_tables(mux)
-    scheduled: list[ScheduledOp] = []
+    tables = _clash_tables(mux)
+    clashes = {bit: bytearray() for bit in tables}  # per set bit: 1 where it breaks the budget
+    buckets: dict[int, list[ScheduledOp]] = defaultdict(list)  # start tick -> ops
     active: list[int] = []
     active_corridor = 0                  # active corridors are pairwise disjoint
     waiters: dict[int, list[int]] = {}   # active job -> jobs waiting on its end
@@ -480,21 +476,23 @@ def compile(  # noqa: A001 - mirrors re.compile naming
             if clash:
                 waiters[next(k for k in active if jobs[k].corridor & clash)].append(index)
                 continue
-            start = _earliest_fit(job.runs, t, committed, clashes)
+            start = _earliest_fit(job.runs, t, clashes)
             if start > t:
                 heappush(events, (start, n + index))
                 continue
             owner = job.participants[0]
             for op, sigs, off in zip(job.ops, job.op_signals, job.offsets):
                 partner = job.participants[1] if op.kind is _GATE else None
-                scheduled.append(ScheduledOp(owner, op, t + off, partner, sigs))
+                buckets[t + off].append(ScheduledOp(owner, op, t + off, partner, sigs))
             end = t + job.total_ticks
             makespan = max(makespan, end)
-            if len(committed) < end:
-                committed.extend(bytes(end - len(committed)))
-            for a, b, bit in job.runs:
-                for k in range(t + a, t + b):
-                    committed[k] |= bit
+            committed += bytes(makespan - len(committed))  # fresh ticks are empty
+            for a, b, bit in job.runs:  # add each run's set to its ticks
+                committed[t + a:t + b] = committed[t + a:t + b].translate(tables[bit][1])
+            # Event ticks never pass the makespan, so this appends fresh ticks.
+            span = committed[t:end]
+            for bit, ticks in clashes.items():
+                ticks[t:end] = span.translate(tables[bit][0])
             active.append(index)
             active_corridor |= job.corridor
             waiters[index] = []
@@ -519,8 +517,11 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     if started < n:
         raise AssertionError("scheduler stalled with no active work")
 
+    ops: list[ScheduledOp] = []  # by start tick, then qubit, as one stable sort orders them
+    for bucket in map(buckets.get, sorted(buckets)):
+        ops += sorted(bucket, key=itemgetter(0)) if len(bucket) > 1 else bucket
     return Schedule(
-        ops=tuple(sorted(scheduled, key=attrgetter("start_tick", "qubit"))),
+        ops=tuple(ops),
         makespan=makespan,
         initial_positions=tuple(sorted(homes.items())),
     )

@@ -294,6 +294,11 @@ class TrilinearLayout:
             return tuple(sorted(ids))
         return _Memo(neighbor_ids).__getitem__
 
+    @cached_property
+    def memos(self) -> dict:
+        """What other modules keep with the layout, e.g. the router's moves."""
+        return {}
+
     def site_neighbors(self, site: SiteCoord) -> list[SiteCoord]:
         """Lattice-adjacent sites, in ascending site id order."""
         if not self.in_bounds(site):

@@ -163,6 +163,58 @@ def test_row_walk_identical_to_reference_bfs(query):
             == _path_or_error(reference_path, *query))
 
 
+@st.composite
+def plan_queries(draw):
+    """A path query's layout, defects and blocked list, plus two distinct
+    cells, whose homes the blocked list may also hold."""
+    lay, _, _, defects, blocked = draw(path_queries())
+    a, b = draw(st.permutations(list(lay.grid.cells())))[:2]
+    homes = [lay.grid_to_site(a), lay.grid_to_site(b)]
+    return lay, a, b, defects, blocked + draw(st.lists(st.sampled_from(homes), max_size=2))
+
+
+@given(plan_queries())
+@settings(max_examples=300, deadline=None)
+def test_blocked_is_read_as_given_and_never_changed(query):
+    """A blocked list, set or frozenset gives the same path and gate plan, and
+    the caller's set is unchanged afterwards, also when the plan retries with
+    q_b as the mover. Homes of the pair in `blocked` change no plan: the
+    mover leaves its home and the partner's is always avoided."""
+    lay, a, b, defects, blocked = query
+    src, dst = M(0), M(lay.length - 1)
+    homes = {lay.grid_to_site(a), lay.grid_to_site(b)}
+    given_set = set(blocked)
+    paths, plans = [], []
+    for form in (list, set, frozenset):
+        arg = form(blocked)
+        paths.append(_path_or_error(tl.shortest_shuttle_path, lay, src, dst, defects, arg))
+        if lay.m_rows == 1:  # gates on stacked layouts are rejected up front
+            plans.append(_path_or_error(tl.router.plan_two_qubit, lay, a, b, defects,
+                                        tl.Durations(), arg))
+        assert arg == form(blocked)
+    assert given_set == set(blocked)
+    assert paths[1:] == paths[:-1]
+    assert plans[1:] == plans[:-1]
+    if plans:
+        assert plans[0] == _path_or_error(tl.router.plan_two_qubit, lay, a, b, defects,
+                                          tl.Durations(), given_set - homes)
+
+
+def test_blocked_set_unchanged_when_the_partner_moves(lay44):
+    """Dead M4 and U4 leave the Lower row as the only way past axis 4, and
+    the partner's home L5 closes it to (0,1); so (1,3) moves instead, through
+    its own home. The caller's set, which holds both homes, is unchanged."""
+    a, b = (0, 1), (1, 3)
+    defects = DefectMap.of(sites=[M(4), SiteCoord(Row.UPPER, 4)])
+    blocked = {lay44.grid_to_site(a), lay44.grid_to_site(b)}
+    before = set(blocked)
+    with pytest.raises(tl.Partitioned):
+        tl.router.gate_shuttle_plan(lay44, a, b, defects, blocked=blocked)
+    plan = tl.router.plan_two_qubit(lay44, a, b, defects, blocked=blocked)
+    assert plan.qubit == b and SiteCoord(Row.LOWER, 5) in plan.ops[1].sites
+    assert blocked == before
+
+
 # ----------------------------------------------------------------------
 # Vertical gate plans
 

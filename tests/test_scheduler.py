@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import trilinear as tl
 from trilinear import scheduler as sch
-from trilinear.router import MicroOp, MicroOpKind
+from trilinear.router import Durations, MicroOp, MicroOpKind, move_op
 from trilinear.scheduler import (
     Measure,
     MuxConfig,
@@ -210,10 +210,36 @@ def test_compile_matches_naive_admission_oracle(rng_seed, rows, cols, loop, n_de
     assert validate_schedule(schedule, layout, defects, mux) == []
 
 
-def _compiled_case(rng, rows, cols, loop, n_dead, n_barriers, n_ops, n_ac, coexist):
+@settings(max_examples=150, deadline=None)
+@given(rng_seed=st.integers(0, 2**32), rows=st.integers(1, 8), cols=st.integers(2, 9),
+       loop=st.booleans(), n_dead=st.integers(0, 2), n_barriers=st.integers(0, 2),
+       n_ops=st.integers(1, 40), n_ac=st.integers(1, 3), coexist=st.booleans())
+def test_compile_matches_naive_admission_oracle_below_four_inputs(rng_seed, rows, cols, loop,
+                                                                  n_dead, n_barriers, n_ops,
+                                                                  n_ac, coexist):
+    """Under four AC inputs no shuttle fits, so circuits of 1q and meas ops
+    only, where the budget alone holds drives and readouts apart. A
+    shuttled 2q op still raises MuxInfeasible."""
+    case = _compiled_case(random.Random(rng_seed), rows, cols, loop, n_dead, n_barriers,
+                          n_ops, n_ac, coexist, pulses_only=True)
+    if case is None:
+        return
+    layout, defects, mux, circuit, schedule = case
+    expected = admit_by_dependency(circuit, layout, defects, mux)
+    assert schedule.ops == expected.ops
+    assert schedule.makespan == expected.makespan
+    assert validate_schedule(schedule, layout, defects, mux) == []
+    if rows > 1 and n_ac == 3:
+        with pytest.raises(tl.MuxInfeasible):
+            sch.compile(sch.Circuit((TwoQubit((0, 0), (1, 0)),)), layout, mux=mux)
+
+
+def _compiled_case(rng, rows, cols, loop, n_dead, n_barriers, n_ops, n_ac, coexist,
+                   pulses_only=False):
     """(layout, defects, mux, circuit, schedule) for a random circuit on a
     rows x cols layout with random dead sites and barriers, or None when the
-    defects leave no qubit. Defects that sever the array are dropped."""
+    defects leave no qubit. Defects that sever the array are dropped; with
+    `pulses_only` the circuit keeps its 1q and meas ops only."""
     layout = tl.map_to_trilinear(tl.GridSpec(rows, cols), loop=loop)
     sites = sorted(layout.sites(), key=tl.topology.site_key)
     barriers = []
@@ -229,10 +255,13 @@ def _compiled_case(rng, rows, cols, loop, n_dead, n_barriers, n_ops, n_ac, coexi
         return None
     mux = MuxConfig(n_ac_inputs=n_ac, readout_coexists_with_shuttle=coexist)
     circuit = _random_circuit(rng, layout, n_ops, sacrificed)
+    pulses = sch.Circuit(tuple(op for op in circuit.ops if not isinstance(op, TwoQubit)))
+    if pulses_only:
+        circuit = pulses
     try:
         schedule = sch.compile(circuit, layout, defects, mux=mux)
     except TrilinearError:  # a pair the defects cut off: keep the 1q and meas ops
-        circuit = sch.Circuit(tuple(op for op in circuit.ops if not isinstance(op, TwoQubit)))
+        circuit = pulses
         schedule = sch.compile(circuit, layout, defects, mux=mux)
     return layout, defects, mux, circuit, schedule
 
@@ -722,6 +751,35 @@ def test_op_reprs_are_the_dataclass_reprs_and_fields_are_read_only():
                                                           "start_tick")):
         with pytest.raises(AttributeError):
             setattr(obj, field, None)
+
+
+def test_moves_are_shared_per_layout_and_durations():
+    """A move is one object per layout, directed edge and equal Durations; a
+    400-op schedule on a 32x32 layout holds one object per distinct move.
+    Sharing changes no equality, derived copy or JSON round trip."""
+    lay = tl.map_to_trilinear(tl.GridSpec(32, 32))
+    home, entry = SiteCoord(Row.UPPER, 3), SiteCoord(Row.MIDDLE, 3)
+    slow = Durations(vertical_transfer=2)
+    op = move_op(home, entry, slow, lay)
+    assert move_op(home, entry, Durations(vertical_transfer=2), lay) is op
+    assert move_op(home, entry, slow) == op == MicroOp(MicroOpKind.VERTICAL_TRANSFER,
+                                                       (home, entry), 2)
+    assert move_op(home, entry, slow) is not op
+    assert move_op(home, entry, layout=lay) == op._replace(duration_ticks=1)
+    assert move_op(entry, home, slow, lay).sites == (entry, home)
+    assert op._replace(duration_ticks=5) is not op and op.duration_ticks == 2
+    assert MicroOp.from_obj(op.to_obj()) == op
+
+    rng = random.Random(23)
+    ops = []
+    for i in range(400):
+        a = (rng.randrange(32), rng.randrange(32))
+        b = (a[0] + 1 if a[0] < 31 else a[0] - 1, rng.randrange(32))
+        ops.append(TwoQubit(a, b) if i % 2 else OneQubit(a, "x") if i % 4 else Measure(a))
+    moves = [s.op for s in sch.compile(sch.Circuit(tuple(ops)), lay).ops if s.op.is_move]
+    assert len(moves) > 1000
+    assert len({id(op) for op in moves}) == len(set(moves))
+    assert all(move_op(*op.sites, layout=lay) is op for op in moves)
 
 
 _FINITE_JSON = st.recursive(
