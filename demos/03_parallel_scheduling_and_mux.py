@@ -39,7 +39,7 @@ print("violations in the compiled schedule:",
 
 # Waveform accounting: both movers share the four conveyor phases, and the
 # peak distinct-class count is the schedule's AC input requirement.
-usage = sch.waveform_usage(pair)
+usage = sch.waveform_usage(pair, layout)
 print(f"distinct waveform classes per tick: {tuple(map(len, usage.per_tick))}")
 print(f"AC inputs required: {usage.max_distinct}")
 

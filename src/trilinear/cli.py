@@ -86,7 +86,7 @@ def cmd_schedule(config: RunConfig, args) -> int:
     defects = _load_defects(args.defects, layout)
     circuit = scheduler.circuit_from_json(_load_json_file(args.circuit, "circuit"))
     schedule = scheduler.compile(circuit, layout, defects, config.mux, config.durations)
-    text, summary = scheduler.schedule_to_json(schedule, config.seed)
+    text, summary = scheduler.schedule_to_json(schedule, layout, config.seed)
     _emit(text, args.out)
     summary_path = args.summary
     if summary_path is None and args.out is not None:

@@ -15,21 +15,26 @@ Scheduling model (greedy list scheduling, deliberately non-optimal):
     home) is disjoint from the active corridors, and its signals fit the
     per-tick distinct-waveform budget over its whole span, so a job held
     back does not stall later jobs on other qubits.
-Admission is event-driven: a blocked job waits on its previous jobs' ends,
-on the end of an active job whose corridor it clashes with, or on a timer
-set past the ticks where its signals do not fit, and the clock jumps from
-event to event. The corridor reservation keeps movers from ever colliding,
-and whenever nothing is active the first unstarted job can start, so the
-sum of the op durations bounds the makespan. The budget is checked in place on
-clash bytes per signal set, updated over each started job's span only. The
-independent validator re-derives all rules from the schedule alone.
+Admission is event-driven: a blocked job waits on its previous jobs' ends
+or on a timer, set at the latest end of the active jobs whose corridors it
+clashes with or past the ticks where its signals do not fit, and the clock
+jumps from event to event. The corridor reservation keeps movers from ever
+colliding, and whenever nothing is active the first unstarted job can start,
+so the sum of the op durations bounds the makespan. A corridor has one bit
+per site the circuit touches, numbered per call, so its size follows the
+circuit, not the array. The budget is checked in place on clash bytes per
+signal set, updated over each started job's span only. The independent
+validator re-derives all rules from the schedule alone.
 
 Waveform accounting: a signal is the name the schedule JSON prints for it.
 All conveyor movement in one direction shares one fixed set of four phased
 signals no matter how many qubits ride it; movement in the opposite
 direction needs its own set. Gates, drives and readout each add one class.
-The distinct signals live in a tick must fit the AC inputs, and one rule,
-`_mux_problems`, decides that for both compile and the validator.
+A schedule stores no signals: `signals_for_op` derives them from each
+micro-op wherever they are counted, so a schedule read back from its JSON
+writes the same text. The distinct signals live in a tick must fit the AC
+inputs; one rule, `_mux_problems`, decides that for compile, including
+`MuxInfeasible`, and for the validator.
 """
 
 from __future__ import annotations
@@ -91,6 +96,12 @@ _SET_BIT = {sigs: 1 << i for i, sigs in enumerate((*_MOVE_SIGNALS.values(),
                                                    *_PULSE_SIGNALS.values()))}
 
 
+@lru_cache(maxsize=256)
+def _set_signals(sets: int) -> frozenset[Signal]:
+    """The signals of the fixed sets whose bits are in `sets`."""
+    return frozenset().union(*(sigs for sigs, bit in _SET_BIT.items() if sets & bit))
+
+
 def signals_for_op(layout: TrilinearLayout, op: MicroOp) -> frozenset[Signal]:
     """Distinct AC signals a micro-op drives while active."""
     kind = op.kind
@@ -115,7 +126,7 @@ class MuxConfig:
 DEFAULT_MUX = MuxConfig()
 
 
-def _mux_problems(live: set[Signal], mux: MuxConfig) -> list[str]:
+def _mux_problems(live: frozenset[Signal], mux: MuxConfig) -> list[str]:
     """How the signals live in one tick break the AC budget (empty if they fit)."""
     problems = []
     if len(live) > mux.n_ac_inputs:
@@ -264,7 +275,6 @@ class ScheduledOp(NamedTuple):
     op: MicroOp
     start_tick: int
     partner: Optional[Cell] = None
-    signals: frozenset[Signal] = frozenset()
 
     @property
     def end_tick(self) -> int:
@@ -295,19 +305,22 @@ class WaveformUsage:
         return max(map(len, self.per_tick), default=0)
 
 
-def waveform_usage(schedule: Schedule) -> WaveformUsage:
-    """The signals driven each tick; the max distinct count over ticks is the
-    schedule's AC-input requirement. Raises CircuitError for an op that runs
-    outside ticks 0 to the makespan."""
-    per_tick: list[set[Signal]] = [set() for _ in range(schedule.makespan)]
-    for sop in schedule.ops:
-        start, end = sop.start_tick, sop.end_tick
+def waveform_usage(schedule: Schedule, layout: TrilinearLayout) -> WaveformUsage:
+    """The signals driven each tick, from each micro-op by `signals_for_op`;
+    the max distinct count over ticks is the schedule's AC-input requirement.
+    Raises CircuitError for an op that runs outside ticks 0 to the makespan."""
+    bits: dict = {}  # (kind, sites) -> set bit: an op's signals follow from these alone
+    per_tick = [0] * schedule.makespan  # the set bits live at each tick
+    for qubit, op, start, _ in schedule.ops:
+        end = start + op.duration_ticks
         if start < 0 or end > schedule.makespan:
-            raise CircuitError(f"{sop.op.kind.value} of qubit {sop.qubit} runs from tick "
+            raise CircuitError(f"{op.kind.value} of qubit {qubit} runs from tick "
                                f"{start} to {end}, outside the makespan {schedule.makespan}")
+        head = op[:2]
+        bit = bits.get(head) or bits.setdefault(head, _SET_BIT[signals_for_op(layout, op)])
         for t in range(start, end):
-            per_tick[t] |= sop.signals
-    return WaveformUsage(per_tick=tuple(map(frozenset, per_tick)))
+            per_tick[t] |= bit
+    return WaveformUsage(per_tick=tuple(map(_set_signals, per_tick)))
 
 
 # ----------------------------------------------------------------------
@@ -318,50 +331,41 @@ class _Job:
     index: int
     participants: tuple[Cell, ...]  # the mover first, then a gate's partner
     ops: list[MicroOp]
-    op_signals: list[frozenset[Signal]]
     offsets: list[int]
     # (first tick, end tick, set bit) of each stretch of back-to-back ops
     # that drive one signal set, e.g. a whole shuttle leg.
     runs: list[tuple[int, int, int]]
     total_ticks: int
-    corridor: int   # bitmask over site ids
+    corridor: int   # bitmask over the call's site bits
 
 
 def _build_job(index: int, ops: list[MicroOp], layout: TrilinearLayout,
-               participants: tuple[Cell, ...], extra_bits: int = 0) -> _Job:
+               participants: tuple[Cell, ...], site_bit: _Memo, extra_bits: int = 0) -> _Job:
     offsets: list[int] = []
-    op_signals: list[frozenset[Signal]] = []
     runs: list[tuple[int, int, int]] = []
-    site_id = layout.site_id
     corridor = extra_bits
     tick = 0
     for op in ops:
-        sigs = signals_for_op(layout, op)
         offsets.append(tick)
-        op_signals.append(sigs)
-        bit = _SET_BIT[sigs]
+        for site in op.sites:
+            corridor |= site_bit[site]
+        bit = _SET_BIT[signals_for_op(layout, op)]
         end = tick + op.duration_ticks
         if runs and runs[-1][2] == bit:
             runs[-1] = (runs[-1][0], end, bit)
         else:
             runs.append((tick, end, bit))
         tick = end
-    for site in {site for op in ops for site in op.sites}:
-        corridor |= 1 << site_id(site)
-    return _Job(index=index, participants=participants, ops=ops, op_signals=op_signals,
-                offsets=offsets, runs=runs, total_ticks=tick, corridor=corridor)
+    return _Job(index=index, participants=participants, ops=ops, offsets=offsets, runs=runs,
+                total_ticks=tick, corridor=corridor)
 
 
 @lru_cache(maxsize=16)
 def _clash_tables(mux: MuxConfig) -> dict[int, tuple[bytes, bytes]]:
     """Per set bit, bytes.translate tables over a tick's byte of live sets: to 1
     where adding that set breaks the AC budget (else 0), and to it with the set."""
-    tables = {bit: bytearray(256) for bit in _SET_BIT.values()}
-    for sets in range(1 << len(_SET_BIT)):
-        live = set().union(*(sigs for sigs, bit in _SET_BIT.items() if sets & bit))
-        for sigs, bit in _SET_BIT.items():
-            tables[bit][sets] = bool(_mux_problems(live | sigs, mux))
-    return {bit: (bytes(t), bytes(sets | bit for sets in range(256))) for bit, t in tables.items()}
+    return {bit: (bytes(bool(_mux_problems(_set_signals(sets | bit), mux)) for sets in range(256)),
+                  bytes(sets | bit for sets in range(256))) for bit in _SET_BIT.values()}
 
 
 def _earliest_fit(runs: list[tuple[int, int, int]], start: int,
@@ -407,6 +411,8 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     cells = circuit.cells()
     homes = {cell: layout.grid_to_site(cell) for cell in cells}
     occupied = set(homes.values())
+    # One corridor bit per site, numbered in the order the call first meets it.
+    site_bit = _Memo(lambda site: 1 << len(site_bit))
 
     jobs: list[_Job] = []
     for index, cop in enumerate(circuit.ops):
@@ -416,7 +422,7 @@ def compile(  # noqa: A001 - mirrors re.compile naming
                            freq_class=site_class(site).value, param=cop.rotation)
                    if isinstance(cop, OneQubit) else
                    MicroOp(MicroOpKind.READOUT, (site,), durations.readout))
-            jobs.append(_build_job(index, [mop], layout, (cop.cell,)))
+            jobs.append(_build_job(index, [mop], layout, (cop.cell,), site_bit))
         else:
             # The router leaves the mover's home out of `occupied` itself.
             plan = plan_two_qubit(layout, cop.cell_a, cop.cell_b, defects, durations, occupied)
@@ -424,16 +430,16 @@ def compile(  # noqa: A001 - mirrors re.compile naming
             partner = cop.cell_b if mover == cop.cell_a else cop.cell_a
             # The partner's home is in the corridor, so the partner's next
             # job cannot start before this one ends.
-            jobs.append(_build_job(index, list(plan.ops), layout, (mover, partner),
-                                   1 << layout.site_id(homes[partner])))
+            jobs.append(_build_job(index, list(plan.ops), layout, (mover, partner), site_bit,
+                                   site_bit[homes[partner]]))
 
+    tables = _clash_tables(mux)
     for job in jobs:
-        for op, need in zip(job.ops, job.op_signals):
-            if len(need) > mux.n_ac_inputs:
-                raise MuxInfeasible(
-                    f"micro-op {op.kind.value} needs {len(need)} waveforms, "
-                    f"only {mux.n_ac_inputs} AC inputs available"
-                )
+        for _, _, bit in job.runs:
+            if tables[bit][0][0]:  # the run's signal set alone breaks the budget
+                op = next(op for op in job.ops if _SET_BIT[signals_for_op(layout, op)] == bit)
+                raise MuxInfeasible(f"micro-op {op.kind.value} needs {len(_set_signals(bit))} "
+                                    f"waveforms, only {mux.n_ac_inputs} AC inputs available")
 
     # A job is ready once it heads every participant's program order: `owed`
     # counts the participants whose previous job has not ended yet, and
@@ -453,18 +459,17 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     # Event-driven admission. At each event tick the woken jobs are examined
     # in program order; one that cannot start waits on what stopped it:
     # - not ready: its previous jobs' ends;
-    # - a corridor clash: the end of one active job it clashes with;
+    # - a corridor clash: a timer at the latest end among the active jobs it
+    #   clashes with, each holding its corridor till then (t for 0-tick jobs);
     # - the AC budget: a timer at the first start where its signals fit what
     #   is committed now. Committed signals only grow, so none earlier can.
     # Nothing else that a job is blocked on can change between events, so
     # this starts each job at the first tick at which it is admissible.
     committed = bytearray()              # the signal sets live at each tick
-    tables = _clash_tables(mux)
     clashes = {bit: bytearray() for bit in tables}  # per set bit: 1 where it breaks the budget
     buckets: dict[int, list[ScheduledOp]] = defaultdict(list)  # start tick -> ops
-    active: list[int] = []
+    active: dict[int, int] = {}          # active job -> its end tick
     active_corridor = 0                  # active corridors are pairwise disjoint
-    waiters: dict[int, list[int]] = {}   # active job -> jobs waiting on its end
     events: list[tuple[int, int]] = []   # (tick, job ending) or (tick, n + job woken)
     woken = [j for j in range(n) if not owed[j]]
     started = makespan = 0
@@ -473,17 +478,15 @@ def compile(  # noqa: A001 - mirrors re.compile naming
         for index in sorted(woken):
             job = jobs[index]
             clash = job.corridor & active_corridor
-            if clash:
-                waiters[next(k for k in active if jobs[k].corridor & clash)].append(index)
-                continue
-            start = _earliest_fit(job.runs, t, clashes)
-            if start > t:
+            start = (max(end for k, end in active.items() if jobs[k].corridor & clash) if clash
+                     else _earliest_fit(job.runs, t, clashes))
+            if clash or start > t:
                 heappush(events, (start, n + index))
                 continue
             owner = job.participants[0]
-            for op, sigs, off in zip(job.ops, job.op_signals, job.offsets):
+            for op, off in zip(job.ops, job.offsets):
                 partner = job.participants[1] if op.kind is _GATE else None
-                buckets[t + off].append(ScheduledOp(owner, op, t + off, partner, sigs))
+                buckets[t + off].append(ScheduledOp(owner, op, t + off, partner))
             end = t + job.total_ticks
             makespan = max(makespan, end)
             committed += bytes(makespan - len(committed))  # fresh ticks are empty
@@ -493,9 +496,8 @@ def compile(  # noqa: A001 - mirrors re.compile naming
             span = committed[t:end]
             for bit, ticks in clashes.items():
                 ticks[t:end] = span.translate(tables[bit][0])
-            active.append(index)
+            active[index] = end
             active_corridor |= job.corridor
-            waiters[index] = []
             heappush(events, (end, index))
             started += 1
         woken = []
@@ -507,13 +509,12 @@ def compile(  # noqa: A001 - mirrors re.compile naming
             if code >= n:
                 woken.append(code - n)
                 continue
-            active.remove(code)
+            del active[code]
             active_corridor &= ~jobs[code].corridor
             for nxt in successors[code]:
                 owed[nxt] -= 1
                 if not owed[nxt]:
                     woken.append(nxt)
-            woken += waiters.pop(code)
     if started < n:
         raise AssertionError("scheduler stalled with no active work")
 
@@ -563,9 +564,9 @@ def validate_schedule(
     neighbours (a horizontal step exactly when it stays in its row),
     per-qubit chaining/order, bounds (every site in the layout, every op
     inside ticks 0 to the makespan), and the per-tick distinct-waveform
-    budget. Signals are recomputed from the micro-ops, independent of what
-    the schedule carries. The replay runs to the later of the makespan and
-    the last op's end, so an understated makespan hides no other violation.
+    budget over the signals of the micro-ops. The replay runs to the later
+    of the makespan and the last op's end, so an understated makespan hides
+    no other violation.
 
     Ops are replayed as records of ints (position in `schedule.ops`, ticks,
     site ids, qubit indices in cell order) that the garbage collector stops
@@ -589,7 +590,7 @@ def validate_schedule(
     moves = defaultdict(list)   # edge -> the same records of the moves over it
     gates = []                  # (start, end, partner site id, position)
     deltas = defaultdict(list)  # tick -> set bit where an op starts, minus it where one ends
-    for position, (qubit, op, start, _, _) in enumerate(schedule.ops):
+    for position, (qubit, op, start, _) in enumerate(schedule.ops):
         kind, op_sites, duration, _, _ = op
         end = start + duration
         if start < 0:
@@ -700,7 +701,8 @@ def validate_schedule(
     # one fixed signal set, so the live signals are the sets that more ops
     # have started than ended, and their problems depend on that mask alone.
     running = dict.fromkeys(_SET_BIT.values(), 0)  # set bit -> ops started minus ended
-    live, problems_of = 0, {}  # the bits with a positive count; live mask -> problems
+    live = 0  # the bits with a positive count
+    problems_of = _Memo(lambda sets: _mux_problems(_set_signals(sets), mux))  # per live mask
     for t in sorted(deltas):
         for bit in deltas[t]:
             if bit > 0:
@@ -711,9 +713,6 @@ def validate_schedule(
                 running[-bit] -= 1
                 if running[-bit] == 0:
                     live ^= -bit
-        if live not in problems_of:
-            problems_of[live] = _mux_problems(
-                set().union(*(sigs for sigs, bit in _SET_BIT.items() if live & bit)), mux)
         violations.extend(Violation("mux", t, msg) for msg in problems_of[live])
 
     violations.sort(key=lambda v: (v.tick, v.kind, v.message))
@@ -758,7 +757,7 @@ def _site_text(site: SiteCoord, depth: int) -> str:
                                                 for v in site[1:3 if site.subrow else 2]]], depth)
 
 
-def schedule_to_json(schedule: Schedule, seed: int) -> tuple[str, dict]:
+def schedule_to_json(schedule: Schedule, layout: TrilinearLayout, seed: int) -> tuple[str, dict]:
     """The schedule document as JSON text, plus its `summary` block.
 
     The text is json.dumps(doc, sort_keys=True, indent=2) + "\\n", written in
@@ -767,7 +766,7 @@ def schedule_to_json(schedule: Schedule, seed: int) -> tuple[str, dict]:
     signal set is encoded once per call, and only the constant row and kind
     texts outlive a call. `param` may be any JSON value, so it is dumped per op.
     """
-    usage = waveform_usage(schedule)
+    usage = waveform_usage(schedule, layout)
     summary = {"makespan": schedule.makespan, "max_waveform_classes": usage.max_distinct,
                "total_shuttle_steps": schedule.total_horizontal_steps}
     # Texts by value. Keys of different types (a qubit cell, a site, a site

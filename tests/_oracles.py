@@ -134,15 +134,16 @@ def reconfiguration(rows: int, cols: int, loop: bool = False, m_rows: int = 1,
     return repurposed, sacrificed, components
 
 
-def schedule_document(schedule) -> dict:
+def schedule_document(schedule, layout) -> dict:
     """The schedule JSON document as a dict tree, built field by field.
 
     json.dumps(doc | {"seed": seed}, sort_keys=True, indent=2) + "\\n" of it is
     the reference text for the one-pass writer `scheduler.schedule_to_json`.
+    The waveforms come from `tick_signal_names`, not the package's count.
     """
     from collections import defaultdict
 
-    from trilinear.scheduler import SCHEMA_VERSION, waveform_usage
+    from trilinear.scheduler import SCHEMA_VERSION
     from trilinear.topology import site_to_obj
 
     ticks: dict[int, list[dict]] = defaultdict(list)
@@ -151,7 +152,7 @@ def schedule_document(schedule) -> dict:
         if sop.partner is not None:
             entry["partner"] = list(sop.partner)
         ticks[sop.start_tick].append(entry)
-    usage = waveform_usage(schedule)
+    names = tick_signal_names(schedule, layout)
     return {
         "schema_version": SCHEMA_VERSION,
         "makespan": schedule.makespan,
@@ -162,11 +163,11 @@ def schedule_document(schedule) -> dict:
         "ticks": [
             {"tick": t, "ops": ticks[t]} for t in sorted(ticks)
         ],
-        "waveforms_per_tick": [sorted(sigs) for sigs in usage.per_tick],
+        "waveforms_per_tick": names,
         "summary": {
             "makespan": schedule.makespan,
             "total_shuttle_steps": schedule.total_horizontal_steps,
-            "max_waveform_classes": usage.max_distinct,
+            "max_waveform_classes": max(map(len, names), default=0),
         },
     }
 
@@ -558,7 +559,7 @@ def admit_by_dependency(circuit, layout, defects=NO_DEFECTS, mux=None, durations
                 for k in range(start, start + op.duration_ticks):
                     live[k] = live.get(k, frozenset()) | sigs
                 gate_partner = partner if op.kind is MicroOpKind.TWO_QUBIT_GATE else None
-                scheduled.append(ScheduledOp(owner, op, start, gate_partner, sigs))
+                scheduled.append(ScheduledOp(owner, op, start, gate_partner))
             active[i] = tick
             unstarted.remove(i)
         if unstarted and not active:

@@ -286,7 +286,7 @@ def test_criterion_7_mux_arithmetic():
         circuit = sch.Circuit(tuple(
             sch.TwoQubit((2 * b, 0), (2 * b + 1, 0)) for b in range(k)))
         schedule = sch.compile(circuit, lay, mux=sch.MuxConfig(n_ac_inputs=4))
-        usage = sch.waveform_usage(schedule)
+        usage = sch.waveform_usage(schedule, lay)
         # Tick 1: all k movers ride the conveyor eastward together.
         ok &= len(usage.per_tick[1]) == 4
         ok &= usage.max_distinct == 4

@@ -29,3 +29,22 @@ def test_million_qubit_loop_builds_nothing_array_sized():
     assert violations == []
     assert cell == (999, 499) and layout.grid_to_site(cell) == last
     assert tl.reconfigure_for_defects(layout).empty
+
+
+def test_corridors_follow_the_circuit_on_a_million_qubit_loop():
+    """600 in-place gates (r, c)-(r, c+1), r in {0, 1} and even c < 600, on
+    the 1000x1000 loop compile under a 10 MB traced peak. Corridor bits are
+    numbered per call over the sites the circuit touches; numbered by the
+    array-wide site id, the corridor ints reached a 59 MB peak."""
+    layout = tl.map_to_trilinear(tl.GridSpec(1000, 1000), loop=True)
+    circuit = tl.Circuit(tuple(tl.TwoQubit((r, c), (r, c + 1))
+                               for r in (0, 1) for c in range(0, 600, 2)))
+    tracemalloc.start()
+    try:
+        schedule = tl.scheduler.compile(circuit, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    assert sum(s.op.kind is tl.MicroOpKind.TWO_QUBIT_GATE for s in schedule.ops) == 600
+    assert tl.scheduler.validate_schedule(schedule, layout) == []

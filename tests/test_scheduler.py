@@ -23,7 +23,7 @@ from trilinear.scheduler import (
     waveform_usage,
 )
 from trilinear.errors import TrilinearError
-from trilinear.topology import DefectMap, Row, SiteCoord
+from trilinear.topology import DefectMap, Row, SiteCoord, site_from_obj
 
 from _oracles import (admit_by_dependency, schedule_document, swap_throughs,
                       tick_signal_names)
@@ -122,7 +122,8 @@ def test_unsupported_pair_rejected(lay88):
 
 
 def test_mux_infeasible_below_four_inputs(lay88):
-    with pytest.raises(tl.MuxInfeasible):
+    with pytest.raises(tl.MuxInfeasible, match=r"^micro-op vertical_transfer needs 4 "
+                                                r"waveforms, only 3 AC inputs available$"):
         sch.compile(sch.Circuit((TwoQubit((0, 2), (1, 2)),)), lay88,
                     mux=MuxConfig(n_ac_inputs=3))
 
@@ -462,20 +463,19 @@ def test_understated_makespan_is_a_bounds_violation():
     after which waveform_usage and schedule_to_json raised IndexError."""
     layout = tl.map_to_trilinear(tl.GridSpec(2, 2))
     home = layout.grid_to_site((0, 0))
-    readout = ScheduledOp((0, 0), MicroOp(MicroOpKind.READOUT, (home,), 10), 0,
-                          signals=frozenset({"readout_pulse"}))
+    readout = ScheduledOp((0, 0), MicroOp(MicroOpKind.READOUT, (home,), 10), 0)
     schedule = _idle_schedule({(0, 0): home}, [readout], 5)
     expected = [sch.Violation("bounds", 0, "readout of qubit (0, 0) ends at tick 10, "
                                            "past the makespan 5")]
     assert validate_schedule(schedule, layout) == expected
     assert oracle_validate(schedule, layout) == expected
-    for write in (waveform_usage, lambda s: sch.schedule_to_json(s, 0)):
+    for write in (waveform_usage, lambda s, lay: sch.schedule_to_json(s, lay, 0)):
         with pytest.raises(tl.CircuitError, match=r"^readout of qubit \(0, 0\) runs from "
                                                   r"tick 0 to 10, outside the makespan 5$"):
-            write(schedule)
+            write(schedule, layout)
     early = replace(schedule, ops=(readout._replace(start_tick=-1),), makespan=10)
     with pytest.raises(tl.CircuitError, match="from tick -1 to 9, outside the makespan 10"):
-        waveform_usage(early)
+        waveform_usage(early, layout)
 
 
 def test_op_before_tick_0_is_a_bounds_violation():
@@ -484,8 +484,7 @@ def test_op_before_tick_0_is_a_bounds_violation():
     previous op."""
     layout = tl.map_to_trilinear(tl.GridSpec(2, 2))
     home = layout.grid_to_site((0, 0))
-    readout = ScheduledOp((0, 0), MicroOp(MicroOpKind.READOUT, (home,), 10), -3,
-                          signals=frozenset({"readout_pulse"}))
+    readout = ScheduledOp((0, 0), MicroOp(MicroOpKind.READOUT, (home,), 10), -3)
     schedule = _idle_schedule({(0, 0): home}, [readout], 10)
     expected = [sch.Violation("bounds", -3, "readout of qubit (0, 0) starts at tick -3, "
                                             "before tick 0")]
@@ -554,7 +553,7 @@ def test_compiled_schedules_validate_clean_randomized(lay88_loop):
 
 def test_single_gate_uses_four_phases_while_shuttling(lay88):
     schedule = sch.compile(sch.Circuit((TwoQubit((0, 2), (1, 2)),)), lay88)
-    usage = waveform_usage(schedule)
+    usage = waveform_usage(schedule, lay88)
     assert len(usage.per_tick[0]) == 4
     assert usage.max_distinct == 4
 
@@ -563,35 +562,34 @@ def test_in_phase_shuttles_share_exactly_four_classes(lay88):
     # Same-orientation vertical gates on disjoint segments.
     circuit = sch.Circuit((TwoQubit((0, 0), (1, 0)), TwoQubit((0, 7), (1, 7))))
     schedule = sch.compile(circuit, lay88)
-    usage = waveform_usage(schedule)
+    usage = waveform_usage(schedule, lay88)
     # Pick a tick where only horizontal legs run: tick 1.
     assert len(usage.per_tick[1]) == 4
 
 
 def test_one_phase_class_counts_once_across_qubits(lay88):
-    sig = frozenset({"shuttle_phase_2@east"})
-    sites = [SiteCoord(Row.MIDDLE, i) for i in range(3)]
-    ops = tuple(
-        ScheduledOp((0, i), MicroOp(MicroOpKind.SINGLE_QUBIT_PULSE, (s,)), 0, signals=sig)
-        for i, s in enumerate(sites)
-    )
+    """Three qubits stepping east at once drive the four east phases once."""
+    sites = [SiteCoord(Row.MIDDLE, i) for i in range(0, 6, 2)]
+    ops = tuple(ScheduledOp((0, i), move_op(s, s._replace(axis=s.axis + 1)), 0)
+                for i, s in enumerate(sites))
     schedule = Schedule(ops=ops, makespan=1,
                         initial_positions=tuple(((0, i), s) for i, s in enumerate(sites)))
-    usage = waveform_usage(schedule)
-    assert len(usage.per_tick[0]) == 1
+    usage = waveform_usage(schedule, lay88)
+    assert usage.per_tick == (frozenset(f"shuttle_phase_{k}@east" for k in range(1, 5)),)
+    assert validate_schedule(schedule, lay88) == []
 
 
 def test_shuttle_plus_gate_is_five_classes(lay88):
     # Legs of different lengths, so one gate fires while the other shuttles.
     circuit = sch.Circuit((TwoQubit((0, 0), (1, 0)), TwoQubit((2, 4), (2, 7))))
     schedule = sch.compile(circuit, lay88)
-    usage = waveform_usage(schedule)
+    usage = waveform_usage(schedule, lay88)
     assert 5 in map(len, usage.per_tick)
 
 
-def test_idle_tick_is_zero_classes():
+def test_idle_tick_is_zero_classes(lay88):
     schedule = Schedule(ops=(), makespan=0, initial_positions=())
-    assert waveform_usage(schedule).max_distinct == 0
+    assert waveform_usage(schedule, lay88).max_distinct == 0
 
 
 def test_conservation_of_qubits(lay88):
@@ -629,7 +627,7 @@ def test_ac_budget_holds_by_independent_signal_count(rng_seed, rows, cols, loop,
         ops = tuple(op for op in ops if not isinstance(op, TwoQubit))
         schedule = sch.compile(sch.Circuit(ops), layout, defects, mux=mux)
     names = tick_signal_names(schedule, layout)
-    text, _ = sch.schedule_to_json(schedule, 0)
+    text, _ = sch.schedule_to_json(schedule, layout, 0)
     assert json.loads(text)["waveforms_per_tick"] == names
     for tick in names:
         assert len(tick) <= n_ac
@@ -742,11 +740,9 @@ def test_op_reprs_are_the_dataclass_reprs_and_fields_are_read_only():
         "MicroOp(kind=<MicroOpKind.SINGLE_QUBIT_PULSE: 'single_qubit_pulse'>, "
         "sites=((U,2,1),), duration_ticks=4, freq_class='magnet', param={'theta': [0.5]})")
     assert repr(ScheduledOp((0, 1), step, 7)) == (
-        f"ScheduledOp(qubit=(0, 1), op={step_text}, start_tick=7, partner=None, "
-        "signals=frozenset())")
-    assert repr(ScheduledOp((0, 1), step, 7, (1, 1), frozenset({"two_qubit_pulse"}))) == (
-        f"ScheduledOp(qubit=(0, 1), op={step_text}, start_tick=7, partner=(1, 1), "
-        "signals=frozenset({'two_qubit_pulse'}))")
+        f"ScheduledOp(qubit=(0, 1), op={step_text}, start_tick=7, partner=None)")
+    assert repr(ScheduledOp((0, 1), step, 7, (1, 1))) == (
+        f"ScheduledOp(qubit=(0, 1), op={step_text}, start_tick=7, partner=(1, 1))")
     for obj, field in ((step, "kind"), (pulse, "param"), (ScheduledOp((0, 1), step, 7),
                                                           "start_tick")):
         with pytest.raises(AttributeError):
@@ -797,13 +793,12 @@ _FINITE_JSON = st.recursive(
 def test_ops_read_back_equal_from_objects_and_schedule_json(rng_seed, rows, cols, loop, n_dead,
                                                             n_barriers, n_ops, params):
     """Every op reads back equal from its `to_obj`, and the schedule read
-    back from `schedule_to_json` holds the compiled ops apart from their
-    `signals`, which the JSON does not carry per op."""
+    back from `schedule_to_json` holds the compiled ops."""
     case = _compiled_case(random.Random(rng_seed), rows, cols, loop, n_dead, n_barriers,
                           n_ops, 8, True)
     if case is None:
         return
-    schedule = case[-1]
+    layout, schedule = case[0], case[-1]
     # Params of every finite JSON type, lists and dicts too, cycled over the pulses.
     ops = list(schedule.ops)
     pulses = [i for i, s in enumerate(ops) if s.op.kind is MicroOpKind.SINGLE_QUBIT_PULSE]
@@ -812,11 +807,38 @@ def test_ops_read_back_equal_from_objects_and_schedule_json(rng_seed, rows, cols
     schedule = replace(schedule, ops=tuple(ops))
     for sop in schedule.ops:
         assert MicroOp.from_obj(sop.op.to_obj()) == sop.op
-    doc = json.loads(sch.schedule_to_json(schedule, 0)[0])
+    doc = json.loads(sch.schedule_to_json(schedule, layout, 0)[0])
     read = [ScheduledOp(tuple(entry["qubit"]), MicroOp.from_obj(entry), tick["tick"],
                         tuple(entry["partner"]) if "partner" in entry else None)
             for tick in doc["ticks"] for entry in tick["ops"]]
-    assert read == [sop._replace(signals=frozenset()) for sop in schedule.ops]
+    assert read == list(schedule.ops)
+
+
+def test_schedule_read_back_from_its_json_equals_it_and_writes_the_same_text(lay44,
+                                                                             lay88_loop):
+    """A schedule read back from its JSON through the public readers, as the
+    benchmark's checks read it, equals the compiled one and writes the same
+    text. When each op stored its own signals, the JSON did not carry them,
+    and the 4x4 read-back wrote max_waveform_classes 0 where compile wrote 5."""
+    cases = ((lay44, (TwoQubit((0, 2), (1, 2)), OneQubit((0, 0))), 5),
+             (lay88_loop, (TwoQubit((0, 0), (0, 7)), Measure((2, 3)), TwoQubit((3, 1), (4, 1)),
+                           OneQubit((0, 7), {"theta": 0.5}), TwoQubit((5, 6), (5, 1))), 8))
+    for layout, ops, classes in cases:
+        schedule = compile_ok(sch.Circuit(ops), layout)
+        text, summary = sch.schedule_to_json(schedule, layout, 3)
+        doc = json.loads(text)
+        read = Schedule(
+            ops=tuple(ScheduledOp(tuple(entry["qubit"]), MicroOp.from_obj(entry), tick["tick"],
+                                  tuple(entry["partner"]) if "partner" in entry else None)
+                      for tick in doc["ticks"] for entry in tick["ops"]),
+            makespan=doc["makespan"],
+            initial_positions=tuple((tuple(p["cell"]), site_from_obj(p["site"]))
+                                    for p in doc["initial_positions"]))
+        assert read.ops == schedule.ops
+        assert read == schedule
+        assert sch.schedule_to_json(read, layout, 3) == (text, summary)
+        assert summary["max_waveform_classes"] == classes
+        assert classes == max(map(len, tick_signal_names(schedule, layout)))
 
 
 # ----------------------------------------------------------------------
@@ -858,8 +880,8 @@ def test_schedule_json_matches_json_dumps_oracle(rng_seed, rows, cols, loop, max
     except TrilinearError:  # a pair the defects cut off: keep the 1q and meas ops
         ops = [op for op in ops if not isinstance(op, TwoQubit)]
         schedule = sch.compile(sch.Circuit(tuple(ops)), layout, defects)
-    doc = schedule_document(schedule)
-    text, summary = sch.schedule_to_json(schedule, seed)
+    doc = schedule_document(schedule, layout)
+    text, summary = sch.schedule_to_json(schedule, layout, seed)
     assert text == json.dumps(doc | {"seed": seed}, sort_keys=True, indent=2) + "\n"
     assert summary == doc["summary"]
     if not ops:
@@ -874,18 +896,17 @@ def test_schedule_json_writes_sub_rows_escapes_and_long_ints():
     up1, up2 = SiteCoord(Row.UPPER, 3, 1), SiteCoord(Row.UPPER, 3, 2)
     mid, low = SiteCoord(Row.MIDDLE, 3), SiteCoord(Row.LOWER, 2**66, 1)
     schedule = Schedule(ops=(
-        ScheduledOp((big, 2), MicroOp(MicroOpKind.VERTICAL_TRANSFER, (up1, up2)), 0,
-                    signals=frozenset({"shuttle_phase_1@up"})),
+        ScheduledOp((big, 2), MicroOp(MicroOpKind.VERTICAL_TRANSFER, (up1, up2)), 0),
         ScheduledOp((big, 2), MicroOp(MicroOpKind.SINGLE_QUBIT_PULSE, (up2,), 4, 'b"\u00e9',
-                                      [1.5, None]), 1, signals=frozenset({"one_qubit_drive"})),
+                                      [1.5, None]), 1),
         ScheduledOp((-big, 0), MicroOp(MicroOpKind.TWO_QUBIT_GATE, (mid, low), 2), 1,
-                    partner=(big, -2**70), signals=frozenset({"two_qubit_pulse"})),
-        ScheduledOp((True, 2.5), MicroOp(MicroOpKind.READOUT, (low,), 10), 0,
-                    signals=frozenset({"readout_pulse"})),
+                    partner=(big, -2**70)),
+        ScheduledOp((True, 2.5), MicroOp(MicroOpKind.READOUT, (low,), 10), 0),
     ), makespan=10, initial_positions=(((big, 2), up1), ((-big, 0), mid), ((big, -2**70), low)))
+    layout = tl.map_to_trilinear(tl.GridSpec(2, 12), m_rows=3)
     seed = 2**64
-    text, summary = sch.schedule_to_json(schedule, seed)
-    doc = schedule_document(schedule)
+    text, summary = sch.schedule_to_json(schedule, layout, seed)
+    doc = schedule_document(schedule, layout)
     assert text == json.dumps(doc | {"seed": seed}, sort_keys=True, indent=2) + "\n"
     assert summary == doc["summary"]
     assert [p["site"] for p in doc["initial_positions"]] == [["U", 3, 1], ["M", 3],
