@@ -43,7 +43,6 @@ from .topology import (
     SiteCoord,
     TrilinearLayout,
     map_to_trilinear,
-    neighbors_2d,
 )
 
 __version__ = "0.1.0"
@@ -54,7 +53,7 @@ __all__ = [
     "UnsupportedPair", "Partitioned", "Unrecoverable", "MuxInfeasible",
     "NoAdjacentEmpty", "CircuitError", "ConfigError",
     "GridSpec", "Row", "SiteClass", "SiteCoord", "TrilinearLayout",
-    "map_to_trilinear", "neighbors_2d",
+    "map_to_trilinear",
     "DefectMap", "Durations", "MicroOp", "MicroOpKind", "Reconfiguration",
     "ShuttlePlan", "shortest_shuttle_path", "vertical_gate_plan",
     "long_range_plan", "reconfigure_for_defects",

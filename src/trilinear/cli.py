@@ -6,10 +6,10 @@ stderr when a pipeline error occurs (exit 1 for config/input problems,
 exit 2 for routing/scheduling errors such as a partitioned array).
 
 `main` may run many times in one process: the parser, recent layouts (with
-the sites, neighbour ids and shared move micro-ops their paths touched),
-reconfigurations and half-filled placements are built on first use, not at
-import, and reused, as they are frozen or only read; a call that raises
-caches nothing.
+the neighbour tuples and shared move micro-ops their paths touched) and
+half-filled placements are built on first use, not at import, and reused,
+as they are frozen or only read; a call that raises caches nothing. Each
+call reconfigures for its defects afresh.
 """
 
 from __future__ import annotations

@@ -59,7 +59,7 @@ def _get_bool(doc: dict, key: str, default: bool, path: str) -> bool:
     return val
 
 
-# A layout is frozen, so equal ones share their id memos; `typed`: `map` writes 100 and 100.0 apart.
+# A layout is frozen, so equal ones share their memos; `typed`: `map` writes 100 and 100.0 apart.
 _layout = lru_cache(maxsize=8, typed=True)(TrilinearLayout)
 
 

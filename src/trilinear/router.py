@@ -11,9 +11,9 @@ the caller explicitly blocks constrain a path. Collisions between
 concurrently moving qubits are the scheduler's concern. A blocked set is
 used as given, not copied per op, and move micro-ops are shared per layout.
 
-Path search and the reconfiguration flood run over the layout's int site
-ids (see `topology`), whose ascending order is the tie-break, and so does
-the schedule validator; `SiteCoord` stays at the API and in JSON.
+Path search and the reconfiguration flood run over `SiteCoord`s. The
+search reads the layout's neighbour memo, whose order is the tie-break;
+the defect map answers dead sites and cut steps (`DefectMap.cut`).
 
 Step accounting: `horizontal_steps` counts HorizontalStep micro-ops only;
 `vertical_transfers` counts row transfers; `shuttle_steps` counts every
@@ -26,7 +26,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (CircuitError, InvalidSite, NotNeighbors, Partitioned, Unrecoverable,
@@ -72,6 +71,12 @@ class Durations:
     two_qubit_gate: int = 2
     single_qubit_pulse: int = 4
     readout: int = 10
+
+    def __post_init__(self) -> None:
+        for name, ticks in vars(self).items():
+            # A type check, not a coercion, as in `MicroOp.from_obj`.
+            if type(ticks) is not int or ticks < 1:
+                raise CircuitError(f"{name}: expected an integer >= 1, got {ticks!r}")
 
 
 DEFAULT_DURATIONS = Durations()
@@ -182,16 +187,6 @@ def _height(site: SiteCoord) -> int:
 # ----------------------------------------------------------------------
 # Shortest paths
 
-def _defect_ids(layout: TrilinearLayout,
-                defects: DefectMap) -> tuple[set[int], set[tuple[int, int]]]:
-    """Ids of the dead sites, and cut id pairs both ways, inside the layout.
-    Path search, reconfiguration and the schedule validator share it."""
-    site_id, inside = layout.site_id, layout.in_bounds
-    dead = {site_id(s) for s in defects.dead_sites if inside(s)}
-    cut = {(site_id(a), site_id(b)) for a, b in defects.dead_barriers if inside(a) and inside(b)}
-    return dead, cut | {(j, i) for i, j in cut}
-
-
 def shortest_shuttle_path(
     layout: TrilinearLayout,
     src: SiteCoord,
@@ -206,9 +201,9 @@ def shortest_shuttle_path(
 
     The walk along a row (and sub-row) that src and dst share is the one
     shortest path, as each step changes the axis by at most one, unless a dead
-    site, blocked site or dead barrier is in its way or a loop's two ways tie;
-    it steps over site ids, so like the search it allocates no new site.
-    A set `blocked` is used as given; another iterable is copied.
+    site, blocked site or dead barrier is in its way or a loop's two ways tie.
+    The search reads the layout's neighbour memo, whose order is the
+    tie-break. A set `blocked` is used as given; another iterable is copied.
     """
     blocked = blocked if isinstance(blocked, (set, frozenset)) else frozenset(blocked)
     for end in (src, dst):
@@ -218,41 +213,40 @@ def shortest_shuttle_path(
             raise Partitioned(f"path endpoint {end} is unusable")
     if src == dst:
         return [src]
-    site, neighbor_ids = layout.id_site, layout.neighbor_ids
-    dead, cut = _defect_ids(layout, defects)
-    start, goal = layout.site_id(src), layout.site_id(dst)
+    dead, cut = defects.dead_sites, defects.cut
     ahead = (dst.axis - src.axis) % layout.length if layout.loop else dst.axis - src.axis
     if (src.row is dst.row and src.subrow == dst.subrow
             and not (layout.loop and 2 * ahead == layout.length)):
         delta = 1 if ahead == layout.axis_distance(src.axis, dst.axis) else -1
-        stride = 1 if src.row is Row.MIDDLE else layout.m_rows  # id step per axis step
-        path, axis = [start], src.axis
-        while path[-1] != goal:
+        row, axis, sub = src
+        path = [src]
+        while path[-1] != dst:
             axis = (axis + delta) % layout.length
-            i = start + (axis - src.axis) * stride
-            if i in dead or (path[-1], i) in cut or (blocked and site(i) in blocked):
+            site = SiteCoord(row, axis, sub)
+            if site in dead or site in blocked or (cut and (path[-1], site) in cut):
                 break
-            path.append(i)
+            path.append(site)
         else:
-            return [site(i) for i in path]
-    # parent[i]: -1 unusable, else the id that reached i; unreached ids are absent.
-    parent = dict.fromkeys(dead, -1)
-    parent[start] = start
-    queue = deque([start])
+            return path
+    # parent[site]: None if unusable, else the site that reached it; unreached sites are absent.
+    parent = dict.fromkeys(dead)
+    parent[src] = src
+    queue = deque([src])
+    neighbors = layout.neighbors
     while queue:
         cur = queue.popleft()
-        for nb in neighbor_ids(cur):
-            if nb in parent or (cur, nb) in cut:
+        for nb in neighbors[cur]:
+            if nb in parent or (cut and (cur, nb) in cut):
                 continue
-            if blocked and site(nb) in blocked:
-                parent[nb] = -1
+            if nb in blocked:
+                parent[nb] = None
                 continue
             parent[nb] = cur
-            if nb == goal:
-                path = [goal]
-                while path[-1] != start:
+            if nb == dst:
+                path = [dst]
+                while path[-1] != src:
                     path.append(parent[path[-1]])
-                return [site(i) for i in reversed(path)]
+                return path[::-1]
             queue.append(nb)
     raise Partitioned(f"no shuttle path from {src} to {dst}")
 
@@ -455,7 +449,6 @@ class Reconfiguration:
         return not self.repurposed_sites and not self.sacrificed_qubits
 
 
-@lru_cache(maxsize=8)
 def reconfigure_for_defects(layout: TrilinearLayout,
                             defects: DefectMap = NO_DEFECTS) -> Reconfiguration:
     """Repurpose outer dots stranded from the Middle row; report the cost.
@@ -468,37 +461,46 @@ def reconfigure_for_defects(layout: TrilinearLayout,
     the Middle row and repurposing one dot cannot restore access for
     another, and the stranded dots follow from the defect list alone. Raises
     Unrecoverable when the defects sever the alive lattice between surviving
-    qubits; with no defects nothing is looked at. Cached on the frozen
-    (layout, defects); errors are not.
+    qubits. With no defects nothing is looked at, and while the Middle row
+    is in one piece nothing is flooded: every survivor enters it at its own
+    axis. Nothing is cached; each call decides afresh.
     """
     _require_single_row(layout)
     defects.validate_against(layout)
-    if not defects.dead_sites and not defects.dead_barriers:
+    dead, cut = defects.dead_sites, defects.cut
+    if not dead and not cut:
         return Reconfiguration(frozenset(), frozenset())
-    dead, cut = _defect_ids(layout, defects)
-    # Outer ids follow the Middle row's, so a Middle id's outer neighbours are
-    # past it, and with one outer row a side each is at the Middle site's axis.
-    n, site, neighbor_ids = layout.length, layout.id_site, layout.neighbor_ids
-    repurposed = {j for i in dead if i < n for j in neighbor_ids(i) if j >= n}
-    repurposed = (repurposed | {j for i, j in cut if i < n <= j}) - dead
-    sacrificed = {cell for i in (*dead, *repurposed) if (cell := layout.site_to_grid(site(i)))}
-    survivors = [layout.site_id(layout.grid_to_site(cell)) for cell in layout.grid.cells()
-                 if cell not in sacrificed]
+    # With one outer row a side, a dead Middle site strands the outer dots at
+    # its axis, and a cut Middle-outer barrier strands its outer end.
+    repurposed = {SiteCoord(row, s.axis) for s in dead if s.row is Row.MIDDLE
+                  for row in (_UPPER, _LOWER)}
+    repurposed = (repurposed | {b for a, b in cut if a.row is Row.MIDDLE
+                                and b.row is not Row.MIDDLE}) - dead
+    sacrificed = {cell for s in (*dead, *repurposed) if (cell := layout.site_to_grid(s))}
+
+    # A line in one piece has no Middle cut; a loop of 3 or more axes stays
+    # in one piece after one (a 2-axis loop has a single Middle edge).
+    middle_cuts = (sum(s.row is Row.MIDDLE for s in dead)
+                   + sum(a.row is b.row is Row.MIDDLE for a, b in defects.dead_barriers))
+    if middle_cuts <= (1 if layout.loop and layout.length >= 3 else 0):
+        return Reconfiguration(frozenset(repurposed), frozenset(sacrificed))
 
     # Survivors must share one alive-lattice component: flood from each
-    # survivor not yet reached. Dead sites start out reached.
+    # survivor not yet reached. Dead sites start out reached. The flood meets
+    # each site once, so it calls the neighbour rule, not the memo.
     reached = set(dead)
     components = 0
-    for i in survivors:
-        if i in reached:
+    adjacent = layout.neighbor_rule
+    for cell in layout.grid.cells():
+        if cell in sacrificed or (site := layout.grid_to_site(cell)) in reached:
             continue
         components += 1
-        reached.add(i)
-        stack = [i]
+        reached.add(site)
+        stack = [site]
         while stack:
             cur = stack.pop()
-            for nb in neighbor_ids(cur):
-                if nb not in reached and (cur, nb) not in cut:
+            for nb in adjacent(cur):
+                if nb not in reached and not (cut and (cur, nb) in cut):
                     reached.add(nb)
                     stack.append(nb)
     if components > 1:
@@ -506,8 +508,4 @@ def reconfigure_for_defects(layout: TrilinearLayout,
             "defects sever the array; surviving qubits span "
             f"{components} disconnected components"
         )
-
-    return Reconfiguration(
-        repurposed_sites=frozenset(map(site, repurposed)),
-        sacrificed_qubits=frozenset(sacrificed),
-    )
+    return Reconfiguration(frozenset(repurposed), frozenset(sacrificed))

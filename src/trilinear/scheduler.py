@@ -24,7 +24,8 @@ so the sum of the op durations bounds the makespan. A corridor has one bit
 per site the circuit touches, numbered per call, so its size follows the
 circuit, not the array. The budget is checked in place on clash bytes per
 signal set, updated over each started job's span only. The independent
-validator re-derives all rules from the schedule alone.
+validator re-derives all rules from the schedule alone; it numbers the sites
+it meets per call too, so its cost also follows the schedule.
 
 Waveform accounting: a signal is the name the schedule JSON prints for it.
 All conveyor movement in one direction shares one fixed set of four phased
@@ -45,7 +46,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import count
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -58,7 +58,6 @@ from .router import (
     _GATE,
     _HORIZONTAL,
     _VERTICAL,
-    _defect_ids,
     move_direction,
     plan_two_qubit,
     reconfigure_for_defects,
@@ -460,7 +459,7 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     # in program order; one that cannot start waits on what stopped it:
     # - not ready: its previous jobs' ends;
     # - a corridor clash: a timer at the latest end among the active jobs it
-    #   clashes with, each holding its corridor till then (t for 0-tick jobs);
+    #   clashes with, each holding its corridor till then;
     # - the AC budget: a timer at the first start where its signals fit what
     #   is committed now. Committed signals only grow, so none earlier can.
     # Nothing else that a job is blocked on can change between events, so
@@ -480,7 +479,7 @@ def compile(  # noqa: A001 - mirrors re.compile naming
             clash = job.corridor & active_corridor
             start = (max(end for k, end in active.items() if jobs[k].corridor & clash) if clash
                      else _earliest_fit(job.runs, t, clashes))
-            if clash or start > t:
+            if start > t:
                 heappush(events, (start, n + index))
                 continue
             owner = job.participants[0]
@@ -570,15 +569,22 @@ def validate_schedule(
 
     Ops are replayed as records of ints (position in `schedule.ops`, ticks,
     site ids, qubit indices in cell order) that the garbage collector stops
-    tracking at its first pass; a site outside the layout gets an id past the
-    layout's, which marks it out of bounds. What an op's kind and end sites
-    decide is worked out once per (kind, first id, last id).
+    tracking at its first pass. Site ids are numbered per call in the order
+    the replay meets each site, and whether a site is outside the layout or
+    dead is decided once, when it is numbered. What an op's kind and end
+    sites decide is worked out once per (kind, first id, last id).
     """
     defects.validate_against(layout)
-    n, outside = layout.n_sites, count(layout.n_sites)
-    # Site -> id; a site outside the layout gets the next id past the layout's.
-    ids = _Memo(lambda site: layout.site_id(site) if layout.in_bounds(site) else next(outside))
-    dead, cut = _defect_ids(layout, defects)
+    names: list[SiteCoord] = []      # site id -> site
+    flaws: list[Optional[str]] = []  # site id -> "bounds" outside the layout, "dead_site" if dead
+
+    def number(site: SiteCoord) -> int:
+        names.append(site)
+        flaws.append("bounds" if not layout.in_bounds(site)
+                     else "dead_site" if defects.is_dead(site) else None)
+        return len(names) - 1
+    ids = _Memo(number)
+    cut = defects.cut
     violations: list[Violation] = []
     report = violations.append
     horizon = makespan = schedule.makespan  # the replay runs to the last op's end
@@ -602,23 +608,24 @@ def validate_schedule(
                                               f"tick {end}, past the makespan {makespan}"))
         for site in op_sites:  # leaves b at the last site's id
             b = ids[site]
-            if b >= n:
-                report(Violation("bounds", start, f"site {site} outside layout"))
-            elif b in dead:
-                report(Violation("dead_site", start, f"op visits dead site {site}"))
+            if flaws[b]:
+                report(Violation(flaws[b], start, f"site {site} outside layout"
+                                 if flaws[b] == "bounds" else f"op visits dead site {site}"))
         a = ids[op_sites[0]]
         fact = facts.get((kind, a, b))
         if fact is None:
             src, dst = op_sites[0], op_sites[-1]
             move = kind is _HORIZONTAL or kind is _VERTICAL
             problems = []
-            if move and (a, b) in cut:
+            if move and (src, dst) in cut:
                 problems.append(("dead_barrier", f"move crosses dead barrier {src}-{dst}"))
             in_row = src.row is dst.row and src.subrow == dst.subrow
-            if (move or kind is _GATE) and a < n and b < n and b not in layout.neighbor_ids(a):
+            # A move or gate inside the layout must join lattice neighbours.
+            joins = (move or kind is _GATE) and flaws[a] != "bounds" and flaws[b] != "bounds"
+            if joins and dst not in layout.neighbors[src]:
                 problems.append(("adjacency", f"{kind.value} {src}-{dst} joins sites that "
                                               "are not neighbours"))
-            elif move and a < n and b < n and in_row != (kind is _HORIZONTAL):
+            elif move and joins and in_row != (kind is _HORIZONTAL):
                 problems.append(("adjacency", f"{kind.value} {src}-{dst} "
                                               f"{'stays in' if in_row else 'leaves'} its row"))
             fact = facts[kind, a, b] = (_SET_BIT[signals_for_op(layout, op)], move,
@@ -634,7 +641,6 @@ def validate_schedule(
             gates.append((start, end, ids[op_sites[1]], position))
         deltas[start].append(bit)
         deltas[end].append(-bit)
-    names = {i: site for site, i in ids.items()}
     cells = sorted(chains.keys() | homes.keys())  # qubit index -> cell
 
     # Per qubit: chain order, and the intervals in which it holds each site. A

@@ -18,10 +18,11 @@ With m_rows = M > 1 each outer row becomes M stacked sub-rows and each
 grid row occupies an axis block of ceil(C/M) instead of C, compressing
 the shuttle distance accordingly.
 
-Site ids: on a layout of length n, a Middle site's id is its axis, an Upper
-site's is n + axis*M + subrow and a Lower site's is n + n*M + axis*M + subrow.
-The ids are dense in [0, n*(2M+1)), and ascending ids are the router's
-tie-break order. They are arithmetic, so nothing array-sized is built.
+A `SiteCoord` is the one site representation, inside the package as at its
+edges. Neighbours follow from the coordinates by one rule, and a layout keeps
+only the neighbour tuples looked up, so nothing array-sized is built. Their
+order, Middle, Upper, Lower, then axis, then sub-row, is the router's
+tie-break.
 """
 
 from __future__ import annotations
@@ -107,18 +108,6 @@ class GridSpec:
         for r in range(self.rows):
             for c in range(self.cols):
                 yield (r, c)
-
-
-def neighbors_2d(grid: GridSpec, cell: Cell) -> list[Cell]:
-    """Von Neumann neighbors of a cell (2-4 cells)."""
-    if not grid.contains(cell):
-        raise InvalidGrid(f"cell {cell} outside {grid.rows}x{grid.cols} grid")
-    r, c = cell
-    out = []
-    for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-        if 0 <= rr < grid.rows and 0 <= cc < grid.cols:
-            out.append((rr, cc))
-    return out
 
 
 class _Memo(dict):
@@ -252,58 +241,38 @@ class TrilinearLayout:
     def n_sites(self) -> int:
         return self.length * (2 * self.m_rows + 1)
 
-    def site_id(self, site: SiteCoord) -> int:
-        """The id of a site in bounds (see the module docstring)."""
-        if site.row is Row.MIDDLE:
-            return site.axis
-        base = self.length if site.row is Row.UPPER else self.length * (1 + self.m_rows)
-        return base + site.axis * self.m_rows + site.subrow
+    def neighbor_rule(self, site: SiteCoord) -> tuple[SiteCoord, ...]:
+        """The sites adjacent to a site in bounds: one axis step along its row
+        and sub-row (wrapping on loops), and at its axis one row or sub-row
+        transfer inwards and outwards; Middle, Upper, Lower, then by axis and
+        sub-row."""
+        row, axis, sub = site
+        n = self.length
+        steps = {(axis - 1) % n, (axis + 1) % n} if self.loop else {axis - 1, axis + 1}
+        along = [SiteCoord(row, a, sub) for a in sorted(steps) if 0 <= a < n and a != axis]
+        if row is Row.MIDDLE:  # out to sub-row 0 of both outer rows
+            return (*along, SiteCoord(Row.UPPER, axis), SiteCoord(Row.LOWER, axis))
+        # In to the Middle row or the inner sub-row, out to the next sub-row.
+        across = [SiteCoord(row, axis, s) for s in (sub - 1, sub + 1) if 0 <= s < self.m_rows]
+        inner = (SiteCoord(Row.MIDDLE, axis),) if sub == 0 else ()
+        return (*inner, *sorted(along + across))  # one row: ordered by (axis, sub-row)
 
     @cached_property
-    def id_site(self) -> Callable[[int], SiteCoord]:
-        """`id_site(i)`: the site with id `i`. Like `neighbor_ids`, it keeps what
-        it computes, so a path over ids allocates no new site per step."""
-        n, m = self.length, self.m_rows
-
-        def id_site(i: int) -> SiteCoord:
-            if not 0 <= i < n * (2 * m + 1):
-                raise InvalidSite(f"site id {i} outside layout")
-            if i < n:
-                return SiteCoord(Row.MIDDLE, i)
-            row = Row.UPPER if i < n + n * m else Row.LOWER
-            return SiteCoord(row, *divmod(i - n - (n * m if row is Row.LOWER else 0), m))
-        return _Memo(id_site).__getitem__
-
-    @cached_property
-    def neighbor_ids(self) -> Callable[[int], tuple[int, ...]]:
-        """`neighbor_ids(i)`: ids of the sites adjacent to id `i`, ascending: one
-        axis step along its row and sub-row (wrapping on loops), and at its
-        axis one row or sub-row transfer inwards and outwards."""
-        n, m, loop, id_site = self.length, self.m_rows, self.loop, self.id_site
-
-        def neighbor_ids(i: int) -> tuple[int, ...]:
-            row, axis, sub = id_site(i)
-            if row is Row.MIDDLE:  # out to sub-row 0 of both outer rows
-                stride, ids = 1, {n + i * m, n + n * m + i * m}
-            else:  # in to the Middle row or the inner sub-row, out to the next
-                stride, ids = m, {i - 1 if sub else axis} | ({i + 1} if sub + 1 < m else set())
-            for a in (axis - 1, axis + 1):
-                a = a % n if loop else a
-                if 0 <= a < n and a != axis:
-                    ids.add(i + (a - axis) * stride)
-            return tuple(sorted(ids))
-        return _Memo(neighbor_ids).__getitem__
+    def neighbors(self) -> _Memo:
+        """Site -> `neighbor_rule(site)`, kept for the sites looked up, so a
+        search that meets a site again reuses its tuple and sites."""
+        return _Memo(self.neighbor_rule)
 
     @cached_property
     def memos(self) -> dict:
         """What other modules keep with the layout, e.g. the router's moves."""
         return {}
 
-    def site_neighbors(self, site: SiteCoord) -> list[SiteCoord]:
-        """Lattice-adjacent sites, in ascending site id order."""
+    def site_neighbors(self, site: SiteCoord) -> tuple[SiteCoord, ...]:
+        """Lattice-adjacent sites, in the order of `neighbor_rule`."""
         if not self.in_bounds(site):
             raise InvalidSite(f"site {site} outside layout")
-        return [self.id_site(i) for i in self.neighbor_ids(self.site_id(site))]
+        return self.neighbors[site]
 
     def adjacent(self, a: SiteCoord, b: SiteCoord) -> bool:
         return b in self.site_neighbors(a)
@@ -350,8 +319,13 @@ class DefectMap:
     def is_dead(self, site: SiteCoord) -> bool:
         return site in self.dead_sites
 
+    @cached_property
+    def cut(self) -> frozenset[Barrier]:
+        """Each dead barrier both ways round, so a step (a, b) is one lookup."""
+        return self.dead_barriers | {(b, a) for a, b in self.dead_barriers}
+
     def barrier_dead(self, a: SiteCoord, b: SiteCoord) -> bool:
-        return _normalize_barrier(a, b) in self.dead_barriers
+        return (a, b) in self.cut
 
     def validate_against(self, layout: TrilinearLayout) -> None:
         for site in self.dead_sites:

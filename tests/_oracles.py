@@ -213,8 +213,9 @@ def tick_signal_names(schedule, layout) -> list[list[str]]:
 def site_neighbors(layout: TrilinearLayout, site: SiteCoord) -> list[SiteCoord]:
     """Lattice-adjacent sites: one axis step, one row/sub-row transfer.
 
-    The rule written out on coordinates; `layout.neighbor_ids` and
-    `layout.site_neighbors` must give the same sites."""
+    The rule written out on coordinates, in its own order; the layout's
+    neighbour memo, which `layout.site_neighbors` reads, must give the same
+    sites, sorted by `bfs_key`."""
     if not layout.in_bounds(site):
         raise InvalidSite(f"site {site} outside layout")
     out: list[SiteCoord] = []
@@ -259,9 +260,9 @@ def shortest_shuttle_path(
 ) -> list[SiteCoord]:
     """Minimum-step site path from src to dst over usable sites.
 
-    The per-node SiteCoord BFS the router used before its integer site ids:
-    neighbours come from `site_neighbors`, sorted by `bfs_key`, and
-    each is tested against the defects and the blocked set when reached.
+    A plain per-node BFS with no walk and no memo: neighbours come from
+    `site_neighbors`, sorted by `bfs_key`, and each is tested against the
+    defects and the blocked set when reached.
     `router.shortest_shuttle_path` must return the identical path, or raise
     the same error.
     """

@@ -556,10 +556,10 @@ def test_repeated_main_calls_match_fresh_interpreters(tmp_path, capsys, monkeypa
 
 
 def test_validate_numbers_outside_sites_within_one_call():
-    """Config layouts are shared across calls. The validator numbers a site
-    outside the layout past the layout's ids for that call only: a clean
-    schedule validated after it is clean, and a second outside site is named
-    as itself."""
+    """Config layouts are shared across calls. The validator numbers the sites
+    it meets, outside the layout too, for that call only: a clean schedule
+    validated after it is clean, and a second outside site is named as
+    itself."""
     config = config_from_json({"grid": {"rows": 4, "cols": 4}})
     layout = config.layout()
     schedule = tl.scheduler.compile(tl.Circuit((tl.OneQubit((0, 0), "x90"),)), layout)
@@ -580,7 +580,9 @@ def test_validate_numbers_outside_sites_within_one_call():
 
 
 def test_unrecoverable_defects_raise_on_every_call(cfg, tmp_path, capsys):
-    """Reconfigurations are cached, errors are not."""
+    """Severing defects raise on every call, from the library and through
+    `main` in one process: a failed call leaves nothing behind that a
+    repeat could reuse."""
     layout = config_from_json({"grid": {"rows": 4, "cols": 4}}).layout()
     cut = {"sites": [["U", 3], ["M", 3], ["L", 3]]}
     for _ in range(2):

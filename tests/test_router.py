@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trilinear as tl
@@ -466,8 +466,24 @@ def defect_layouts(draw):
     return rows, cols, loop, m_rows, sorted(dead_sites), sorted(dead_barriers)
 
 
+def _column_cut(*axes):
+    return [(row, axis, 0) for axis in axes for row in ("L", "M", "U")]
+
+
 @settings(max_examples=300, deadline=None)
 @given(defect_layouts())
+# Middle cuts (dead Middle sites and cut Middle barriers): the flood is
+# skipped with none on a line, or one on a loop of 3 or more axes.
+@example((4, 4, False, 1, [("U", 3, 0)], [(("M", 5, 0), ("U", 5, 0))]))    # 0, line
+@example((2, 4, True, 1, [("L", 1, 0)], [(("M", 2, 0), ("U", 2, 0))]))     # 0, loop
+@example((4, 4, False, 1, [("M", 3, 0)], []))                              # 1, line
+@example((1, 4, False, 1, _column_cut(1), []))                             # 1, line, severed
+@example((2, 4, True, 1, [("M", 1, 0)], []))                               # 1, loop
+@example((1, 2, True, 1, [], [(("L", 0, 0), ("L", 1, 0)), (("M", 0, 0), ("M", 1, 0)),
+                              (("U", 0, 0), ("U", 1, 0))]))                # 1, 2-axis loop, severed
+@example((1, 4, False, 1, [("M", 0, 0), ("M", 2, 0)], []))                 # 2, line
+@example((2, 4, True, 1, [("M", 0, 0)], [(("M", 2, 0), ("M", 3, 0))]))     # 2, loop
+@example((2, 4, True, 1, _column_cut(0, 2), []))                           # 2, loop, severed
 def test_reconfiguration_matches_fixed_point_oracle(case):
     rows, cols, loop, m_rows, dead_sites, dead_barriers = case
     layout = tl.map_to_trilinear(tl.GridSpec(rows, cols), loop=loop, m_rows=m_rows)

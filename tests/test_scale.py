@@ -48,3 +48,27 @@ def test_corridors_follow_the_circuit_on_a_million_qubit_loop():
     assert peak < 10 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
     assert sum(s.op.kind is tl.MicroOpKind.TWO_QUBIT_GATE for s in schedule.ops) == 600
     assert tl.scheduler.validate_schedule(schedule, layout) == []
+
+
+def test_one_dead_middle_site_on_a_million_qubit_loop():
+    """With (M,700) dead on the 1000x1000 loop, compiling and validating the
+    2q/1q/meas circuit stay under the 50 MB traced peak: the Middle row is
+    still in one piece, so reconfiguration floods nothing. Flooding the
+    array through a per-layout memo reached 663 MB RSS."""
+    layout = tl.map_to_trilinear(tl.GridSpec(1000, 1000), loop=True)
+    dead = SiteCoord(Row.MIDDLE, 700)
+    defects = tl.DefectMap.of(sites=[dead])
+    circuit = tl.Circuit((tl.TwoQubit((0, 2), (1, 2)), tl.OneQubit((0, 0), "x90"),
+                          tl.Measure((0, 0))))
+    tracemalloc.start()
+    try:
+        schedule = tl.scheduler.compile(circuit, layout, defects)
+        violations = tl.scheduler.validate_schedule(schedule, layout, defects)
+        recon = tl.reconfigure_for_defects(layout, defects)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    assert violations == []
+    assert recon.repurposed_sites == {SiteCoord(Row.UPPER, 700), SiteCoord(Row.LOWER, 700)}
+    assert recon.sacrificed_qubits == {(0, 700), (1, 200)}

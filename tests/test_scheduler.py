@@ -128,6 +128,14 @@ def test_mux_infeasible_below_four_inputs(lay88):
                     mux=MuxConfig(n_ac_inputs=3))
 
 
+@pytest.mark.parametrize("ticks", [-3, 0])
+def test_durations_below_one_tick_are_rejected(lay44, ticks):
+    """-3 used to fail inside compile with a bare ValueError, and 0 compiled a
+    measurement into a schedule of makespan 0."""
+    with pytest.raises(tl.CircuitError, match=f"^readout: expected an integer >= 1, got {ticks}$"):
+        sch.compile(sch.Circuit((Measure((0, 0)),)), lay44, durations=Durations(readout=ticks))
+
+
 def test_serialized_compile_never_faster(lay88):
     circuit = sch.Circuit((
         TwoQubit((0, 0), (1, 0)),

@@ -80,14 +80,6 @@ def test_site_to_grid_inverts_the_fold(rows, cols, loop, m):
             lay.site_to_grid(site)
 
 
-def test_neighbors_2d():
-    grid = tl.GridSpec(4, 4)
-    assert set(tl.neighbors_2d(grid, (0, 0))) == {(0, 1), (1, 0)}
-    assert len(tl.neighbors_2d(grid, (1, 1))) == 4
-    row = tl.GridSpec(1, 4)
-    assert set(tl.neighbors_2d(row, (0, 2))) == {(0, 1), (0, 3)}
-
-
 def test_invalid_grid_rejected():
     with pytest.raises(tl.InvalidGrid):
         tl.map_to_trilinear(tl.GridSpec(3, 1))
@@ -134,23 +126,21 @@ def test_mapping_matches_definition(dims, loop, m):
 @example(dims=(1, 2), loop=True, m=1)    # length 2: both axis steps land on one site
 @example(dims=(2, 2), loop=True, m=1)
 @settings(max_examples=120, deadline=None)
-def test_site_ids_match_site_neighbors(dims, loop, m):
-    """Ids are dense in [0, n_sites) and number the sites in the router's
-    tie-break order, `id_site` inverts `site_id` and returns one object per
-    id, and each id's neighbour ids are the reference `site_neighbors` in
-    that order, self-steps and repeats dropped."""
+def test_neighbor_memo_matches_site_neighbors(dims, loop, m):
+    """Each site's neighbours in the layout's memo are the reference
+    `site_neighbors` in the router's tie-break order, self-steps and repeats
+    dropped; a repeat lookup returns the same tuple, and a site outside the
+    layout raises."""
     rows, cols = dims
     lay = tl.map_to_trilinear(tl.GridSpec(rows, cols), loop=loop, m_rows=min(m, cols))
-    order = sorted(lay.sites(), key=bfs_key)
-    assert [lay.site_id(site) for site in order] == list(range(lay.n_sites))
-    for site in order:
-        i = lay.site_id(site)
-        assert lay.id_site(i) == site and lay.id_site(i) is lay.id_site(i)
-        assert [lay.id_site(j) for j in lay.neighbor_ids(i)] == sorted(
-            site_neighbors(lay, site), key=bfs_key)
-    for i in (-1, lay.n_sites):
+    for site in lay.sites():
+        found = lay.site_neighbors(site)
+        assert list(found) == sorted(site_neighbors(lay, site), key=bfs_key)
+        assert lay.site_neighbors(site) is found and lay.neighbors[site] is found
+    for site in (SiteCoord(Row.MIDDLE, -1), SiteCoord(Row.UPPER, lay.length),
+                 SiteCoord(Row.MIDDLE, 0, 1), SiteCoord(Row.LOWER, 0, lay.m_rows)):
         with pytest.raises(tl.InvalidSite):
-            lay.id_site(i)
+            lay.site_neighbors(site)
 
 
 @given(dims=st.tuples(st.integers(2, 12), st.integers(2, 12)))
