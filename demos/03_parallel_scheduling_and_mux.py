@@ -40,8 +40,8 @@ print("violations in the compiled schedule:",
 # Waveform accounting: both movers share the four conveyor phases, and the
 # peak distinct-class count is the schedule's AC input requirement.
 usage = sch.waveform_usage(pair, layout)
-print(f"distinct waveform classes per tick: {tuple(map(len, usage.per_tick))}")
-print(f"AC inputs required: {usage.max_distinct}")
+print(f"distinct waveform classes per tick: {tuple(map(len, usage))}")
+print(f"AC inputs required: {max(map(len, usage), default=0)}")
 
 # Tightening the AC budget never speeds a schedule up.
 for budget in (8, 5, 4):

@@ -26,8 +26,8 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from . import router
-from .errors import NoAdjacentEmpty, Partitioned
-from .router import DEFAULT_DURATIONS, Durations, MicroOp, MicroOpKind, move_op
+from .errors import CircuitError, NoAdjacentEmpty, Partitioned
+from .router import DEFAULT_DURATIONS, Durations, MicroOp, MicroOpKind
 from .topology import (
     NO_DEFECTS,
     DefectMap,
@@ -143,9 +143,9 @@ def addressed_single_qubit_gate(
             break
     else:
         raise NoAdjacentEmpty(f"no free bare dot next to qubit {qubit} at {home}")
-    return [move_op(home, target, durations, layout),
-            _pulse_op(SiteClass.BARE, rotation, target, durations),
-            move_op(target, home, durations, layout)]
+    moves = router._moves(layout, durations)
+    return [moves[home, target], _pulse_op(SiteClass.BARE, rotation, target, durations),
+            moves[target, home]]
 
 
 @dataclass(frozen=True)
@@ -163,14 +163,12 @@ class ReadoutFixture:
     def sorted_axes(self) -> tuple[int, ...]:
         return tuple(sorted(self.axes))
 
-    def __post_init__(self) -> None:
-        if self.spacing < 1:
-            raise Partitioned(f"sensor spacing must be >= 1, got {self.spacing}")
-
     @classmethod
     def from_spacing(cls, layout: TrilinearLayout, spacing: Optional[int] = None) -> "ReadoutFixture":
         if spacing is None:
             spacing = max(1, layout.grid.cols // 2)
+        elif type(spacing) is not int or spacing < 1:  # a type check, as in `Durations`
+            raise CircuitError(f"set_spacing: expected an integer >= 1, got {spacing!r}")
         return cls(axes=tuple(range(0, layout.length, spacing)), spacing=spacing)
 
 

@@ -146,12 +146,8 @@ class MicroOp(NamedTuple):
                    freq_class, obj.get("param"))
 
 
-def move_op(src: SiteCoord, dst: SiteCoord, durations: Durations = DEFAULT_DURATIONS,
-            layout: Optional[TrilinearLayout] = None) -> MicroOp:
-    """Move micro-op between two adjacent sites, typed by geometry; given the
-    layout, the one op it shares for this edge and `durations`."""
-    if layout is not None:
-        return _moves(layout, durations)[src, dst]
+def move_op(src: SiteCoord, dst: SiteCoord, durations: Durations = DEFAULT_DURATIONS) -> MicroOp:
+    """A new move op between adjacent sites, typed by geometry; plans share `_moves`'s ops."""
     if src.row is dst.row and src.subrow == dst.subrow:
         return MicroOp(_HORIZONTAL, (src, dst), durations.horizontal_step)
     return MicroOp(_VERTICAL, (src, dst), durations.vertical_transfer)
@@ -312,17 +308,15 @@ def gate_shuttle_plan(
     Shape: transfer into the Middle row at the mover's own axis, shuttle
     to the partner's axis (detouring around defects), gate against the
     partner from the adjacent site, retrace, transfer home. The path avoids
-    `blocked` less the mover's home plus the partner's; `blocked` is copied
-    (never changed) only when that differs from it.
+    `blocked` less the mover's home plus the partner's, worked out in a copy:
+    the caller's `blocked` is never changed.
     """
     _require_single_row(layout)
     mover_site = layout.grid_to_site(mover)
     partner_site = layout.grid_to_site(partner)
-    if (not isinstance(blocked, (set, frozenset)) or mover_site in blocked
-            or partner_site not in blocked):
-        blocked = set(blocked)
-        blocked.discard(mover_site)
-        blocked.add(partner_site)
+    blocked = set(blocked)
+    blocked.discard(mover_site)
+    blocked.add(partner_site)
     if defects.is_dead(mover_site) or defects.is_dead(partner_site):
         raise Partitioned(f"gate endpoint site is dead ({mover}, {partner})")
 
@@ -444,10 +438,6 @@ class Reconfiguration:
     repurposed_sites: frozenset[SiteCoord]
     sacrificed_qubits: frozenset[Cell]
 
-    @property
-    def empty(self) -> bool:
-        return not self.repurposed_sites and not self.sacrificed_qubits
-
 
 def reconfigure_for_defects(layout: TrilinearLayout,
                             defects: DefectMap = NO_DEFECTS) -> Reconfiguration:
@@ -461,15 +451,13 @@ def reconfigure_for_defects(layout: TrilinearLayout,
     the Middle row and repurposing one dot cannot restore access for
     another, and the stranded dots follow from the defect list alone. Raises
     Unrecoverable when the defects sever the alive lattice between surviving
-    qubits. With no defects nothing is looked at, and while the Middle row
-    is in one piece nothing is flooded: every survivor enters it at its own
-    axis. Nothing is cached; each call decides afresh.
+    qubits. While the Middle row is in one piece (no Middle cut, or one on a
+    loop) nothing array-sized is built or flooded: every survivor enters it at
+    its own axis. Nothing is cached; each call decides afresh.
     """
     _require_single_row(layout)
     defects.validate_against(layout)
     dead, cut = defects.dead_sites, defects.cut
-    if not dead and not cut:
-        return Reconfiguration(frozenset(), frozenset())
     # With one outer row a side, a dead Middle site strands the outer dots at
     # its axis, and a cut Middle-outer barrier strands its outer end.
     repurposed = {SiteCoord(row, s.axis) for s in dead if s.row is Row.MIDDLE

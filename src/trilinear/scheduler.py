@@ -157,6 +157,8 @@ def dc_refresh_plan(n_gates: int, n_dc_inputs: int = 1, dc_refresh_interval_s: f
         raise CircuitError("n_gates must be >= 1")
     if n_dc_inputs < 1:
         raise CircuitError("mux input counts must be positive")
+    if not math.isfinite(dc_refresh_interval_s) or not math.isfinite(dc_hold_time_s):
+        raise CircuitError("dc_refresh_interval_s and dc_hold_time_s must be finite")
     if dc_refresh_interval_s <= 0:
         raise CircuitError("dc_refresh_interval_s must be positive")
     if dc_hold_time_s <= dc_refresh_interval_s:
@@ -293,20 +295,9 @@ class Schedule:
         return sum(1 for s in self.ops if s.op.kind is _HORIZONTAL)
 
 
-@dataclass(frozen=True)
-class WaveformUsage:
-    """The distinct signals driven at each tick."""
-
-    per_tick: tuple[frozenset[Signal], ...]
-
-    @property
-    def max_distinct(self) -> int:
-        return max(map(len, self.per_tick), default=0)
-
-
-def waveform_usage(schedule: Schedule, layout: TrilinearLayout) -> WaveformUsage:
-    """The signals driven each tick, from each micro-op by `signals_for_op`;
-    the max distinct count over ticks is the schedule's AC-input requirement.
+def waveform_usage(schedule: Schedule, layout: TrilinearLayout) -> tuple[frozenset[Signal], ...]:
+    """The signals driven at each tick, from each micro-op by `signals_for_op`;
+    the largest set's size is the schedule's AC-input requirement.
     Raises CircuitError for an op that runs outside ticks 0 to the makespan."""
     bits: dict = {}  # (kind, sites) -> set bit: an op's signals follow from these alone
     per_tick = [0] * schedule.makespan  # the set bits live at each tick
@@ -319,7 +310,7 @@ def waveform_usage(schedule: Schedule, layout: TrilinearLayout) -> WaveformUsage
         bit = bits.get(head) or bits.setdefault(head, _SET_BIT[signals_for_op(layout, op)])
         for t in range(start, end):
             per_tick[t] |= bit
-    return WaveformUsage(per_tick=tuple(map(_set_signals, per_tick)))
+    return tuple(map(_set_signals, per_tick))
 
 
 # ----------------------------------------------------------------------
@@ -773,7 +764,8 @@ def schedule_to_json(schedule: Schedule, layout: TrilinearLayout, seed: int) -> 
     texts outlive a call. `param` may be any JSON value, so it is dumped per op.
     """
     usage = waveform_usage(schedule, layout)
-    summary = {"makespan": schedule.makespan, "max_waveform_classes": usage.max_distinct,
+    summary = {"makespan": schedule.makespan,
+               "max_waveform_classes": max(map(len, usage), default=0),
                "total_shuttle_steps": schedule.total_horizontal_steps}
     # Texts by value. Keys of different types (a qubit cell, a site, a site
     # tuple, an op head, a signal set) never compare equal.
@@ -809,5 +801,5 @@ def schedule_to_json(schedule: Schedule, layout: TrilinearLayout, seed: int) -> 
             for t in sorted(ticks)], 1),
         '"waveforms_per_tick": ' + _block("[]", [get(sigs) or memo.setdefault(
             sigs, _block("[]", [json.dumps(x) for x in sorted(sigs)], 2))
-            for sigs in usage.per_tick], 1),
+            for sigs in usage], 1),
     ], 0) + "\n", summary

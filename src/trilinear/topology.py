@@ -27,7 +27,6 @@ tie-break.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -398,31 +397,3 @@ def layout_to_json(layout: TrilinearLayout, defects: DefectMap = NO_DEFECTS) -> 
         "defects": defects_to_obj(defects),
     }
 
-
-def _layout_field(doc: dict, name: str, default, valid, expected: str):
-    if name not in doc and default is None:
-        raise InvalidGrid(f"layout document missing field {name!r}")
-    value = doc.get(name, default)
-    if not valid(value):
-        raise InvalidGrid(f"layout field {name!r}: expected {expected}, got {value!r}")
-    return value
-
-
-def layout_from_json(doc: dict) -> tuple[TrilinearLayout, DefectMap]:
-    """Read a `layout_to_json` document back. Each field must have the JSON
-    type that writer gives it; nothing is coerced."""
-    def integer(name: str, default=None) -> int:
-        # JSON's true/false are not integers here.
-        return _layout_field(doc, name, default, lambda v: type(v) is int, "an integer")
-
-    layout = TrilinearLayout(
-        grid=GridSpec(integer("rows"), integer("cols")),
-        pitch_nm=float(_layout_field(doc, "pitch_nm", 100.0,
-                                     lambda v: type(v) in (int, float) and math.isfinite(v),
-                                     "a finite number")),
-        loop=_layout_field(doc, "loop", False, lambda v: type(v) is bool, "true or false"),
-        m_rows=integer("m_rows", 1),
-    )
-    defects = defects_from_obj(doc.get("defects"))
-    defects.validate_against(layout)
-    return layout, defects

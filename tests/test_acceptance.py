@@ -288,8 +288,8 @@ def test_criterion_7_mux_arithmetic():
         schedule = sch.compile(circuit, lay, mux=sch.MuxConfig(n_ac_inputs=4))
         usage = sch.waveform_usage(schedule, lay)
         # Tick 1: all k movers ride the conveyor eastward together.
-        ok &= len(usage.per_tick[1]) == 4
-        ok &= usage.max_distinct == 4
+        ok &= len(usage[1]) == 4
+        ok &= max(map(len, usage)) == 4
 
     dc = dict(n_dc_inputs=1, dc_refresh_interval_s=1.0, dc_hold_time_s=3600.0)
     report = sch.dc_refresh_plan(300, **dc)

@@ -13,7 +13,7 @@ import trilinear as tl
 from trilinear.cli import main
 from trilinear.config import config_from_json
 from trilinear.errors import ConfigError
-from trilinear.topology import SiteClass, layout_from_json, site_class
+from trilinear.topology import SiteClass, layout_to_json, site_class
 
 
 @pytest.fixture
@@ -38,9 +38,7 @@ def test_map_round_trip(cfg, tmp_path):
     out = tmp_path / "layout.json"
     assert main(["map", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    layout, defects = layout_from_json(doc)
-    assert layout == tl.map_to_trilinear(tl.GridSpec(4, 4))
-    assert defects == tl.DefectMap()
+    assert doc == layout_to_json(tl.map_to_trilinear(tl.GridSpec(4, 4)), tl.DefectMap())
 
 
 def test_route_prints_four_step_plan(cfg, tmp_path, capsys):

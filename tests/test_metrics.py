@@ -239,6 +239,13 @@ def test_footprint_rejects_non_positive_fanout_rows(fanout_rows):
         footprint_estimate(tl.map_to_trilinear(tl.GridSpec(8, 8)), fanout_rows=fanout_rows)
 
 
+@pytest.mark.parametrize("pitch", [math.nan, math.inf])
+def test_footprint_rejects_non_finite_tsv_pitch(pitch):
+    """NaN raised a bare ValueError from int(), and inf gave an infinite width."""
+    with pytest.raises(tl.ConfigError, match="footprint parameters must be positive"):
+        footprint_estimate(tl.map_to_trilinear(tl.GridSpec(8, 8)), tsv_pitch_um=pitch)
+
+
 def test_footprint_tiny_grid_positive():
     fp = footprint_estimate(tl.map_to_trilinear(tl.GridSpec(2, 2)))
     assert fp.array_length_um > 0 and fp.array_width_um > 0

@@ -162,6 +162,26 @@ def test_default_fixture_spacing(lay88):
     assert fixture.axes[0] == 0
 
 
+@pytest.mark.parametrize("spacing", [0, -2, 1.5, True])
+def test_fixture_spacing_must_be_an_integer_of_at_least_one(lay88, spacing):
+    """0 raised a bare ValueError from range(), and -2 raised Partitioned."""
+    with pytest.raises(tl.CircuitError, match=f"^set_spacing: expected an integer >= 1, "
+                                              f"got {spacing}$"):
+        ReadoutFixture.from_spacing(lay88, spacing)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a readout walks its own row "
+                                       "through parked qubits")
+def test_readout_lands_on_no_other_qubit(lay88_loop):
+    """Qubit 1 walks (U,2) -> (U,1) -> (U,0) and reads out on the home of
+    qubit 0."""
+    state = proto.init_half_filled(lay88_loop)
+    qubit = state.qubit_at(lay88_loop.grid_to_site((0, 2)))
+    ops = proto.readout(state, qubit, ReadoutFixture.from_spacing(lay88_loop))
+    landings = [op.dst for op in ops if op.is_move]
+    assert [s for s in landings if state.qubit_at(s) not in (None, qubit)] == []
+
+
 # ----------------------------------------------------------------------
 # The placement under random op sequences
 

@@ -386,7 +386,7 @@ def test_exhaustive_same_row_and_neighbor_bounds(lay88):
 
 def test_no_defects_empty_reconfiguration(lay44):
     recon = tl.reconfigure_for_defects(lay44)
-    assert recon.empty
+    assert recon == tl.Reconfiguration(frozenset(), frozenset())
 
 
 def test_single_middle_defect_sacrifices_at_most_two(lay88_loop):

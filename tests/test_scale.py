@@ -28,7 +28,7 @@ def test_million_qubit_loop_builds_nothing_array_sized():
     assert plan.horizontal_steps == 1000
     assert violations == []
     assert cell == (999, 499) and layout.grid_to_site(cell) == last
-    assert tl.reconfigure_for_defects(layout).empty
+    assert tl.reconfigure_for_defects(layout) == tl.Reconfiguration(frozenset(), frozenset())
 
 
 def test_corridors_follow_the_circuit_on_a_million_qubit_loop():

@@ -12,7 +12,7 @@ from trilinear.topology import (
     DefectMap,
     Row,
     SiteCoord,
-    layout_from_json,
+    defects_from_obj,
     layout_to_json,
     site_class,
     site_from_obj,
@@ -187,8 +187,8 @@ def test_layout_json_round_trip_with_subrows():
     defects = DefectMap.of(sites=[SiteCoord(Row.UPPER, 1, 1)])
     doc = layout_to_json(lay, defects)
     assert doc["defects"]["sites"] == [["U", 1, 1]]
-    lay2, defects2 = layout_from_json(doc)
-    assert (lay2, defects2) == (lay, defects)
+    assert (doc["rows"], doc["cols"], doc["m_rows"]) == (4, 8, 2)
+    assert defects_from_obj(doc["defects"]) == defects
 
 
 def test_layout_json_round_trip(lay44):
@@ -198,24 +198,9 @@ def test_layout_json_round_trip(lay44):
     )
     doc = layout_to_json(lay44, defects)
     assert doc["schema_version"] == 1
-    lay2, defects2 = layout_from_json(doc)
-    assert lay2 == lay44
-    assert defects2 == defects
-
-
-@pytest.mark.parametrize("field, value", [
-    ("rows", 4.7), ("rows", True), ("cols", "4"), ("loop", "false"), ("loop", 1),
-    ("m_rows", 1.9), ("pitch_nm", float("nan")), ("pitch_nm", "100"), ("pitch_nm", False),
-])
-def test_layout_json_rejects_fields_of_the_wrong_type(lay44, field, value):
-    with pytest.raises(tl.InvalidGrid, match=f"'{field}'"):
-        layout_from_json(layout_to_json(lay44) | {field: value})
-
-
-def test_layout_json_rejects_coercible_values():
-    """int(), float() and bool() would read this as a 4x4 loop layout."""
-    with pytest.raises(tl.InvalidGrid, match="'rows'"):
-        layout_from_json({"rows": 4.7, "cols": "4", "loop": "false", "m_rows": 1.9})
+    assert doc == {"schema_version": 1, "rows": 4, "cols": 4, "pitch_nm": 100.0, "loop": False,
+                   "m_rows": 1, "defects": {"sites": [["M", 3]], "barriers": [[["U", 2], ["M", 2]]]}}
+    assert defects_from_obj(doc["defects"]) == defects
 
 
 def test_defect_validation(lay44):
