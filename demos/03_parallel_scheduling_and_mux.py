@@ -3,10 +3,11 @@ Parallel scheduling under a shared-waveform budget
 ==================================================
 
 A logical circuit compiles to a tick schedule. Operations run concurrently
-when their shuttle corridors are disjoint, and all conveyor movement in one
-direction shares the same four phased waveforms no matter how many qubits
-ride it, so the AC input count stays flat as the array grows. An
-independent validator replays the schedule against every rule.
+when no two qubits hold one site at one tick, so movers can share the Middle
+row in lockstep, and all conveyor movement in one direction shares the same
+four phased waveforms no matter how many qubits ride it, so the AC input
+count stays flat as the array grows. An independent validator replays the
+schedule against every rule.
 """
 
 import trilinear as tl
@@ -25,7 +26,8 @@ pair = sch.compile(sch.Circuit((
 )), layout)
 print(f"two disjoint gates: makespan {pair.makespan} (same as one)")
 
-# Overlapping segments serialize instead of colliding.
+# Overlapping segments: the second mover would meet the first head-on as
+# it returns, so it waits until their holds no longer overlap.
 clash = sch.compile(sch.Circuit((
     sch.TwoQubit((0, 2), (1, 2)),
     sch.TwoQubit((0, 3), (1, 3)),

@@ -217,8 +217,10 @@ def footprint_estimate(
     land every gate wire (GATES_PER_SITE wires per dot, split across both
     sides). fanout_rows overrides the derived via-row count.
     """
-    if not 0 < tsv_pitch_um < math.inf or (fanout_rows is not None and fanout_rows < 1):
-        raise ConfigError("footprint parameters must be positive and finite")
+    if not 0 < tsv_pitch_um < math.inf or (fanout_rows is not None and (
+            type(fanout_rows) is not int or fanout_rows < 1)):
+        raise ConfigError("footprint parameters must be positive and finite, "
+                          "and fanout_rows an integer")
     core_length_um = layout.length * layout.pitch_nm / 1000.0
     n_rows = 2 * layout.m_rows + 1
     if fanout_rows is None:

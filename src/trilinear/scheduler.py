@@ -8,24 +8,27 @@ Scheduling model (greedy list scheduling, deliberately non-optimal):
   - every logical op expands to a job, a plan made while its qubits sit at
     their home sites (plans are round trips, so qubits are home between
     their ops);
-  - jobs are admitted by dependency: at each tick, after the jobs ending
-    there release their corridors, every unstarted job starts, taken in
-    program order, if it is next in program order for each of its qubits,
-    its corridor (every site the plan touches, plus the parked partner's
-    home) is disjoint from the active corridors, and its signals fit the
-    per-tick distinct-waveform budget over its whole span, so a job held
-    back does not stall later jobs on other qubits.
+  - a job holds sites over ticks by the validator's rule: a move holds both
+    of its sites for its duration, every other op holds its first site, and
+    a gate's partner holds its home for the whole job;
+  - jobs are admitted by dependency: at each tick every unstarted job
+    starts, taken in program order, if it is next in program order for each
+    of its qubits, none of its holds overlaps a hold already committed, and
+    its signals fit the per-tick distinct-waveform budget over its whole
+    span. So a job held back does not stall later jobs on other qubits, and
+    movers in one direction can share the Middle row a site apart.
 Admission is event-driven: a blocked job waits on its previous jobs' ends
-or on a timer, set at the latest end of the active jobs whose corridors it
-clashes with or past the ticks where its signals do not fit, and the clock
-jumps from event to event. The corridor reservation keeps movers from ever
-colliding, and whenever nothing is active the first unstarted job can start,
-so the sum of the op durations bounds the makespan. A corridor has one bit
-per site the circuit touches, numbered per call, so its size follows the
-circuit, not the array. The budget is checked in place on clash bytes per
-signal set, updated over each started job's span only. The independent
-validator re-derives all rules from the schedule alone; it numbers the sites
-it meets per call too, so its cost also follows the schedule.
+or on a timer, set at the first start where its signals fit or, if they fit
+now, where its holds do, and the clock jumps from event to event. The holds
+keep movers from ever colliding, and whenever nothing is active the first
+unstarted job can start, so the sum of the op durations bounds the makespan.
+Each site a plan passes keeps its committed holds as one sorted tick list,
+so a clash check costs a binary search per hold of the job, and the lists
+follow the circuit, not the array. The budget is checked in place on clash
+bytes per signal set, updated over each started job's span only. The
+independent validator re-derives all rules from the schedule alone; it
+numbers the sites it meets per call too, so its cost also follows the
+schedule.
 
 Waveform accounting: a signal is the name the schedule JSON prints for it.
 All conveyor movement in one direction shares one fixed set of four phased
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -153,6 +157,9 @@ def dc_refresh_plan(n_gates: int, n_dc_inputs: int = 1, dc_refresh_interval_s: f
     """Round-robin refresh feasibility: each DC input refreshes one floating
     gate per refresh interval, and the full cycle must beat the hold time
     for which a gate's sampled bias survives."""
+    for name, count in (("n_gates", n_gates), ("n_dc_inputs", n_dc_inputs)):
+        if type(count) is not int:  # a type check, not a coercion, as in `Durations`
+            raise CircuitError(f"{name}: expected an integer >= 1, got {count!r}")
     if n_gates < 1:
         raise CircuitError("n_gates must be >= 1")
     if n_dc_inputs < 1:
@@ -326,28 +333,60 @@ class _Job:
     # that drive one signal set, e.g. a whole shuttle leg.
     runs: list[tuple[int, int, int]]
     total_ticks: int
-    corridor: int   # bitmask over the call's site bits
+    # (site slot, first tick, end tick) of each stretch in which the job
+    # holds a site that no qubit of the circuit calls home.
+    holds: list[tuple[int, int, int]]
 
 
 def _build_job(index: int, ops: list[MicroOp], layout: TrilinearLayout,
-               participants: tuple[Cell, ...], site_bit: _Memo, extra_bits: int = 0) -> _Job:
+               participants: tuple[Cell, ...], homes: set[SiteCoord], slot: _Memo) -> _Job:
     offsets: list[int] = []
     runs: list[tuple[int, int, int]] = []
-    corridor = extra_bits
+    holds: list[tuple[int, int, int]] = []
+    # The qubit holds the site it is at, and a move holds both of its sites,
+    # so each site it passes is held from the start of the move in to the end
+    # of the move out. Plans keep off every home but their mover's own, and a
+    # home's jobs run in its qubit's program order, so holds on homes (the
+    # partner's, held for the whole job, among them) clash with no other
+    # job's holds and are left out.
+    at, since = ops[0].sites[0], 0
     tick = 0
     for op in ops:
         offsets.append(tick)
-        for site in op.sites:
-            corridor |= site_bit[site]
         bit = _SET_BIT[signals_for_op(layout, op)]
         end = tick + op.duration_ticks
         if runs and runs[-1][2] == bit:
             runs[-1] = (runs[-1][0], end, bit)
         else:
             runs.append((tick, end, bit))
+        if op.kind is _HORIZONTAL or op.kind is _VERTICAL:
+            if at not in homes:
+                holds.append((slot[at], since, end))
+            at, since = op.sites[1], tick
         tick = end
+    if at not in homes:
+        holds.append((slot[at], since, tick))
     return _Job(index=index, participants=participants, ops=ops, offsets=offsets, runs=runs,
-                total_ticks=tick, corridor=corridor)
+                total_ticks=tick, holds=holds)
+
+
+def _hold_fit(holds: list[tuple[int, int, int]], start: int, held: list[list[int]]) -> int:
+    """The first start from `start` on at which no hold overlaps a committed
+    hold of its site. `held[slot]` keeps a site's committed holds, which are
+    disjoint, as one sorted list of ticks [first, end, first, end, ...]."""
+    n, checked, i = len(holds), 0, 0  # checked: holds in a row that fit at `start`
+    while checked < n:
+        slot, a, b = holds[i]
+        ticks = held[slot]
+        k = bisect_right(ticks, start + a)  # odd: the window opens inside a committed hold
+        if k & 1:
+            start, checked = ticks[k] - a, 0
+        elif k < len(ticks) and ticks[k] < start + b:  # a committed hold opens inside it
+            start, checked = ticks[k + 1] - a, 0
+        else:
+            checked += 1
+            i = (i + 1) % n
+    return start
 
 
 @lru_cache(maxsize=16)
@@ -401,8 +440,8 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     cells = circuit.cells()
     homes = {cell: layout.grid_to_site(cell) for cell in cells}
     occupied = set(homes.values())
-    # One corridor bit per site, numbered in the order the call first meets it.
-    site_bit = _Memo(lambda site: 1 << len(site_bit))
+    # One slot per site a hold falls on, numbered in the order the call first meets it.
+    slot = _Memo(lambda site: len(slot))
 
     jobs: list[_Job] = []
     for index, cop in enumerate(circuit.ops):
@@ -412,16 +451,16 @@ def compile(  # noqa: A001 - mirrors re.compile naming
                            freq_class=site_class(site).value, param=cop.rotation)
                    if isinstance(cop, OneQubit) else
                    MicroOp(MicroOpKind.READOUT, (site,), durations.readout))
-            jobs.append(_build_job(index, [mop], layout, (cop.cell,), site_bit))
+            jobs.append(_build_job(index, [mop], layout, (cop.cell,), occupied, slot))
         else:
             # The router leaves the mover's home out of `occupied` itself.
             plan = plan_two_qubit(layout, cop.cell_a, cop.cell_b, defects, durations, occupied)
             mover = plan.qubit
             partner = cop.cell_b if mover == cop.cell_a else cop.cell_a
-            # The partner's home is in the corridor, so the partner's next
-            # job cannot start before this one ends.
-            jobs.append(_build_job(index, list(plan.ops), layout, (mover, partner), site_bit,
-                                   site_bit[homes[partner]]))
+            jobs.append(_build_job(index, list(plan.ops), layout, (mover, partner), occupied,
+                                   slot))
+
+    held: list[list[int]] = [[] for _ in slot]  # per slot: its holds, as `_hold_fit` reads them
 
     tables = _clash_tables(mux)
     for job in jobs:
@@ -449,17 +488,15 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     # Event-driven admission. At each event tick the woken jobs are examined
     # in program order; one that cannot start waits on what stopped it:
     # - not ready: its previous jobs' ends;
-    # - a corridor clash: a timer at the latest end among the active jobs it
-    #   clashes with, each holding its corridor till then;
-    # - the AC budget: a timer at the first start where its signals fit what
-    #   is committed now. Committed signals only grow, so none earlier can.
+    # - the AC budget or a hold clash: a timer at the first start at which
+    #   its signals fit what is committed now or, if they fit now, at which
+    #   its holds miss every committed hold. Commitments only grow, so no
+    #   earlier start can fit, and the job is checked again when it fires.
     # Nothing else that a job is blocked on can change between events, so
     # this starts each job at the first tick at which it is admissible.
     committed = bytearray()              # the signal sets live at each tick
     clashes = {bit: bytearray() for bit in tables}  # per set bit: 1 where it breaks the budget
     buckets: dict[int, list[ScheduledOp]] = defaultdict(list)  # start tick -> ops
-    active: dict[int, int] = {}          # active job -> its end tick
-    active_corridor = 0                  # active corridors are pairwise disjoint
     events: list[tuple[int, int]] = []   # (tick, job ending) or (tick, n + job woken)
     woken = [j for j in range(n) if not owed[j]]
     started = makespan = 0
@@ -467,9 +504,9 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     while True:
         for index in sorted(woken):
             job = jobs[index]
-            clash = job.corridor & active_corridor
-            start = (max(end for k, end in active.items() if jobs[k].corridor & clash) if clash
-                     else _earliest_fit(job.runs, t, clashes))
+            start = _earliest_fit(job.runs, t, clashes)
+            if start == t:
+                start = _hold_fit(job.holds, t, held)
             if start > t:
                 heappush(events, (start, n + index))
                 continue
@@ -486,8 +523,12 @@ def compile(  # noqa: A001 - mirrors re.compile naming
             span = committed[t:end]
             for bit, ticks in clashes.items():
                 ticks[t:end] = span.translate(tables[bit][0])
-            active[index] = end
-            active_corridor |= job.corridor
+            for i, a, b in job.holds:
+                ticks = held[i]
+                if ticks and ticks[1] <= t:  # holds that ended clash with nothing: drop them
+                    del ticks[:bisect_right(ticks, t) & ~1]
+                k = bisect_right(ticks, t + a)  # its place among the site's holds
+                ticks[k:k] = (t + a, t + b)
             heappush(events, (end, index))
             started += 1
         woken = []
@@ -499,8 +540,6 @@ def compile(  # noqa: A001 - mirrors re.compile naming
             if code >= n:
                 woken.append(code - n)
                 continue
-            del active[code]
-            active_corridor &= ~jobs[code].corridor
             for nxt in successors[code]:
                 owed[nxt] -= 1
                 if not owed[nxt]:

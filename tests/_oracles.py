@@ -486,13 +486,15 @@ def swap_throughs(sops) -> list:
 def admit_by_dependency(circuit, layout, defects=NO_DEFECTS, mux=None, durations=None):
     """`scheduler.compile`'s admission rule, stepped one tick at a time.
 
-    At tick t the jobs ending at t release their corridors and their place
-    at the head of each participant's queue. Then every unstarted job, in
-    program order, starts if it heads every participant's queue, its
-    corridor (the plan's sites plus the partner's home) is disjoint from
-    the active corridors, and adding its signal names keeps
-    `_mux_problems` empty at every tick of its span. Plans come from the
-    package's router, as compile's do.
+    A job holds (site, tick) pairs by the validator's rule: a move holds
+    both of its sites at every tick of its duration, every other op holds
+    its first site, and a gate's partner holds its home for the whole job.
+    At tick t the jobs ending at t give up their place at the head of each
+    participant's queue. Then every unstarted job, in program order, starts
+    if it heads every participant's queue, none of its holds is a hold of a
+    started job, and adding its signal names keeps `_mux_problems` empty at
+    every tick of its span. Plans come from the package's router, as
+    compile's do.
     """
     from trilinear.router import (DEFAULT_DURATIONS, MicroOp, MicroOpKind, plan_two_qubit,
                                   reconfigure_for_defects)
@@ -506,7 +508,7 @@ def admit_by_dependency(circuit, layout, defects=NO_DEFECTS, mux=None, durations
     circuit.validate_against(layout, recon.sacrificed_qubits)
     homes = {cell: layout.grid_to_site(cell) for cell in circuit.cells()}
 
-    jobs = []  # (owner, partner, participants, ops, corridor sites)
+    jobs = []  # (owner, partner, participants, ops, (site, tick from the job's start) holds)
     for cop in circuit.ops:
         if isinstance(cop, TwoQubit):
             blocked = set(homes.values()) - {homes[cop.cell_a], homes[cop.cell_b]}
@@ -523,16 +525,21 @@ def admit_by_dependency(circuit, layout, defects=NO_DEFECTS, mux=None, durations
                                freq_class=site_class(site).value, param=cop.rotation)]
             else:
                 ops = [MicroOp(MicroOpKind.READOUT, (site,), durations.readout)]
-        corridor = {s for op in ops for s in op.sites}
+        holds, tick = set(), 0
+        for op in ops:
+            for k in range(tick, tick + op.duration_ticks):
+                holds.update((s, k) for s in (op.sites if op.is_move else op.sites[:1]))
+            tick += op.duration_ticks
         if partner is not None:
-            corridor.add(homes[partner])
-        jobs.append((owner, partner, op_cells(cop), ops, corridor))
+            holds.update((homes[partner], k) for k in range(tick))
+        jobs.append((owner, partner, op_cells(cop), ops, holds))
 
     queues = {}
     for i, (_, _, cells, _, _) in enumerate(jobs):
         for cell in cells:
             queues.setdefault(cell, []).append(i)
     live: dict[int, frozenset] = {}  # tick -> signal names committed there
+    taken: set = set()               # (site, tick) holds of the started jobs
     active: dict[int, int] = {}      # job -> end tick
     unstarted = list(range(len(jobs)))
     scheduled = []
@@ -543,10 +550,10 @@ def admit_by_dependency(circuit, layout, defects=NO_DEFECTS, mux=None, durations
             for cell in jobs[i][2]:
                 queues[cell].pop(0)
         for i in list(unstarted):
-            owner, partner, cells, ops, corridor = jobs[i]
+            owner, partner, cells, ops, holds = jobs[i]
             if any(queues[cell][0] != i for cell in cells):
                 continue
-            if any(corridor & jobs[k][4] for k in active):
+            if any((site, t + k) in taken for site, k in holds):
                 continue
             spans, tick = [], t
             for op in ops:
@@ -561,6 +568,7 @@ def admit_by_dependency(circuit, layout, defects=NO_DEFECTS, mux=None, durations
                     live[k] = live.get(k, frozenset()) | sigs
                 gate_partner = partner if op.kind is MicroOpKind.TWO_QUBIT_GATE else None
                 scheduled.append(ScheduledOp(owner, op, start, gate_partner))
+            taken.update((site, t + k) for site, k in holds)
             active[i] = tick
             unstarted.remove(i)
         if unstarted and not active:

@@ -619,12 +619,12 @@ def _seeded_circuit(rng, rows, cols, n_ops, avoid=frozenset()):
 # outputs are promised byte-identical across refactors; a digest may only
 # change together with a deliberate change to the schedules themselves.
 GOLDEN_SCHEDULES = {
-    "grid16": ("836fd137fb1c1b47b99df0f801ce7bd6967219b5ab49061d313f40e23a984d26",
-               "d523cae832290e3bca87fa5f561f5250fecb52e15ea432ac3357fb834085081a"),
-    "loop8_dead_middle": ("4809bb5c3504951c1ad7dbfc2bc7b253cd4bdd3ca9650ec69a111de7e87bade9",
-                          "e2226a3dfdb6255460fc2cabfa4f47a7f575cbf82dc55914dccb245c96e2ee31"),
-    "loop6x7_mixed_params": ("bf65b5fe103b3f75c4beda180e21e5c54bd5900ecaefa69b427ba4b7e31c8763",
-                             "2739dee9b05981adb13e78a208f55c02a2d250fa51858bc4e97d13b62bfe0023"),
+    "grid16": ("2b10a6f0169b80f3d8e85dfefff68c070156afccd10a5741ed643574b886b41f",
+               "86313be986f56c327ba30ee17d9622ee13d30fc750faa1f7647d102436dc5969"),
+    "loop8_dead_middle": ("cbee602b210514a6fb53b7b587af65368ec67c472656c57c34e1123daf06eb96",
+                          "8338760566c87bba2325a15cc196f9322875f94a78e069976fac31e9cf473452"),
+    "loop6x7_mixed_params": ("74d2e54ff581d42b63aaec366b3603bc3c85d67243854499bf54e00b064317f9",
+                             "d35287c3e0116ed07642936c5dd9ca7cf6a74fc9bd63d7206e7a6c18fbf99028"),
 }
 
 # 1q params of mixed JSON types, cycled over the 1q ops of the third golden case.

@@ -239,6 +239,13 @@ def test_footprint_rejects_non_positive_fanout_rows(fanout_rows):
         footprint_estimate(tl.map_to_trilinear(tl.GridSpec(8, 8)), fanout_rows=fanout_rows)
 
 
+@pytest.mark.parametrize("fanout_rows", [1.5, math.inf, True])
+def test_footprint_rejects_fanout_rows_that_are_not_integers(fanout_rows):
+    """All three were accepted; inf gave array_width_um=inf."""
+    with pytest.raises(tl.ConfigError, match="fanout_rows an integer"):
+        footprint_estimate(tl.map_to_trilinear(tl.GridSpec(8, 8)), fanout_rows=fanout_rows)
+
+
 @pytest.mark.parametrize("pitch", [math.nan, math.inf])
 def test_footprint_rejects_non_finite_tsv_pitch(pitch):
     """NaN raised a bare ValueError from int(), and inf gave an infinite width."""

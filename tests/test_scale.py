@@ -33,9 +33,10 @@ def test_million_qubit_loop_builds_nothing_array_sized():
 
 def test_corridors_follow_the_circuit_on_a_million_qubit_loop():
     """600 in-place gates (r, c)-(r, c+1), r in {0, 1} and even c < 600, on
-    the 1000x1000 loop compile under a 10 MB traced peak. Corridor bits are
-    numbered per call over the sites the circuit touches; numbered by the
-    array-wide site id, the corridor ints reached a 59 MB peak."""
+    the 1000x1000 loop compile under a 10 MB traced peak. Nothing in compile
+    is sized by the array: per-site state is kept for the sites the circuit
+    touches only. Corridor bits numbered by the array-wide site id once
+    reached a 59 MB peak."""
     layout = tl.map_to_trilinear(tl.GridSpec(1000, 1000), loop=True)
     circuit = tl.Circuit(tuple(tl.TwoQubit((r, c), (r, c + 1))
                                for r in (0, 1) for c in range(0, 600, 2)))
@@ -47,6 +48,19 @@ def test_corridors_follow_the_circuit_on_a_million_qubit_loop():
         tracemalloc.stop()
     assert peak < 10 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
     assert sum(s.op.kind is tl.MicroOpKind.TWO_QUBIT_GATE for s in schedule.ops) == 600
+    assert tl.scheduler.validate_schedule(schedule, layout) == []
+
+
+def test_vertical_gates_share_the_middle_row_on_a_million_qubit_loop():
+    """100 vertical gates (0, c)-(1, c), every 10th column, on the 1000x1000
+    loop. Each mover rides 500 Middle sites out and back (1,004 ticks), and
+    the plans overlap, but movers in one direction keep 10 sites apart, so
+    all run at once. Holding every site a plan touches for the whole job
+    ran them in 51 waves, 51,204 ticks."""
+    layout = tl.map_to_trilinear(tl.GridSpec(1000, 1000), loop=True)
+    circuit = tl.Circuit(tuple(tl.TwoQubit((0, c), (1, c)) for c in range(0, 1000, 10)))
+    schedule = tl.scheduler.compile(circuit, layout)
+    assert schedule.makespan <= 2008
     assert tl.scheduler.validate_schedule(schedule, layout) == []
 
 

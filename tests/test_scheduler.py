@@ -64,6 +64,37 @@ def test_overlapping_gates_serialize(lay88):
     assert pair.makespan > single.makespan
 
 
+@pytest.mark.parametrize("loop", [False, True])
+def test_vertical_layer_shares_the_middle_row_in_lockstep(loop):
+    """The even-r vertical layer of a 32x32 array: 512 gates whose movers
+    all ride the Middle row. One gate takes 36 ticks; movers in one
+    direction follow each other a site apart, so the layer takes about two
+    such waves. Holding every site a plan touches for the whole job took
+    612 ticks on the line and 684 on the loop."""
+    layout = tl.map_to_trilinear(tl.GridSpec(32, 32), loop=loop)
+    circuit = sch.Circuit(tuple(TwoQubit((r, c), (r + 1, c))
+                                for r in range(0, 32, 2) for c in range(32)))
+    schedule = compile_ok(circuit, layout)
+    assert schedule.makespan <= 144
+
+
+def test_opposite_movers_on_one_edge_stay_serialized(lay88):
+    """(1,2) shuttles west over (M,6)..(M,2) and back; (0,3) east over
+    (M,3)..(M,7) and back. Their jobs overlap in time, but no edge carries
+    both movers in opposite directions at once."""
+    circuit = sch.Circuit((TwoQubit((1, 2), (0, 2)), TwoQubit((0, 3), (1, 3))))
+    schedule = compile_ok(circuit, lay88)
+    spans = {q: (min(s.start_tick for s in schedule.ops if s.qubit == q),
+                 max(s.end_tick for s in schedule.ops if s.qubit == q)) for q in [(1, 2), (0, 3)]}
+    assert spans[(0, 3)][0] < spans[(1, 2)][1]
+    moves = [s for s in schedule.ops if s.op.is_move]
+    opposite = [(a, b) for a in moves for b in moves
+                if a.qubit == (1, 2) and b.qubit == (0, 3)
+                and (a.op.src, a.op.dst) == (b.op.dst, b.op.src)]
+    assert len(opposite) == 6  # the 3 edges of (M,3)-(M,6), against each other on both legs
+    assert all(a.end_tick <= b.start_tick or b.end_tick <= a.start_tick for a, b in opposite)
+
+
 def test_program_order_per_qubit_preserved(lay88):
     circuit = sch.Circuit((
         OneQubit((0, 2), "x"),
@@ -81,7 +112,7 @@ def test_program_order_per_qubit_preserved(lay88):
 
 
 def test_partner_waits_until_mover_is_home(lay88):
-    # The gate job's corridor holds the partner's home, so the partner's
+    # The partner holds its home for the whole gate job, so the partner's
     # next op cannot start while the mover shuttles home.
     circuit = sch.Circuit((TwoQubit((0, 2), (1, 2)), OneQubit((1, 2), "x")))
     schedule = compile_ok(circuit, lay88)
@@ -699,6 +730,17 @@ def test_dc_refresh_plan_rejects_non_finite_times(kw):
     """Both raised a bare ValueError from math.ceil or int()."""
     with pytest.raises(tl.CircuitError, match="must be finite"):
         dc_refresh_plan(10, **kw)
+
+
+@pytest.mark.parametrize("name, value", [("n_gates", float("nan")), ("n_gates", float("inf")),
+                                         ("n_gates", 2.5), ("n_dc_inputs", 1.5),
+                                         ("n_dc_inputs", float("inf")), ("n_dc_inputs", True)])
+def test_dc_refresh_plan_rejects_counts_that_are_not_integers(name, value):
+    """NaN raised a bare ValueError and inf an OverflowError from
+    math.ceil; 2.5 gates and 1.5 inputs were accepted."""
+    with pytest.raises(tl.CircuitError) as info:
+        dc_refresh_plan(**{"n_gates": 10, name: value})
+    assert str(info.value) == f"{name}: expected an integer >= 1, got {value!r}"
 
 
 _SWAP_SITES = (SiteCoord(Row.MIDDLE, 4), SiteCoord(Row.MIDDLE, 5), SiteCoord(Row.UPPER, 4))
