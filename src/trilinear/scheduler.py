@@ -302,21 +302,31 @@ class Schedule:
         return sum(1 for s in self.ops if s.op.kind is _HORIZONTAL)
 
 
+# Keys of what `waveform_usage` and the writer keep in `layout.memos`.
+_BITS, _TEXTS = "waveform_usage bits", "schedule_to_json texts"
+
+
 def waveform_usage(schedule: Schedule, layout: TrilinearLayout) -> tuple[frozenset[Signal], ...]:
     """The signals driven at each tick, from each micro-op by `signals_for_op`;
     the largest set's size is the schedule's AC-input requirement.
     Raises CircuitError for an op that runs outside ticks 0 to the makespan."""
-    bits: dict = {}  # (kind, sites) -> set bit: an op's signals follow from these alone
-    per_tick = [0] * schedule.makespan  # the set bits live at each tick
+    # (kind, sites) -> set bit, kept with the layout. An op's signals follow
+    # from the values of these alone, so equal keys of other types share a bit.
+    bits = layout.memos.setdefault(_BITS, {})
+    makespan = schedule.makespan
+    per_tick = [0] * makespan  # the set bits live at each tick
     for qubit, op, start, _ in schedule.ops:
         end = start + op.duration_ticks
-        if start < 0 or end > schedule.makespan:
+        if start < 0 or end > makespan:
             raise CircuitError(f"{op.kind.value} of qubit {qubit} runs from tick "
-                               f"{start} to {end}, outside the makespan {schedule.makespan}")
+                               f"{start} to {end}, outside the makespan {makespan}")
         head = op[:2]
         bit = bits.get(head) or bits.setdefault(head, _SET_BIT[signals_for_op(layout, op)])
-        for t in range(start, end):
-            per_tick[t] |= bit
+        if end == start + 1:  # most ops are single steps
+            per_tick[start] |= bit
+        else:
+            for t in range(start, end):
+                per_tick[t] |= bit
     return tuple(map(_set_signals, per_tick))
 
 
@@ -770,21 +780,37 @@ def _dump(obj, depth: int) -> str:
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
 
 
+# A newline and the indent of each depth the writer uses (0 to 6), plus one.
+_NEWLINE = tuple("\n" + "  " * depth for depth in range(8))
+_COMMA_NEWLINE = tuple("," + newline for newline in _NEWLINE)
+
+
 def _block(brackets: str, items: list[str], depth: int) -> str:
     """A JSON array or object of encoded items, `depth` levels deep."""
-    inner = "\n" + "  " * (depth + 1)
-    return (brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth
-            + brackets[1]) if items else brackets
+    return (f'{brackets[0]}{_NEWLINE[depth + 1]}{_COMMA_NEWLINE[depth + 1].join(items)}'
+            f'{_NEWLINE[depth]}{brackets[1]}') if items else brackets
 
 
-# The JSON text of each row and micro-op kind, as json.dumps writes its value.
+# The JSON text of each row, micro-op kind and signal, as json.dumps writes it.
 _ROW_TEXT = {row: json.dumps(row.value) for row in Row}
 _KIND_TEXT = {kind: json.dumps(kind.value) for kind in MicroOpKind}
+_SIGNAL_TEXT = {sig: json.dumps(sig) for sigs in _SET_BIT for sig in sigs}
+_SEP = _COMMA_NEWLINE[5]  # between two fields of an op
 
 
 def _ints_text(values, depth: int) -> str:
     """A JSON array, `depth` levels deep, of ints (other values via json.dumps)."""
     return _block("[]", [str(v) if type(v) is int else json.dumps(v) for v in values], depth)
+
+
+def _qubit_text(cell) -> str:
+    """An op's `qubit` field."""
+    return f'{_SEP}"qubit": {_ints_text(cell, 5)}'
+
+
+def _position_text(cell, site) -> str:
+    """One `initial_positions` entry."""
+    return f'{{\n      "cell": {_ints_text(cell, 3)},\n      "site": {_site_text(site, 3)}\n    }}'
 
 
 def _site_text(site: SiteCoord, depth: int) -> str:
@@ -793,43 +819,98 @@ def _site_text(site: SiteCoord, depth: int) -> str:
                                                 for v in site[1:3 if site.subrow else 2]]], depth)
 
 
+# The writer keeps its texts by value, and equal values of other types print
+# differently (True and 1, 1.0 and 1). So a text is kept and looked up only
+# for a value whose leaves are exact ints or strs, or Row or MicroOpKind
+# members. Rows and kinds need no check, as only a member equals a member.
+def _exact_cell(cell) -> bool:
+    return type(cell) is tuple and len(cell) == 2 and type(cell[0]) is int and type(cell[1]) is int
+
+
+def _exact_sites(sites) -> bool:
+    if type(sites) is not tuple:
+        return False
+    for site in sites:
+        if (type(site) is not SiteCoord or type(site.axis) is not int
+                or type(site.subrow) is not int):
+            return False
+    return True
+
+
+def _head_texts(duration, freq_class, kind, partner) -> tuple[str, str]:
+    """An op's text up to `param`, and its `partner` field."""
+    return (f'{{{_SEP[1:]}"duration_ticks": '
+            f'{duration if type(duration) is int else json.dumps(duration)}'
+            + ("" if freq_class is None else f'{_SEP}"freq_class": {json.dumps(freq_class)}')
+            + f'{_SEP}"kind": {_KIND_TEXT[kind]}',
+            "" if partner is None else f'{_SEP}"partner": {_ints_text(partner, 5)}')
+
+
+def _tail_text(sites, site_texts: Optional[dict]) -> str:
+    """An op's `sites` field to the end of the op, with each site's text kept
+    in `site_texts` if given."""
+    return f'{_SEP}"sites": ' + _block("[]", [
+        site_texts.get(s) or site_texts.setdefault(s, _site_text(s, 6)) for s in sites
+    ] if site_texts is not None else [_site_text(s, 6) for s in sites], 5) + "\n        }"
+
+
 def schedule_to_json(schedule: Schedule, layout: TrilinearLayout, seed: int) -> tuple[str, dict]:
     """The schedule document as JSON text, plus its `summary` block.
 
     The text is json.dumps(doc, sort_keys=True, indent=2) + "\\n", written in
     one pass; with `indent` set that stdlib encoder runs in pure Python. Each
-    distinct op head (duration, freq class, kind and partner), qubit, site and
-    signal set is encoded once per call, and only the constant row and kind
-    texts outlive a call. `param` may be any JSON value, so it is dumped per op.
+    distinct op head (duration, freq class, kind and partner), qubit, site,
+    site tuple, initial position and signal set is encoded once per layout:
+    the texts are kept in `layout.memos`, so a later call on the layout
+    reuses what earlier calls wrote. Keys are type-exact: a text is kept and
+    looked up only for a value whose leaves are exact ints, strs, or Row or
+    MicroOpKind members (see `_exact_cell`). Any other value, such as True,
+    1.0 or a list in a cell, is encoded afresh and not kept, so a kept text
+    never stands in for an equal value that prints differently. `param` may
+    be any JSON value, so it is dumped per op.
     """
     usage = waveform_usage(schedule, layout)
     summary = {"makespan": schedule.makespan,
                "max_waveform_classes": max(map(len, usage), default=0),
                "total_shuttle_steps": schedule.total_horizontal_steps}
-    # Texts by value. Keys of different types (a qubit cell, a site, a site
-    # tuple, an op head, a signal set) never compare equal.
-    memo: dict = {}
-    get = memo.get
-    sep = ",\n" + "  " * 5  # between two fields of an op
+    # The texts kept with the layout, by value: op heads by (duration, freq
+    # class, kind, partner), qubit fields, site tuples (each with the tuple
+    # itself), sites, initial positions and signal sets.
+    heads, qubits, tails, site_texts, positions, signals = layout.memos.setdefault(
+        _TEXTS, ({}, {}, {}, {}, {}, {}))
     ticks: dict[int, list[str]] = defaultdict(list)
-    for sop in schedule.ops:
-        op = sop.op
-        key = (op.duration_ticks, op.freq_class, op.kind, sop.partner)
-        head = get(key) or memo.setdefault(key, (  # the text up to `param`, and `partner`
-            f'{{{sep[1:]}"duration_ticks": {op.duration_ticks}'
-            + ("" if op.freq_class is None else f'{sep}"freq_class": {json.dumps(op.freq_class)}')
-            + f'{sep}"kind": {_KIND_TEXT[op.kind]}',
-            "" if sop.partner is None else f'{sep}"partner": {_ints_text(sop.partner, 5)}'))
-        qubit = get(sop.qubit) or memo.setdefault(
-            sop.qubit, f'{sep}"qubit": {_ints_text(sop.qubit, 5)}')
-        sites = get(op.sites) or memo.setdefault(op.sites, f'{sep}"sites": ' + _block("[]", [
-            get(s) or memo.setdefault(s, _site_text(s, 6)) for s in op.sites], 5) + "\n        }")
-        param = "" if op.param is None else f'{sep}"param": {_dump(op.param, 5)}'
-        ticks[sop.start_tick].append(head[0] + param + head[1] + qubit + sites)
+    for qubit, op, start, partner in schedule.ops:
+        kind, sites, duration, freq_class, param = op
+        key = (duration, freq_class, kind, partner)
+        if (type(duration) is int and (freq_class is None or type(freq_class) is str)
+                and (partner is None or _exact_cell(partner))):
+            head = heads.get(key) or heads.setdefault(key, _head_texts(*key))
+        else:
+            head = _head_texts(*key)
+        if (type(qubit) is tuple and len(qubit) == 2  # _exact_cell, inlined: once per op
+                and type(qubit[0]) is int and type(qubit[1]) is int):
+            qubit_text = qubits.get(qubit) or qubits.setdefault(qubit, _qubit_text(qubit))
+        else:
+            qubit_text = _qubit_text(qubit)
+        # A site tuple's text is kept with the tuple itself. A move's sites are
+        # the layout's shared edge tuple (router `_moves`), so most hits are
+        # that very tuple and need no check.
+        kept = tails.get(sites) if type(sites) is tuple else None
+        if kept is not None and (kept[1] is sites or _exact_sites(sites)):
+            tail = kept[0]
+        elif _exact_sites(sites):
+            tail = tails.setdefault(sites, (_tail_text(sites, site_texts), sites))[0]
+        else:
+            tail = _tail_text(sites, None)
+        if param is not None:
+            head = (f'{head[0]}{_SEP}"param": {_dump(param, 5)}', head[1])
+        ticks[start].append(f'{head[0]}{head[1]}{qubit_text}{tail}')
     return _block("{}", [
         '"initial_positions": ' + _block("[]", [
-            _block("{}", [f'"cell": {_ints_text(c, 3)}', f'"site": {_site_text(s, 3)}'], 2)
-            for c, s in schedule.initial_positions], 1),
+            (positions.get((cell, site)) or positions.setdefault((cell, site),
+                                                                _position_text(cell, site)))
+            if _exact_cell(cell) and _exact_sites((site,)) else _position_text(cell, site)
+            for cell, site in schedule.initial_positions], 1),
         f'"makespan": {schedule.makespan}',
         f'"schema_version": {SCHEMA_VERSION}',
         f'"seed": {seed}',
@@ -838,7 +919,9 @@ def schedule_to_json(schedule: Schedule, layout: TrilinearLayout, seed: int) -> 
             # One tick's object, two levels deep.
             f'{{\n      "ops": {_block("[]", ticks[t], 3)},\n      "tick": {t}\n    }}'
             for t in sorted(ticks)], 1),
-        '"waveforms_per_tick": ' + _block("[]", [get(sigs) or memo.setdefault(
-            sigs, _block("[]", [json.dumps(x) for x in sorted(sigs)], 2))
+        # The sets come from `_set_signals`, of exact strs.
+        '"waveforms_per_tick": ' + _block("[]", [
+            signals.get(sigs) or signals.setdefault(
+                sigs, _block("[]", [_SIGNAL_TEXT[sig] for sig in sorted(sigs)], 2))
             for sigs in usage], 1),
     ], 0) + "\n", summary

@@ -264,7 +264,9 @@ class TrilinearLayout:
 
     @cached_property
     def memos(self) -> dict:
-        """What other modules keep with the layout, e.g. the router's moves."""
+        """What other modules keep with the layout: the router's moves, the
+        signal set bit of each op and the schedule writer's texts. Each
+        grows with the distinct values that calls on the layout meet."""
         return {}
 
     def site_neighbors(self, site: SiteCoord) -> tuple[SiteCoord, ...]:

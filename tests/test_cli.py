@@ -508,9 +508,10 @@ def test_module_entry_point(cfg, tmp_path):
 
 
 def test_repeated_main_calls_match_fresh_interpreters(tmp_path, capsys, monkeypatch):
-    """`main` keeps its parser, layouts and reconfigurations across calls.
-    Each call of a sequence in one interpreter must write what it writes in
-    a fresh one, and a --seed must not carry over to the next call."""
+    """`main` keeps its parser, layouts and what it built on them (moves,
+    schedule texts) across calls. Each call of a sequence in one interpreter
+    must write what it writes in a fresh one, and a --seed must not carry
+    over to the next call."""
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to this width
 
     def write(name, doc):
@@ -526,10 +527,17 @@ def test_repeated_main_calls_match_fresh_interpreters(tmp_path, capsys, monkeypa
         {"op": "2q", "cells": [[1, 0], [2, 3]]}, {"op": "2q", "cells": [[0, 2], [1, 2]]},
         {"op": "1q", "cells": [[1, 1]], "param": "x90"}, {"op": "meas", "cells": [[0, 1]]}]}),
               "--defects", write("defects.json", {"sites": [["M", 5]]})]
+    # Another circuit on config_a's layout, so the last call writes texts
+    # that this one kept there: the same gate, cells in another order.
+    other = ["--circuit", write("other.json", {"ops": [
+        {"op": "2q", "cells": [[0, 2], [1, 2]]}, {"op": "meas", "cells": [[1, 1]]},
+        {"op": "1q", "cells": [[0, 1]], "param": "x"}, {"op": "2q", "cells": [[1, 0], [2, 2]]}]}),
+             *inputs[2:]]
     calls = [["schedule", "--config", config_a, *inputs],
              ["schedule", "--config", config_a, "--bogus"],
              ["schedule", "--config", config_bad, *inputs],
              ["schedule", "--config", config_b, *inputs, "--seed", "9"],
+             ["schedule", "--config", config_a, *other],
              ["schedule", "--config", config_a, *inputs]]
     in_process = []
     for argv in calls:
@@ -546,11 +554,12 @@ def test_repeated_main_calls_match_fresh_interpreters(tmp_path, capsys, monkeypa
         # Decoded as bytes: text mode would turn the summary CSV's \r\n into \n.
         fresh.append((result.returncode, result.stdout.decode(), result.stderr.decode()))
     assert in_process == fresh
-    assert [code for code, _, _ in in_process] == [0, 2, 1, 0, 0]
-    docs = [json.JSONDecoder().raw_decode(in_process[i][1])[0] for i in (0, 3, 4)]
-    assert [doc["seed"] for doc in docs] == [3, 9, 3]
+    assert [code for code, _, _ in in_process] == [0, 2, 1, 0, 0, 0]
+    docs = [json.JSONDecoder().raw_decode(in_process[i][1])[0] for i in (0, 3, 4, 5)]
+    assert [doc["seed"] for doc in docs] == [3, 9, 3, 3]
     assert docs[0]["ticks"] != docs[1]["ticks"]  # the loop changed the routes
-    assert in_process[4] == in_process[0]
+    assert docs[2]["ticks"] != docs[0]["ticks"]
+    assert in_process[5] == in_process[0]
 
 
 def test_validate_numbers_outside_sites_within_one_call():

@@ -953,9 +953,11 @@ def test_schedule_json_matches_json_dumps_oracle(rng_seed, rows, cols, loop, max
         ops = [op for op in ops if not isinstance(op, TwoQubit)]
         schedule = sch.compile(sch.Circuit(tuple(ops)), layout, defects)
     doc = schedule_document(schedule, layout)
-    text, summary = sch.schedule_to_json(schedule, layout, seed)
-    assert text == json.dumps(doc | {"seed": seed}, sort_keys=True, indent=2) + "\n"
-    assert summary == doc["summary"]
+    # The second write reads every text from the layout's memo.
+    for _ in range(2):
+        text, summary = sch.schedule_to_json(schedule, layout, seed)
+        assert text == json.dumps(doc | {"seed": seed}, sort_keys=True, indent=2) + "\n"
+        assert summary == doc["summary"]
     if not ops:
         assert '"ticks": []' in text and '"waveforms_per_tick": []' in text
 
@@ -983,3 +985,32 @@ def test_schedule_json_writes_sub_rows_escapes_and_long_ints():
     assert summary == doc["summary"]
     assert [p["site"] for p in doc["initial_positions"]] == [["U", 3, 1], ["M", 3],
                                                              ["L", 2**66, 1]]
+
+
+def test_schedule_json_writes_equal_values_of_other_types_as_themselves():
+    """Equal values of other types print differently: json.dumps writes the
+    qubit (True, 0) as [true, 0], not [1, 0]. The writer keeps its texts by
+    value with the layout, so such a value must print as itself both in a
+    call that also writes (1, 0) and in a later call on the same layout
+    object; so must a partner, a site, a duration and a freq class."""
+    layout = tl.map_to_trilinear(tl.GridSpec(2, 4))
+
+    def schedule(*cells):
+        ops = []
+        for t, (r, c) in enumerate(cells):
+            site = SiteCoord(Row.UPPER, 2 * c, r)
+            ops += [ScheduledOp((r, c), MicroOp(MicroOpKind.SINGLE_QUBIT_PULSE, (site,), 1, r,
+                                                "x90"), 3 * t),
+                    ScheduledOp((r, c), MicroOp(MicroOpKind.READOUT, (site,), r), 3 * t + 1),
+                    ScheduledOp((r, c), MicroOp(MicroOpKind.TWO_QUBIT_GATE,
+                                                (site, SiteCoord(Row.LOWER, c)), 1),
+                                3 * t + 2, partner=(r, c))]
+        return Schedule(ops=tuple(ops), makespan=3 * len(cells), initial_positions=tuple(
+            ((r, c), SiteCoord(Row.UPPER, 2 * c, r)) for r, c in cells))
+
+    for case in (schedule((1, 0), (True, 0)), schedule((1, 0)), schedule((True, 0)),
+                 schedule((1, 1.0)), schedule((1, 1))):
+        text, summary = sch.schedule_to_json(case, layout, 0)
+        doc = schedule_document(case, layout)
+        assert text == json.dumps(doc | {"seed": 0}, sort_keys=True, indent=2) + "\n"
+        assert summary == doc["summary"]
