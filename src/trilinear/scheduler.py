@@ -9,26 +9,34 @@ Scheduling model (greedy list scheduling, deliberately non-optimal):
     their home sites (plans are round trips, so qubits are home between
     their ops);
   - a job holds sites over ticks by the validator's rule: a move holds both
-    of its sites for its duration, every other op holds its first site, and
-    a gate's partner holds its home for the whole job;
+    of its sites for its duration, every other op holds its first site, a
+    waiting mover holds the site it waits at, and a gate's partner holds its
+    home for the whole job;
+  - a job's head, every op before a shuttled gate (all of any other job),
+    runs back to back from the job's start. Its tail, the gate, the return
+    leg and the transfer home, goes one run (back-to-back ops of one signal
+    set) at a time, each at the first tick from the previous run's end at
+    which its signals fit and its holds miss every committed hold, with the
+    mover waiting in between where the previous run left it;
   - jobs are admitted by dependency: at each tick every unstarted job
     starts, taken in program order, if it is next in program order for each
-    of its qubits, none of its holds overlaps a hold already committed, and
-    its signals fit the per-tick distinct-waveform budget over its whole
-    span. So a job held back does not stall later jobs on other qubits, and
-    movers in one direction can share the Middle row a site apart.
-Admission is event-driven: a blocked job waits on its previous jobs' ends
-or on a timer, set at the first start where its signals fit or, if they fit
-now, where its holds do, and the clock jumps from event to event. The holds
-keep movers from ever colliding, and whenever nothing is active the first
-unstarted job can start, so the sum of the op durations bounds the makespan.
-Each site a plan passes keeps its committed holds as one sorted tick list,
-so a clash check costs a binary search per hold of the job, and the lists
-follow the circuit, not the array. The budget is checked in place on clash
-bytes per signal set, updated over each started job's span only. The
-independent validator re-derives all rules from the schedule alone; it
-numbers the sites it meets per call too, so its cost also follows the
-schedule.
+    of its qubits, its head's holds miss every committed hold and its
+    signals fit the per-tick distinct-waveform budget, and no wait of its
+    tail overlaps a committed hold. So a job held back does not stall later
+    jobs on other qubits, movers in one direction can share the Middle row
+    a site apart, and a mover that has reached its partner gates at once.
+Admission is event-driven: a blocked job waits on its previous jobs' ends,
+on a timer at the first start where its head's signals fit or, if they fit
+now, where its head's holds do, or on the next tick if a wait clashes; the
+clock jumps from event to event. The holds keep movers from ever colliding,
+and whenever nothing is active the first unstarted job can start and run
+back to back, so the sum of the op durations bounds the makespan. Each site
+a plan passes keeps its committed holds as one sorted tick list, so a clash
+check costs a binary search per hold, and the lists follow the circuit, not
+the array. The budget is checked in place on clash bytes per signal set,
+updated over each started job's span only. The independent validator
+re-derives all rules from the schedule alone; it numbers the sites it meets
+per call too, so its cost also follows the schedule.
 
 Waveform accounting: a signal is the name the schedule JSON prints for it.
 All conveyor movement in one direction shares one fixed set of four phased
@@ -333,37 +341,52 @@ def waveform_usage(schedule: Schedule, layout: TrilinearLayout) -> tuple[frozens
 # ----------------------------------------------------------------------
 # Compilation
 
+# Ops of a job that run back to back from one start tick: the head (every op
+# before a shuttled gate, or all of any other job) or one run of the tail.
+# A plain tuple, as compile unpacks it where a tuple subclass is slower:
+# (park, ops, offsets, runs, holds, ticks), ticks counted from its start, with
+# - park: the slot of the site the mover waits at before a tail run (head: -1);
+# - offsets: each op's first tick;
+# - runs: (first tick, end tick, set bit) of each stretch of back-to-back ops
+#   that drive one signal set, e.g. a whole shuttle leg;
+# - holds: (site slot, first tick, end tick) of each stretch in which it holds
+#   a site that no qubit of the circuit calls home;
+# - ticks: its length.
+_Piece = tuple[int, list[MicroOp], list[int], list[tuple[int, int, int]],
+               list[tuple[int, int, int]], int]
+
+
 @dataclass
 class _Job:
     index: int
     participants: tuple[Cell, ...]  # the mover first, then a gate's partner
-    ops: list[MicroOp]
-    offsets: list[int]
-    # (first tick, end tick, set bit) of each stretch of back-to-back ops
-    # that drive one signal set, e.g. a whole shuttle leg.
-    runs: list[tuple[int, int, int]]
-    total_ticks: int
-    # (site slot, first tick, end tick) of each stretch in which the job
-    # holds a site that no qubit of the circuit calls home.
-    holds: list[tuple[int, int, int]]
+    pieces: list[_Piece]  # the head, then one per run from a shuttled gate on
 
 
 def _build_job(index: int, ops: list[MicroOp], layout: TrilinearLayout,
                participants: tuple[Cell, ...], homes: set[SiteCoord], slot: _Memo) -> _Job:
-    offsets: list[int] = []
-    runs: list[tuple[int, int, int]] = []
-    holds: list[tuple[int, int, int]] = []
     # The qubit holds the site it is at, and a move holds both of its sites,
     # so each site it passes is held from the start of the move in to the end
-    # of the move out. Plans keep off every home but their mover's own, and a
-    # home's jobs run in its qubit's program order, so holds on homes (the
-    # partner's, held for the whole job, among them) clash with no other
-    # job's holds and are left out.
-    at, since = ops[0].sites[0], 0
-    tick = 0
+    # of the move out; a stay that spans pieces is split between them, and
+    # compile adds the wait between them. Plans keep off every home but
+    # their mover's own, and a home's jobs run in its qubit's program order,
+    # so holds on homes (the partner's, held for the whole job, among them)
+    # clash with no other job's holds and are left out.
+    pieces: list[_Piece] = []
+    tail = False  # from a shuttled gate on, each run is a piece of its own
+    at, since, park = ops[0].sites[0], 0, -1
+    piece_ops, offsets, runs, holds, tick = [], [], [], [], 0
     for op in ops:
-        offsets.append(tick)
         bit = _SET_BIT[signals_for_op(layout, op)]
+        tail = tail or (op.kind is _GATE and len(ops) > 1)
+        if tail and bit != runs[-1][2]:
+            if at not in homes:
+                holds.append((slot[at], since, tick))
+            pieces.append((park, piece_ops, offsets, runs, holds, tick))
+            park, since = slot[at], 0
+            piece_ops, offsets, runs, holds, tick = [], [], [], [], 0
+        piece_ops.append(op)
+        offsets.append(tick)
         end = tick + op.duration_ticks
         if runs and runs[-1][2] == bit:
             runs[-1] = (runs[-1][0], end, bit)
@@ -376,8 +399,8 @@ def _build_job(index: int, ops: list[MicroOp], layout: TrilinearLayout,
         tick = end
     if at not in homes:
         holds.append((slot[at], since, tick))
-    return _Job(index=index, participants=participants, ops=ops, offsets=offsets, runs=runs,
-                total_ticks=tick, holds=holds)
+    pieces.append((park, piece_ops, offsets, runs, holds, tick))
+    return _Job(index=index, participants=participants, pieces=pieces)
 
 
 def _hold_fit(holds: list[tuple[int, int, int]], start: int, held: list[list[int]]) -> int:
@@ -431,6 +454,27 @@ def _earliest_fit(runs: list[tuple[int, int, int]], start: int,
     return start
 
 
+def _place_tail(pieces: list[_Piece], t: int, clashes: dict[int, bytearray],
+                held: list[list[int]]) -> Optional[list[int]]:
+    """The start of each piece when the head starts at t, then the job's end:
+    each tail run starts at the first tick from the previous piece's end at
+    which its signals fit and its holds clear every committed hold. None if
+    the mover's wait before a run, parked where the previous piece left it,
+    would clash."""
+    starts = [t, t + pieces[0][5]]
+    for park, _, _, runs, holds, ticks in pieces[1:]:
+        end = start = starts[-1]
+        while True:
+            fit = _earliest_fit(runs, start, clashes)
+            start = _hold_fit(holds, fit, held)
+            if start == fit:
+                break
+        if start > end and _hold_fit([(park, end, start)], 0, held):
+            return None
+        starts[-1:] = start, start + ticks
+    return starts
+
+
 def compile(  # noqa: A001 - mirrors re.compile naming
     circuit: Circuit,
     layout: TrilinearLayout,
@@ -438,7 +482,9 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     mux: MuxConfig = DEFAULT_MUX,
     durations: Durations = DEFAULT_DURATIONS,
 ) -> Schedule:
-    """Greedy list scheduling of a circuit onto the layout.
+    """Greedy list scheduling of a circuit onto the layout: each job starts at
+    the first tick at which its head fits, and each run of its tail at its
+    own first fit after that (see the module docstring).
 
     Raises Partitioned when a two-qubit op cannot be routed around the
     defects and parked qubits, and MuxInfeasible when a single micro-op
@@ -453,7 +499,7 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     # One slot per site a hold falls on, numbered in the order the call first meets it.
     slot = _Memo(lambda site: len(slot))
 
-    jobs: list[_Job] = []
+    jobs: list[Optional[_Job]] = []
     for index, cop in enumerate(circuit.ops):
         if not isinstance(cop, TwoQubit):
             site = homes[cop.cell]
@@ -473,10 +519,10 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     held: list[list[int]] = [[] for _ in slot]  # per slot: its holds, as `_hold_fit` reads them
 
     tables = _clash_tables(mux)
-    for job in jobs:
-        for _, _, bit in job.runs:
+    for _, piece_ops, _, runs, _, _ in (piece for job in jobs for piece in job.pieces):
+        for _, _, bit in runs:
             if tables[bit][0][0]:  # the run's signal set alone breaks the budget
-                op = next(op for op in job.ops if _SET_BIT[signals_for_op(layout, op)] == bit)
+                op = next(op for op in piece_ops if _SET_BIT[signals_for_op(layout, op)] == bit)
                 raise MuxInfeasible(f"micro-op {op.kind.value} needs {len(_set_signals(bit))} "
                                     f"waveforms, only {mux.n_ac_inputs} AC inputs available")
 
@@ -498,10 +544,12 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     # Event-driven admission. At each event tick the woken jobs are examined
     # in program order; one that cannot start waits on what stopped it:
     # - not ready: its previous jobs' ends;
-    # - the AC budget or a hold clash: a timer at the first start at which
-    #   its signals fit what is committed now or, if they fit now, at which
-    #   its holds miss every committed hold. Commitments only grow, so no
-    #   earlier start can fit, and the job is checked again when it fires.
+    # - the AC budget or a hold clash of its head: a timer at the first start
+    #   at which its head's signals fit what is committed now or, if they fit
+    #   now, at which its head's holds miss every committed hold. Commitments
+    #   only grow, so no earlier start can fit, and the job is checked again
+    #   when it fires;
+    # - a wait of its tail that clashes: the next tick.
     # Nothing else that a job is blocked on can change between events, so
     # this starts each job at the first tick at which it is admissible.
     committed = bytearray()              # the signal sets live at each tick
@@ -510,36 +558,46 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     events: list[tuple[int, int]] = []   # (tick, job ending) or (tick, n + job woken)
     woken = [j for j in range(n) if not owed[j]]
     started = makespan = 0
+    new = tuple.__new__  # builds a ScheduledOp without its Python-level __new__
     t = 0
     while True:
         for index in sorted(woken):
             job = jobs[index]
-            start = _earliest_fit(job.runs, t, clashes)
+            _, _, _, runs, holds, _ = job.pieces[0]  # the head
+            start = _earliest_fit(runs, t, clashes)
             if start == t:
-                start = _hold_fit(job.holds, t, held)
-            if start > t:
-                heappush(events, (start, n + index))
+                start = _hold_fit(holds, t, held)
+            starts = _place_tail(job.pieces, t, clashes, held) if start == t else None
+            if starts is None:
+                heappush(events, (max(start, t + 1), n + index))
                 continue
             owner = job.participants[0]
-            for op, off in zip(job.ops, job.offsets):
-                partner = job.participants[1] if op.kind is _GATE else None
-                buckets[t + off].append(ScheduledOp(owner, op, t + off, partner))
-            end = t + job.total_ticks
+            end = starts[-1]
             makespan = max(makespan, end)
             committed += bytes(makespan - len(committed))  # fresh ticks are empty
-            for a, b, bit in job.runs:  # add each run's set to its ticks
-                committed[t + a:t + b] = committed[t + a:t + b].translate(tables[bit][1])
-            # Event ticks never pass the makespan, so this appends fresh ticks.
+            prev = t  # the end of the previous piece
+            for (park, piece_ops, offsets, runs, holds, ticks), first in zip(job.pieces, starts):
+                for op, off in zip(piece_ops, offsets):
+                    partner = job.participants[1] if op.kind is _GATE else None
+                    buckets[first + off].append(new(ScheduledOp, (owner, op, first + off, partner)))
+                for a, b, bit in runs:  # add each run's set to its ticks
+                    committed[first + a:first + b] = committed[first + a:first + b].translate(
+                        tables[bit][1])
+                # The piece's holds and, if the mover waits for it, its wait.
+                for i, a, b in holds if first == prev else [(park, prev - first, 0), *holds]:
+                    site_holds = held[i]
+                    if site_holds and site_holds[1] <= t:  # ended holds clash with nothing
+                        del site_holds[:bisect_right(site_holds, t) & ~1]
+                    k = bisect_right(site_holds, first + a)  # its place among the site's holds
+                    site_holds[k:k] = (first + a, first + b)
+                prev = first + ticks
+            # Event ticks never pass the makespan (a wait clashes with a hold
+            # past the next tick), so this appends fresh ticks.
             span = committed[t:end]
             for bit, ticks in clashes.items():
                 ticks[t:end] = span.translate(tables[bit][0])
-            for i, a, b in job.holds:
-                ticks = held[i]
-                if ticks and ticks[1] <= t:  # holds that ended clash with nothing: drop them
-                    del ticks[:bisect_right(ticks, t) & ~1]
-                k = bisect_right(ticks, t + a)  # its place among the site's holds
-                ticks[k:k] = (t + a, t + b)
             heappush(events, (end, index))
+            jobs[index] = None  # its pieces are done with: free them before the call ends
             started += 1
         woken = []
         if not events:
@@ -798,9 +856,14 @@ _SIGNAL_TEXT = {sig: json.dumps(sig) for sigs in _SET_BIT for sig in sigs}
 _SEP = _COMMA_NEWLINE[5]  # between two fields of an op
 
 
+def _int_text(value) -> str:
+    """An int as JSON text; any other value, such as True, via json.dumps."""
+    return str(value) if type(value) is int else json.dumps(value)
+
+
 def _ints_text(values, depth: int) -> str:
     """A JSON array, `depth` levels deep, of ints (other values via json.dumps)."""
-    return _block("[]", [str(v) if type(v) is int else json.dumps(v) for v in values], depth)
+    return _block("[]", [*map(_int_text, values)], depth)
 
 
 def _qubit_text(cell) -> str:
@@ -815,8 +878,8 @@ def _position_text(cell, site) -> str:
 
 def _site_text(site: SiteCoord, depth: int) -> str:
     """site_to_obj(site) as JSON text, `depth` levels deep."""
-    return _block("[]", [_ROW_TEXT[site.row], *[str(v) if type(v) is int else json.dumps(v)
-                                                for v in site[1:3 if site.subrow else 2]]], depth)
+    return _block("[]", [_ROW_TEXT[site.row], *map(_int_text, site[1:3 if site.subrow else 2])],
+                  depth)
 
 
 # The writer keeps its texts by value, and equal values of other types print
@@ -839,8 +902,7 @@ def _exact_sites(sites) -> bool:
 
 def _head_texts(duration, freq_class, kind, partner) -> tuple[str, str]:
     """An op's text up to `param`, and its `partner` field."""
-    return (f'{{{_SEP[1:]}"duration_ticks": '
-            f'{duration if type(duration) is int else json.dumps(duration)}'
+    return (f'{{{_SEP[1:]}"duration_ticks": {_int_text(duration)}'
             + ("" if freq_class is None else f'{_SEP}"freq_class": {json.dumps(freq_class)}')
             + f'{_SEP}"kind": {_KIND_TEXT[kind]}',
             "" if partner is None else f'{_SEP}"partner": {_ints_text(partner, 5)}')
@@ -911,13 +973,14 @@ def schedule_to_json(schedule: Schedule, layout: TrilinearLayout, seed: int) -> 
                                                                 _position_text(cell, site)))
             if _exact_cell(cell) and _exact_sites((site,)) else _position_text(cell, site)
             for cell, site in schedule.initial_positions], 1),
-        f'"makespan": {schedule.makespan}',
+        f'"makespan": {_int_text(schedule.makespan)}',
         f'"schema_version": {SCHEMA_VERSION}',
-        f'"seed": {seed}',
+        f'"seed": {_int_text(seed)}',
         f'"summary": {_dump(summary, 1)}',
         '"ticks": ' + _block("[]", [
-            # One tick's object, two levels deep.
-            f'{{\n      "ops": {_block("[]", ticks[t], 3)},\n      "tick": {t}\n    }}'
+            # One tick's object, two levels deep (_int_text inlined: once per tick).
+            f'{{\n      "ops": {_block("[]", ticks[t], 3)},\n      "tick": '
+            f'{t if type(t) is int else json.dumps(t)}\n    }}'
             for t in sorted(ticks)], 1),
         # The sets come from `_set_signals`, of exact strs.
         '"waveforms_per_tick": ' + _block("[]", [

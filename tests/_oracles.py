@@ -486,15 +486,22 @@ def swap_throughs(sops) -> list:
 def admit_by_dependency(circuit, layout, defects=NO_DEFECTS, mux=None, durations=None):
     """`scheduler.compile`'s admission rule, stepped one tick at a time.
 
-    A job holds (site, tick) pairs by the validator's rule: a move holds
-    both of its sites at every tick of its duration, every other op holds
-    its first site, and a gate's partner holds its home for the whole job.
-    At tick t the jobs ending at t give up their place at the head of each
-    participant's queue. Then every unstarted job, in program order, starts
-    if it heads every participant's queue, none of its holds is a hold of a
-    started job, and adding its signal names keeps `_mux_problems` empty at
-    every tick of its span. Plans come from the package's router, as
-    compile's do.
+    A job is a head, every op before a shuttled gate (all of any other job),
+    then a tail of runs: each stretch of back-to-back ops from the gate on
+    that drive one signal set. A piece holds (site, tick) pairs by the
+    validator's rule: a move holds both of its sites at every tick of its
+    duration, every other op holds its first site, and a gate's partner
+    holds its home at every tick of the job. At tick t the jobs ending at t
+    give up their place at the head of each participant's queue. Then every
+    unstarted job, in program order, starts if it heads every participant's
+    queue and its head, run back to back from t, holds nothing a started
+    job holds and keeps `_mux_problems` empty at every tick. Each tail run
+    starts at the first tick from the previous piece's end, scanned upward,
+    at which the same holds for it. Between two pieces the mover waits
+    where the previous piece left it, holding that site and the partner
+    its home at every tick; if a started job holds one of those, the job
+    does not start at t. Plans come from the package's router, as compile's
+    do.
     """
     from trilinear.router import (DEFAULT_DURATIONS, MicroOp, MicroOpKind, plan_two_qubit,
                                   reconfigure_for_defects)
@@ -508,7 +515,19 @@ def admit_by_dependency(circuit, layout, defects=NO_DEFECTS, mux=None, durations
     circuit.validate_against(layout, recon.sacrificed_qubits)
     homes = {cell: layout.grid_to_site(cell) for cell in circuit.cells()}
 
-    jobs = []  # (owner, partner, participants, ops, (site, tick from the job's start) holds)
+    def piece(ops, partner):
+        """(ops with their ticks from the piece's start, (site, tick) holds, ticks)."""
+        timed, holds, tick = [], set(), 0
+        for op in ops:
+            timed.append((tick, op))
+            for k in range(tick, tick + op.duration_ticks):
+                holds.update((s, k) for s in (op.sites if op.is_move else op.sites[:1]))
+                if partner is not None:
+                    holds.add((homes[partner], k))
+            tick += op.duration_ticks
+        return timed, holds, tick
+
+    jobs = []  # (owner, partner, participants, pieces)
     for cop in circuit.ops:
         if isinstance(cop, TwoQubit):
             blocked = set(homes.values()) - {homes[cop.cell_a], homes[cop.cell_b]}
@@ -525,21 +544,29 @@ def admit_by_dependency(circuit, layout, defects=NO_DEFECTS, mux=None, durations
                                freq_class=site_class(site).value, param=cop.rotation)]
             else:
                 ops = [MicroOp(MicroOpKind.READOUT, (site,), durations.readout)]
-        holds, tick = set(), 0
-        for op in ops:
-            for k in range(tick, tick + op.duration_ticks):
-                holds.update((s, k) for s in (op.sites if op.is_move else op.sites[:1]))
-            tick += op.duration_ticks
-        if partner is not None:
-            holds.update((homes[partner], k) for k in range(tick))
-        jobs.append((owner, partner, op_cells(cop), ops, holds))
+        gate = next((i for i, op in enumerate(ops)
+                     if op.kind is MicroOpKind.TWO_QUBIT_GATE and len(ops) > 1), len(ops))
+        groups = [ops[:gate]]
+        for op in ops[gate:]:
+            if len(groups) > 1 and signals_for_op(layout, op) == signals_for_op(
+                    layout, groups[-1][-1]):
+                groups[-1].append(op)
+            else:
+                groups.append([op])
+        jobs.append((owner, partner, op_cells(cop), [piece(g, partner) for g in groups]))
 
     queues = {}
-    for i, (_, _, cells, _, _) in enumerate(jobs):
+    for i, (_, _, cells, _) in enumerate(jobs):
         for cell in cells:
             queues.setdefault(cell, []).append(i)
     live: dict[int, frozenset] = {}  # tick -> signal names committed there
     taken: set = set()               # (site, tick) holds of the started jobs
+
+    def fits(timed, holds, start):
+        return not any((site, start + k) in taken for site, k in holds) and not any(
+            _mux_problems(set(live.get(k, frozenset()) | signals_for_op(layout, op)), mux)
+            for tick, op in timed for k in range(start + tick, start + tick + op.duration_ticks))
+
     active: dict[int, int] = {}      # job -> end tick
     unstarted = list(range(len(jobs)))
     scheduled = []
@@ -550,26 +577,31 @@ def admit_by_dependency(circuit, layout, defects=NO_DEFECTS, mux=None, durations
             for cell in jobs[i][2]:
                 queues[cell].pop(0)
         for i in list(unstarted):
-            owner, partner, cells, ops, holds = jobs[i]
+            owner, partner, cells, pieces = jobs[i]
             if any(queues[cell][0] != i for cell in cells):
                 continue
-            if any((site, t + k) in taken for site, k in holds):
+            if not fits(*pieces[0][:2], t):
                 continue
-            spans, tick = [], t
-            for op in ops:
-                spans.append((tick, op, signals_for_op(layout, op)))
-                tick += op.duration_ticks
-            if any(_mux_problems(set(live.get(k, frozenset()) | sigs), mux)
-                   for start, op, sigs in spans
-                   for k in range(start, start + op.duration_ticks)):
+            starts, waits, end = [t], set(), t + pieces[0][2]
+            for timed, holds, ticks in pieces[1:]:
+                start = end
+                while not fits(timed, holds, start):
+                    start += 1
+                at = timed[0][1].sites[0]  # where the mover waits before the run
+                waits.update((s, k) for k in range(end, start) for s in (at, homes[partner]))
+                starts.append(start)
+                end = start + ticks
+            if waits & taken:
                 continue
-            for start, op, sigs in spans:
-                for k in range(start, start + op.duration_ticks):
-                    live[k] = live.get(k, frozenset()) | sigs
-                gate_partner = partner if op.kind is MicroOpKind.TWO_QUBIT_GATE else None
-                scheduled.append(ScheduledOp(owner, op, start, gate_partner))
-            taken.update((site, t + k) for site, k in holds)
-            active[i] = tick
+            for start, (timed, holds, _) in zip(starts, pieces):
+                for tick, op in timed:
+                    for k in range(start + tick, start + tick + op.duration_ticks):
+                        live[k] = live.get(k, frozenset()) | signals_for_op(layout, op)
+                    gate_partner = partner if op.kind is MicroOpKind.TWO_QUBIT_GATE else None
+                    scheduled.append(ScheduledOp(owner, op, start + tick, gate_partner))
+                taken.update((site, start + k) for site, k in holds)
+            taken.update(waits)
+            active[i] = end
             unstarted.remove(i)
         if unstarted and not active:
             raise AssertionError("no job can start with nothing active")

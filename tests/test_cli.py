@@ -628,12 +628,12 @@ def _seeded_circuit(rng, rows, cols, n_ops, avoid=frozenset()):
 # outputs are promised byte-identical across refactors; a digest may only
 # change together with a deliberate change to the schedules themselves.
 GOLDEN_SCHEDULES = {
-    "grid16": ("2b10a6f0169b80f3d8e85dfefff68c070156afccd10a5741ed643574b886b41f",
-               "86313be986f56c327ba30ee17d9622ee13d30fc750faa1f7647d102436dc5969"),
-    "loop8_dead_middle": ("cbee602b210514a6fb53b7b587af65368ec67c472656c57c34e1123daf06eb96",
-                          "8338760566c87bba2325a15cc196f9322875f94a78e069976fac31e9cf473452"),
-    "loop6x7_mixed_params": ("74d2e54ff581d42b63aaec366b3603bc3c85d67243854499bf54e00b064317f9",
-                             "d35287c3e0116ed07642936c5dd9ca7cf6a74fc9bd63d7206e7a6c18fbf99028"),
+    "grid16": ("ee26ed32027cdcee16e693c2fba06babce85d697f4b584682d531f3545e7c1f0",
+               "bcaf851de334156c479db4094225ff08a52031e108af07d4b37c85a235ea08b6"),
+    "loop8_dead_middle": ("9933799d07796c32e90bebfde35b165f0fe01590729dabf73cd86625ce8ecacc",
+                          "f9481ac1f9d94ed3ae4f51395f967f82d8b3d8f69e77be3a56caf40529578d2e"),
+    "loop6x7_mixed_params": ("d064834276307e55afe916cd6d967efc1913b2d81d3ea285fdb667bd26869b86",
+                             "f492d342de1c54950de61b73aca924d01953689246ef5d7123029e865847a6d6"),
 }
 
 # 1q params of mixed JSON types, cycled over the 1q ops of the third golden case.

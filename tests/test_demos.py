@@ -24,7 +24,7 @@ STDOUT_SHA256 = {
     "02_shuttle_routing_and_defects.py":
         "c74f23f5283d6825ba0f2969439d4fbddecd5277118e9cf95839eba6c936baa0",
     "03_parallel_scheduling_and_mux.py":
-        "af91611723f04421adcdc92ec50bb6fd0817cd05653a70697ecd8ba3885a8ade",
+        "5c4d9eb726f7f0180eb50a12fe55989d1ae25e1e9205cdd2bd5aa18871084db8",
     "04_half_filled_addressing.py":
         "ca763ecd14d460d9da522d5cc8e5c2119060f42192d4aa32402242d2cfb50816",
     "05_scaling_sweep.py":

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import trilinear as tl
 from trilinear import scheduler as sch
-from trilinear.router import Durations, MicroOp, MicroOpKind, _moves, move_op
+from trilinear.router import Durations, MicroOp, MicroOpKind, _moves, move_op, plan_two_qubit
 from trilinear.scheduler import (
     Measure,
     MuxConfig,
@@ -213,7 +213,7 @@ def test_budget_anomaly_stays_within_serial_bound(lay88_loop):
         (DefectMap.of(sites=[SiteCoord(Row.UPPER, 0)]),
          (OneQubit((5, 1), "x"), TwoQubit((0, 1), (0, 4)), TwoQubit((3, 6), (4, 1)),
           Measure((7, 0))),
-         {4: 25, 5: 15, 6: 15, 8: 15, 16: 10}, 30),
+         {4: 25, 5: 18, 6: 12, 8: 12, 16: 10}, 30),
         (DefectMap(),
          (TwoQubit((6, 4), (7, 4)), TwoQubit((6, 3), (5, 3)), OneQubit((2, 0)),
           TwoQubit((5, 1), (5, 2)), Measure((5, 6)), OneQubit((1, 5))),
@@ -231,6 +231,85 @@ def test_budget_anomaly_stays_within_serial_bound(lay88_loop):
             assert sum(s.op.duration_ticks for s in schedule.ops) == serial_span
         assert all(makespan <= serial_span for makespan in spans.values())
     assert spans[6] < spans[8]  # the anomaly
+
+
+def test_mover_waits_between_its_gate_and_its_return_leg(lay88_loop):
+    """The first budget-anomaly circuit at 8 AC inputs: mover (3,6) reaches
+    (M,17) at tick 6 and gates there at once, then waits 2 ticks for its
+    return leg to fit. Placed as one rigid block, its gate had to wait
+    until the whole return fitted, and the circuit took 15 ticks."""
+    defects = DefectMap.of(sites=[SiteCoord(Row.UPPER, 0)])
+    circuit = sch.Circuit((OneQubit((5, 1), "x"), TwoQubit((0, 1), (0, 4)),
+                           TwoQubit((3, 6), (4, 1)), Measure((7, 0))))
+    schedule = compile_ok(circuit, lay88_loop, defects=defects, mux=MuxConfig(n_ac_inputs=8))
+    assert schedule.makespan == 12
+    mover = [(s.start_tick, s.end_tick, s.op.kind, s.op.sites[0])
+             for s in schedule.ops if s.qubit == (3, 6)]
+    gate_site = SiteCoord(Row.MIDDLE, 17)
+    assert mover[2] == (6, 8, MicroOpKind.TWO_QUBIT_GATE, gate_site)
+    assert mover[3] == (10, 11, MicroOpKind.HORIZONTAL_STEP, gate_site)
+
+
+def _jobs_of(schedule, circuit, layout, defects):
+    """Each job's scheduled ops in time order, by splitting each mover's ops
+    along the router's plans, in program order."""
+    homes = {cell: site for cell, site in schedule.initial_positions}
+    chains = {}
+    for sop in sorted(schedule.ops, key=lambda s: s.start_tick):
+        chains.setdefault(sop.qubit, []).append(sop)
+    occupied = set(homes.values())  # as compile blocks them
+    jobs = []
+    for cop in circuit.ops:
+        if isinstance(cop, TwoQubit):
+            plan = plan_two_qubit(layout, cop.cell_a, cop.cell_b, defects, blocked=occupied)
+            owner, n = plan.qubit, len(plan.ops)
+        else:
+            owner, n = cop.cell, 1
+        job, chains[owner] = chains[owner][:n], chains[owner][n:]
+        jobs.append(job)
+    assert all(not chain for chain in chains.values())
+    return jobs
+
+
+@settings(max_examples=150, deadline=None)
+@given(rng_seed=st.integers(0, 2**32), rows=st.integers(1, 8), cols=st.integers(2, 9),
+       loop=st.booleans(), n_dead=st.integers(0, 2), n_barriers=st.integers(0, 2),
+       n_ops=st.integers(8, 40), n_ac=st.integers(4, 6), coexist=st.booleans())
+def test_only_the_tail_of_a_job_waits(rng_seed, rows, cols, loop, n_dead, n_barriers, n_ops,
+                                      n_ac, coexist):
+    """Every op before a job's gate starts back to back from the job's first
+    op. From the gate on, a mover waits only where a run of one signal set
+    ends and a run of another begins, and only where no qubit of the circuit
+    has its home: the one site
+    excepted is the mover's own home, which a plan passes mid-job only when
+    its path comes back through it (ROADMAP item 1). The sum of the op
+    durations bounds the makespan."""
+    case = _compiled_case(random.Random(rng_seed), rows, cols, loop, n_dead, n_barriers,
+                          n_ops, n_ac, coexist)
+    if case is None:
+        return
+    layout, defects, mux, circuit, schedule = case
+    homes = {cell: site for cell, site in schedule.initial_positions}
+    waits = 0
+    for job in _jobs_of(schedule, circuit, layout, defects):
+        gate = next((i for i, s in enumerate(job) if s.op.kind is MicroOpKind.TWO_QUBIT_GATE),
+                    len(job))
+        tick = job[0].start_tick
+        for sop in job[:gate]:
+            assert sop.start_tick == tick
+            tick = sop.end_tick
+        tail = job[gate - 1:] if gate else []  # the last head op, the gate and the rest
+        for prev, sop in zip(tail, tail[1:]):
+            if sop.start_tick == prev.end_tick:
+                continue
+            assert sop.start_tick > prev.end_tick
+            waits += 1
+            assert sch.signals_for_op(layout, sop.op) != sch.signals_for_op(layout, prev.op)
+            at = prev.op.sites[1] if prev.op.is_move else prev.op.sites[0]
+            assert at.row is Row.MIDDLE or at not in homes.values() or (
+                at == homes[sop.qubit] and sum(s.op.sites[0] == at for s in job) > 1)
+    event("waits" if waits else "no waits")
+    assert schedule.makespan <= sum(s.op.duration_ticks for s in schedule.ops)
 
 
 def test_parallel_never_beats_serialized_randomized(lay88_loop):
@@ -1014,3 +1093,18 @@ def test_schedule_json_writes_equal_values_of_other_types_as_themselves():
         doc = schedule_document(case, layout)
         assert text == json.dumps(doc | {"seed": 0}, sort_keys=True, indent=2) + "\n"
         assert summary == doc["summary"]
+
+
+def test_schedule_json_writes_tick_makespan_and_seed_of_other_types_as_json():
+    """A start tick, makespan or seed of True used to be written as `True`
+    through str(), which is not JSON; json.dumps writes `true`."""
+    layout = tl.map_to_trilinear(tl.GridSpec(2, 4))
+    site = SiteCoord(Row.UPPER, 0)
+    readout = MicroOp(MicroOpKind.READOUT, (site,), 1)
+    for start, makespan, seed in ((True, 2, 0), (0, True, 0), (0, 1, True)):
+        case = Schedule(ops=(ScheduledOp((0, 0), readout, start),), makespan=makespan,
+                        initial_positions=(((0, 0), site),))
+        text, _ = sch.schedule_to_json(case, layout, seed)
+        doc = schedule_document(case, layout)
+        assert text == json.dumps(doc | {"seed": seed}, sort_keys=True, indent=2) + "\n"
+        json.loads(text)
