@@ -25,10 +25,10 @@ Scheduling model (greedy list scheduling, deliberately non-optimal):
     tail overlaps a committed hold. So a job held back does not stall later
     jobs on other qubits, movers in one direction can share the Middle row
     a site apart, and a mover that has reached its partner gates at once.
-Admission is event-driven: a blocked job waits on its previous jobs' ends,
-on a timer at the first start where its head's signals fit or, if they fit
-now, where its head's holds do, or on the next tick if a wait clashes; the
-clock jumps from event to event. The holds keep movers from ever colliding,
+Admission is one queue of (tick, job): a job enters it once the previous
+jobs of its qubits have all started, at the latest of their ends, and a
+popped job starts or goes back in at its head's first fit or, if a wait of
+its tail clashes, at the next tick. The holds keep movers from ever colliding,
 and whenever nothing is active the first unstarted job can start and run
 back to back, so the sum of the op durations bounds the makespan. Each site
 a plan passes keeps its committed holds as one sorted tick list, so a clash
@@ -130,7 +130,10 @@ class MuxConfig:
     readout_coexists_with_shuttle: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_ac_inputs < 1:
+        count = self.n_ac_inputs
+        if type(count) is not int:  # a type check, not a coercion, as in `Durations`
+            raise CircuitError(f"n_ac_inputs: expected an integer >= 1, got {count!r}")
+        if count < 1:
             raise CircuitError("mux input counts must be positive")
 
 
@@ -344,27 +347,19 @@ def waveform_usage(schedule: Schedule, layout: TrilinearLayout) -> tuple[frozens
 # Ops of a job that run back to back from one start tick: the head (every op
 # before a shuttled gate, or all of any other job) or one run of the tail.
 # A plain tuple, as compile unpacks it where a tuple subclass is slower:
-# (park, ops, offsets, runs, holds, ticks), ticks counted from its start, with
+# (park, ops, runs, holds, ticks), ticks counted from its start, with
 # - park: the slot of the site the mover waits at before a tail run (head: -1);
-# - offsets: each op's first tick;
 # - runs: (first tick, end tick, set bit) of each stretch of back-to-back ops
 #   that drive one signal set, e.g. a whole shuttle leg;
 # - holds: (site slot, first tick, end tick) of each stretch in which it holds
 #   a site that no qubit of the circuit calls home;
 # - ticks: its length.
-_Piece = tuple[int, list[MicroOp], list[int], list[tuple[int, int, int]],
-               list[tuple[int, int, int]], int]
+_Piece = tuple[int, list[MicroOp], list[tuple[int, int, int]], list[tuple[int, int, int]], int]
 
 
-@dataclass
-class _Job:
-    index: int
-    participants: tuple[Cell, ...]  # the mover first, then a gate's partner
-    pieces: list[_Piece]  # the head, then one per run from a shuttled gate on
-
-
-def _build_job(index: int, ops: list[MicroOp], layout: TrilinearLayout,
-               participants: tuple[Cell, ...], homes: set[SiteCoord], slot: _Memo) -> _Job:
+def _pieces(ops: list[MicroOp], layout: TrilinearLayout, homes: set[SiteCoord],
+            slot: _Memo) -> list[_Piece]:
+    """A job's pieces: the head, then one per run from a shuttled gate on."""
     # The qubit holds the site it is at, and a move holds both of its sites,
     # so each site it passes is held from the start of the move in to the end
     # of the move out; a stay that spans pieces is split between them, and
@@ -375,18 +370,17 @@ def _build_job(index: int, ops: list[MicroOp], layout: TrilinearLayout,
     pieces: list[_Piece] = []
     tail = False  # from a shuttled gate on, each run is a piece of its own
     at, since, park = ops[0].sites[0], 0, -1
-    piece_ops, offsets, runs, holds, tick = [], [], [], [], 0
+    piece_ops, runs, holds, tick = [], [], [], 0
     for op in ops:
         bit = _SET_BIT[signals_for_op(layout, op)]
         tail = tail or (op.kind is _GATE and len(ops) > 1)
         if tail and bit != runs[-1][2]:
             if at not in homes:
                 holds.append((slot[at], since, tick))
-            pieces.append((park, piece_ops, offsets, runs, holds, tick))
+            pieces.append((park, piece_ops, runs, holds, tick))
             park, since = slot[at], 0
-            piece_ops, offsets, runs, holds, tick = [], [], [], [], 0
+            piece_ops, runs, holds, tick = [], [], [], 0
         piece_ops.append(op)
-        offsets.append(tick)
         end = tick + op.duration_ticks
         if runs and runs[-1][2] == bit:
             runs[-1] = (runs[-1][0], end, bit)
@@ -399,8 +393,8 @@ def _build_job(index: int, ops: list[MicroOp], layout: TrilinearLayout,
         tick = end
     if at not in homes:
         holds.append((slot[at], since, tick))
-    pieces.append((park, piece_ops, offsets, runs, holds, tick))
-    return _Job(index=index, participants=participants, pieces=pieces)
+    pieces.append((park, piece_ops, runs, holds, tick))
+    return pieces
 
 
 def _hold_fit(holds: list[tuple[int, int, int]], start: int, held: list[list[int]]) -> int:
@@ -454,23 +448,26 @@ def _earliest_fit(runs: list[tuple[int, int, int]], start: int,
     return start
 
 
-def _place_tail(pieces: list[_Piece], t: int, clashes: dict[int, bytearray],
-                held: list[list[int]]) -> Optional[list[int]]:
-    """The start of each piece when the head starts at t, then the job's end:
-    each tail run starts at the first tick from the previous piece's end at
-    which its signals fit and its holds clear every committed hold. None if
-    the mover's wait before a run, parked where the previous piece left it,
-    would clash."""
-    starts = [t, t + pieces[0][5]]
-    for park, _, _, runs, holds, ticks in pieces[1:]:
+def _place(pieces: list[_Piece], t: int, clashes: dict[int, bytearray],
+           held: list[list[int]]) -> list[int]:
+    """The start of each piece if the job starts at t, then the job's end.
+    Each piece starts at the first tick from the end of the piece before it
+    (the head: from t) at which its signals fit and its holds miss every
+    committed hold; in between, the mover waits where that piece left it.
+    If the job cannot start at t, [the tick to try it again]: one no later
+    than the head's first fit, or t + 1 if a wait would clash."""
+    starts = [t]
+    for park, _, runs, holds, ticks in pieces:
         end = start = starts[-1]
         while True:
             fit = _earliest_fit(runs, start, clashes)
+            if fit > t and park < 0:  # the head cannot start at t
+                return [fit]
             start = _hold_fit(holds, fit, held)
             if start == fit:
                 break
         if start > end and _hold_fit([(park, end, start)], 0, held):
-            return None
+            return [t + 1]
         starts[-1:] = start, start + ticks
     return starts
 
@@ -499,121 +496,102 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     # One slot per site a hold falls on, numbered in the order the call first meets it.
     slot = _Memo(lambda site: len(slot))
 
-    jobs: list[Optional[_Job]] = []
-    for index, cop in enumerate(circuit.ops):
+    # Per op of the circuit, a job: (participants, pieces), the mover first.
+    jobs: list[Optional[tuple[tuple[Cell, ...], list[_Piece]]]] = []
+    for cop in circuit.ops:
         if not isinstance(cop, TwoQubit):
             site = homes[cop.cell]
             mop = (MicroOp(MicroOpKind.SINGLE_QUBIT_PULSE, (site,), durations.single_qubit_pulse,
                            freq_class=site_class(site).value, param=cop.rotation)
                    if isinstance(cop, OneQubit) else
                    MicroOp(MicroOpKind.READOUT, (site,), durations.readout))
-            jobs.append(_build_job(index, [mop], layout, (cop.cell,), occupied, slot))
+            jobs.append(((cop.cell,), _pieces([mop], layout, occupied, slot)))
         else:
             # The router leaves the mover's home out of `occupied` itself.
             plan = plan_two_qubit(layout, cop.cell_a, cop.cell_b, defects, durations, occupied)
             mover = plan.qubit
             partner = cop.cell_b if mover == cop.cell_a else cop.cell_a
-            jobs.append(_build_job(index, list(plan.ops), layout, (mover, partner), occupied,
-                                   slot))
+            jobs.append(((mover, partner), _pieces(list(plan.ops), layout, occupied, slot)))
 
     held: list[list[int]] = [[] for _ in slot]  # per slot: its holds, as `_hold_fit` reads them
 
     tables = _clash_tables(mux)
-    for _, piece_ops, _, runs, _, _ in (piece for job in jobs for piece in job.pieces):
+    for _, piece_ops, runs, _, _ in (piece for _, pieces in jobs for piece in pieces):
         for _, _, bit in runs:
             if tables[bit][0][0]:  # the run's signal set alone breaks the budget
                 op = next(op for op in piece_ops if _SET_BIT[signals_for_op(layout, op)] == bit)
                 raise MuxInfeasible(f"micro-op {op.kind.value} needs {len(_set_signals(bit))} "
                                     f"waveforms, only {mux.n_ac_inputs} AC inputs available")
 
-    # A job is ready once it heads every participant's program order: `owed`
-    # counts the participants whose previous job has not ended yet, and
-    # `successors` lists, per participant, the job that comes next.
+    # A job is queued once every participant's previous job has started, at
+    # the latest end among them: `owed` counts the participants whose
+    # previous job has not started yet, `ready` keeps that latest end, and
+    # `successors` lists, per job, the next job of each of its participants.
     n = len(jobs)
-    owed = [0] * n
+    owed, ready = [0] * n, [0] * n
     successors: list[list[int]] = [[] for _ in range(n)]
     last: dict[Cell, int] = {}
-    for job in jobs:
-        for cell in job.participants:
+    for index, (participants, _) in enumerate(jobs):
+        for cell in participants:
             prev = last.get(cell)
             if prev is not None:
-                successors[prev].append(job.index)
-                owed[job.index] += 1
-            last[cell] = job.index
+                successors[prev].append(index)
+                owed[index] += 1
+            last[cell] = index
 
-    # Event-driven admission. At each event tick the woken jobs are examined
-    # in program order; one that cannot start waits on what stopped it:
-    # - not ready: its previous jobs' ends;
-    # - the AC budget or a hold clash of its head: a timer at the first start
-    #   at which its head's signals fit what is committed now or, if they fit
-    #   now, at which its head's holds miss every committed hold. Commitments
-    #   only grow, so no earlier start can fit, and the job is checked again
-    #   when it fires;
-    # - a wait of its tail that clashes: the next tick.
-    # Nothing else that a job is blocked on can change between events, so
-    # this starts each job at the first tick at which it is admissible.
+    # Admission pops (tick, job) in order, so the jobs queued at one tick are
+    # tried in program order. A job that cannot start at the popped tick goes
+    # back on the queue at a lower bound of its start: its head's first fit
+    # with what is committed now (commitments only grow, so no earlier start
+    # can fit), or the next tick if a wait of its tail clashes. Every job
+    # started at t ends after t, so popped ticks never decrease.
     committed = bytearray()              # the signal sets live at each tick
     clashes = {bit: bytearray() for bit in tables}  # per set bit: 1 where it breaks the budget
     buckets: dict[int, list[ScheduledOp]] = defaultdict(list)  # start tick -> ops
-    events: list[tuple[int, int]] = []   # (tick, job ending) or (tick, n + job woken)
-    woken = [j for j in range(n) if not owed[j]]
-    started = makespan = 0
+    queue = [(0, index) for index in range(n) if not owed[index]]  # sorted, so a heap
+    makespan = 0
     new = tuple.__new__  # builds a ScheduledOp without its Python-level __new__
-    t = 0
-    while True:
-        for index in sorted(woken):
-            job = jobs[index]
-            _, _, _, runs, holds, _ = job.pieces[0]  # the head
-            start = _earliest_fit(runs, t, clashes)
-            if start == t:
-                start = _hold_fit(holds, t, held)
-            starts = _place_tail(job.pieces, t, clashes, held) if start == t else None
-            if starts is None:
-                heappush(events, (max(start, t + 1), n + index))
-                continue
-            owner = job.participants[0]
-            end = starts[-1]
-            makespan = max(makespan, end)
-            committed += bytes(makespan - len(committed))  # fresh ticks are empty
-            prev = t  # the end of the previous piece
-            for (park, piece_ops, offsets, runs, holds, ticks), first in zip(job.pieces, starts):
-                for op, off in zip(piece_ops, offsets):
-                    partner = job.participants[1] if op.kind is _GATE else None
-                    buckets[first + off].append(new(ScheduledOp, (owner, op, first + off, partner)))
-                for a, b, bit in runs:  # add each run's set to its ticks
-                    committed[first + a:first + b] = committed[first + a:first + b].translate(
-                        tables[bit][1])
-                # The piece's holds and, if the mover waits for it, its wait.
-                for i, a, b in holds if first == prev else [(park, prev - first, 0), *holds]:
-                    site_holds = held[i]
-                    if site_holds and site_holds[1] <= t:  # ended holds clash with nothing
-                        del site_holds[:bisect_right(site_holds, t) & ~1]
-                    k = bisect_right(site_holds, first + a)  # its place among the site's holds
-                    site_holds[k:k] = (first + a, first + b)
-                prev = first + ticks
-            # Event ticks never pass the makespan (a wait clashes with a hold
-            # past the next tick), so this appends fresh ticks.
-            span = committed[t:end]
-            for bit, ticks in clashes.items():
-                ticks[t:end] = span.translate(tables[bit][0])
-            heappush(events, (end, index))
-            jobs[index] = None  # its pieces are done with: free them before the call ends
-            started += 1
-        woken = []
-        if not events:
-            break
-        t = events[0][0]
-        while events and events[0][0] == t:
-            code = heappop(events)[1]
-            if code >= n:
-                woken.append(code - n)
-                continue
-            for nxt in successors[code]:
-                owed[nxt] -= 1
-                if not owed[nxt]:
-                    woken.append(nxt)
-    if started < n:
-        raise AssertionError("scheduler stalled with no active work")
+    while queue:
+        t, index = heappop(queue)
+        participants, pieces = jobs[index]
+        starts = _place(pieces, t, clashes, held)
+        if starts[0] > t:
+            heappush(queue, (starts[0], index))
+            continue
+        owner = participants[0]
+        end = starts[-1]
+        makespan = max(makespan, end)
+        committed += bytes(makespan - len(committed))  # fresh ticks are empty
+        prev = t  # the end of the previous piece
+        for (park, piece_ops, runs, holds, ticks), first in zip(pieces, starts):
+            tick = first  # the piece's ops run back to back
+            for op in piece_ops:
+                partner = participants[1] if op.kind is _GATE else None
+                buckets[tick].append(new(ScheduledOp, (owner, op, tick, partner)))
+                tick += op.duration_ticks
+            for a, b, bit in runs:  # add each run's set to its ticks
+                committed[first + a:first + b] = committed[first + a:first + b].translate(
+                    tables[bit][1])
+            # The piece's holds and, if the mover waits for it, its wait.
+            for i, a, b in holds if first == prev else [(park, prev - first, 0), *holds]:
+                site_holds = held[i]
+                if site_holds and site_holds[1] <= t:  # ended holds clash with nothing
+                    del site_holds[:bisect_right(site_holds, t) & ~1]
+                k = bisect_right(site_holds, first + a)  # its place among the site's holds
+                site_holds[k:k] = (first + a, first + b)
+            prev = first + ticks
+        # Popped ticks never pass the makespan (a retry tick is a fit within
+        # what is committed, or t + 1, before the end of the hold a wait
+        # clashed with), so this appends fresh ticks.
+        span = committed[t:end]
+        for bit, ticks in clashes.items():
+            ticks[t:end] = span.translate(tables[bit][0])
+        for nxt in successors[index]:
+            ready[nxt] = max(ready[nxt], end)
+            owed[nxt] -= 1
+            if not owed[nxt]:
+                heappush(queue, (ready[nxt], nxt))
+        jobs[index] = None  # its pieces are done with: free them before the call ends
 
     ops: list[ScheduledOp] = []  # by start tick, then qubit, as one stable sort orders them
     for bucket in map(buckets.get, sorted(buckets)):

@@ -27,6 +27,7 @@ tie-break.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -96,6 +97,9 @@ class GridSpec:
     cols: int
 
     def __post_init__(self) -> None:
+        if type(self.rows) is not int or type(self.cols) is not int:  # True is no row count
+            raise InvalidGrid(f"grid rows and cols must be integers, got rows={self.rows!r}, "
+                              f"cols={self.cols!r}")
         if self.rows < 1 or self.cols < 1:
             raise InvalidGrid(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
 
@@ -140,12 +144,11 @@ class TrilinearLayout:
     def __post_init__(self) -> None:
         if self.grid.cols < 2:
             raise InvalidGrid("trilinear mapping needs at least 2 columns")
-        if self.pitch_nm <= 0:
-            raise InvalidGrid(f"pitch must be positive, got {self.pitch_nm}")
-        if not 1 <= self.m_rows <= self.grid.cols:
-            raise InvalidGrid(
-                f"m_rows must be in [1, cols], got {self.m_rows} for {self.grid.cols} cols"
-            )
+        if not 0 < self.pitch_nm < math.inf:  # NaN fails both comparisons
+            raise InvalidGrid(f"pitch must be positive and finite, got {self.pitch_nm}")
+        if type(self.m_rows) is not int or not 1 <= self.m_rows <= self.grid.cols:
+            raise InvalidGrid(f"m_rows must be an integer in [1, cols], got {self.m_rows!r} "
+                              f"for {self.grid.cols} cols")
 
     # The extents below derive from the frozen fields only, so each is
     # computed once per instance (stored in __dict__, outside eq/hash/repr).

@@ -250,6 +250,34 @@ def test_mover_waits_between_its_gate_and_its_return_leg(lay88_loop):
     assert mover[3] == (10, 11, MicroOpKind.HORIZONTAL_STEP, gate_site)
 
 
+def test_job_whose_tail_wait_clashes_is_tried_again_at_the_next_tick(lay44):
+    """(2,0) holds (M,4) twice: on its way out to its gate at (M,5) and on
+    its way home. The second job's head, the transfer to (M,3) and the step
+    to (M,4), first fits at tick 1. Started there, its gate at (M,4) would
+    clash with (2,0)'s return, so the gate's first fit is tick 6, and the
+    mover's wait for it at (M,4) from tick 3 clashes too. So the job is
+    tried again at the next tick: the wait clashes again at 2, from 3 on its
+    head clashes, and it starts at 5, its head's first fit from there."""
+    circuit = sch.Circuit((TwoQubit((2, 0), (1, 3)), TwoQubit((0, 3), (1, 2))))
+    schedule = compile_ok(circuit, lay44)
+    m4 = SiteCoord(Row.MIDDLE, 4)
+    # A move holds both of its sites for its duration, so (2,0) holds (M,4)
+    # over ticks 0-2 and 4-6.
+    busy = [(s.start_tick, s.end_tick) for s in schedule.ops
+            if s.qubit == (2, 0) and m4 in s.op.sites]
+    assert busy == [(0, 1), (1, 2), (4, 5), (5, 6)]
+    # The head holds (M,4) over its second tick, and the gate after it the
+    # two ticks that follow.
+    head_fit = next(t for t in range(10) if all(b <= t + 1 or t + 2 <= a for a, b in busy))
+    assert head_fit == 1
+    assert any(a < head_fit + 4 and head_fit + 2 < b for a, b in busy)  # the gate's clash
+    mover = [s for s in schedule.ops if s.qubit == (0, 3)]
+    assert mover[0].start_tick == 5 > head_fit
+    assert [(s.start_tick, s.op.kind) for s in mover[1:3]] == [
+        (6, MicroOpKind.HORIZONTAL_STEP), (7, MicroOpKind.TWO_QUBIT_GATE)]
+    assert schedule.makespan == 11
+
+
 def _jobs_of(schedule, circuit, layout, defects):
     """Each job's scheduled ops in time order, by splitting each mover's ops
     along the router's plans, in program order."""
@@ -1108,3 +1136,21 @@ def test_schedule_json_writes_tick_makespan_and_seed_of_other_types_as_json():
         doc = schedule_document(case, layout)
         assert text == json.dumps(doc | {"seed": seed}, sort_keys=True, indent=2) + "\n"
         json.loads(text)
+
+
+@pytest.mark.parametrize("count", [float("nan"), float("inf"), 2.5, True, "8"])
+def test_mux_budget_that_is_not_an_integer_is_rejected(count):
+    """NaN used to switch the budget off, as no count of signals is greater
+    than NaN: 8 vertical gates on the 8x8 line, a 1q op and a readout
+    compiled in 23 ticks (24 at 5 inputs), and the validator passed that
+    schedule, which breaks a budget of 5 at five ticks. 2.5 and True were
+    accepted too."""
+    with pytest.raises(tl.CircuitError) as info:
+        MuxConfig(n_ac_inputs=count)
+    assert str(info.value) == f"n_ac_inputs: expected an integer >= 1, got {count!r}"
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_mux_budget_below_one_is_rejected(count):
+    with pytest.raises(tl.CircuitError, match="^mux input counts must be positive$"):
+        MuxConfig(n_ac_inputs=count)

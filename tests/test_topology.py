@@ -87,6 +87,33 @@ def test_invalid_grid_rejected():
         tl.GridSpec(0, 4)
 
 
+@pytest.mark.parametrize("rows, cols", [(True, 4), (2.5, 4), (4, 4.0), (4, False)])
+def test_grid_of_counts_that_are_not_integers_is_rejected(rows, cols):
+    """True made a 1-row grid, and 2.5 rows failed later with a TypeError
+    in `cells()`."""
+    with pytest.raises(tl.InvalidGrid) as info:
+        tl.GridSpec(rows, cols)
+    assert str(info.value) == (f"grid rows and cols must be integers, "
+                               f"got rows={rows!r}, cols={cols!r}")
+
+
+@pytest.mark.parametrize("pitch", [float("nan"), float("inf"), 0, -1.0])
+def test_pitch_that_is_not_positive_and_finite_is_rejected(pitch):
+    """NaN and inf passed the check, and `footprint_estimate` then raised a
+    bare ValueError."""
+    with pytest.raises(tl.InvalidGrid) as info:
+        tl.map_to_trilinear(tl.GridSpec(8, 8), pitch_nm=pitch)
+    assert str(info.value) == f"pitch must be positive and finite, got {pitch}"
+
+
+@pytest.mark.parametrize("m", [1.5, True, 0, 5])
+def test_m_rows_that_is_not_an_integer_in_range_is_rejected(m):
+    """1.5 sub-rows gave float axes, such as (U,3.0) for cell (0,3) on 4x8."""
+    with pytest.raises(tl.InvalidGrid) as info:
+        tl.map_to_trilinear(tl.GridSpec(4, 4), m_rows=m)
+    assert str(info.value) == f"m_rows must be an integer in [1, cols], got {m!r} for 4 cols"
+
+
 grids = st.tuples(st.integers(1, 12), st.integers(2, 12))
 
 
