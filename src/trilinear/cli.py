@@ -6,14 +6,15 @@ stderr when a pipeline error occurs (exit 1 for config/input problems,
 exit 2 for routing/scheduling errors such as a partitioned array).
 
 `main` may run many times in one process: the parser, recent layouts (with
-the neighbour tuples and shared move micro-ops their paths touched, and the
-schedule texts written on them) and half-filled placements are built on
-first use, not at import, and reused, as they are frozen or only read or
-follow from their keys alone; a call that raises leaves nothing that changes
-a later call's output. The writer keeps a text only for a value whose leaves
-are exact ints, strs, or Row or MicroOpKind members, so a kept text never
-stands in for an equal value that prints differently (True for 1). Each call
-reconfigures for its defects afresh.
+the neighbour tuples, shared move micro-ops and cell sites their plans
+touched, the set bit of each op compiled, and the schedule texts written on
+them) and half-filled placements are built on first use, not at import, and
+reused, as they are frozen or only read or follow from their keys alone; a
+call that raises leaves nothing that changes a later call's output. The
+writer keeps a text only for a value whose leaves are exact ints, strs, or
+Row or MicroOpKind members, so a kept text never stands in for an equal value
+that prints differently (True for 1), and plans keep a cell's site only for a
+cell of two exact ints. Each call reconfigures for its defects afresh.
 """
 
 from __future__ import annotations

@@ -190,9 +190,8 @@ def readout(
     home = state.position[qubit]
     target = _nearest_sensor(layout, fixture, home, defects)
     path = router.shortest_shuttle_path(layout, home, target, defects)
-    return (router._path_ops(layout, path, durations)
-            + [MicroOp(MicroOpKind.READOUT, (target,), durations.readout)]
-            + router._path_ops(layout, path[::-1], durations))
+    return router._round_trip(layout, path, MicroOp(MicroOpKind.READOUT, (target,),
+                                                    durations.readout), durations)
 
 
 def _nearest_sensor(layout: TrilinearLayout, fixture: ReadoutFixture, home: SiteCoord,

@@ -9,7 +9,9 @@ partner (vertical adjacency), then retraces the leg and transfers home.
 Routing is occupancy-blind: only dead sites, dead barriers and the sites
 the caller explicitly blocks constrain a path. Collisions between
 concurrently moving qubits are the scheduler's concern. A blocked set is
-used as given, not copied per op, and move micro-ops are shared per layout.
+used as given, not copied per op; a gate plan copies it only if its path
+needs the search. Move micro-ops and the sites of the cells planned are
+shared per layout.
 
 Path search and the reconfiguration flood run over `SiteCoord`s. The
 search reads the layout's neighbour memo, whose order is the tie-break;
@@ -26,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional
+from typing import AbstractSet, Iterable, NamedTuple, Optional
 
 from .errors import (CircuitError, InvalidSite, NotNeighbors, Partitioned, Unrecoverable,
                      UnsupportedPair)
@@ -160,6 +162,22 @@ def _moves(layout: TrilinearLayout, durations: Durations) -> _Memo:
     return moves
 
 
+# The key of the cell -> site memo that plans keep in `layout.memos`.
+_SITES = "grid_to_site sites"
+
+
+def _site_of(layout: TrilinearLayout, cell: Cell) -> SiteCoord:
+    """`layout.grid_to_site(cell)`, kept with the layout for a cell of two exact
+    ints; a cell of other types (1.0 for 1) maps to sites of those types, so its
+    site is worked out afresh and not kept."""
+    if type(cell) is tuple and len(cell) == 2 and type(cell[0]) is int and type(cell[1]) is int:
+        sites = layout.memos.get(_SITES)
+        if sites is None:
+            sites = layout.memos[_SITES] = _Memo(layout.grid_to_site)
+        return sites[cell]
+    return layout.grid_to_site(cell)
+
+
 def move_direction(layout: TrilinearLayout, op: MicroOp) -> str:
     """Movement direction tag: east/west along the axis, up/down across rows."""
     src, dst = op.sites[0], op.sites[-1]
@@ -183,6 +201,25 @@ def _height(site: SiteCoord) -> int:
 # ----------------------------------------------------------------------
 # Shortest paths
 
+class _Adjusted:
+    """A gate plan's blocked sites: the caller's `base` less the mover's home
+    `free`, plus the partner's home `extra`, read in place. The straight walk
+    reads it through `isdisjoint`; only the search copies it, into a set."""
+
+    __slots__ = ("base", "free", "extra")
+
+    def __init__(self, base: AbstractSet[SiteCoord], free: SiteCoord, extra: SiteCoord) -> None:
+        self.base, self.free, self.extra = base, free, extra
+
+    def __contains__(self, site: SiteCoord) -> bool:
+        return site == self.extra or (site in self.base and site != self.free)
+
+    def isdisjoint(self, sites: list[SiteCoord]) -> bool:
+        base, free = self.base, self.free
+        return self.extra not in sites and (
+            base.isdisjoint(sites) or all(site == free for site in sites if site in base))
+
+
 def shortest_shuttle_path(
     layout: TrilinearLayout,
     src: SiteCoord,
@@ -200,8 +237,11 @@ def shortest_shuttle_path(
     site, blocked site or dead barrier is in its way or a loop's two ways tie.
     The search reads the layout's neighbour memo, whose order is the
     tie-break. A set `blocked` is used as given; another iterable is copied.
+    A gate plan's `_Adjusted` view is read in place by the walk and copied
+    into a set only if the search runs.
     """
-    blocked = blocked if isinstance(blocked, (set, frozenset)) else frozenset(blocked)
+    if not isinstance(blocked, (set, frozenset, _Adjusted)):
+        blocked = frozenset(blocked)
     for end in (src, dst):
         if not layout.in_bounds(end):
             raise InvalidSite(f"path endpoint {end} outside layout")
@@ -216,14 +256,18 @@ def shortest_shuttle_path(
         delta = 1 if ahead == layout.axis_distance(src.axis, dst.axis) else -1
         row, axis, sub = src
         path = [src]
+        new = tuple.__new__  # builds a SiteCoord without its Python-level __new__
         while path[-1] != dst:
             axis = (axis + delta) % layout.length
-            site = SiteCoord(row, axis, sub)
-            if site in dead or site in blocked or (cut and (path[-1], site) in cut):
+            site = new(SiteCoord, (row, axis, sub))
+            if site in dead or (cut and (path[-1], site) in cut):
                 break
             path.append(site)
         else:
-            return path
+            if blocked.isdisjoint(path):
+                return path
+    if type(blocked) is _Adjusted:  # the search reads a set
+        blocked = blocked.base - {blocked.free} | {blocked.extra}
     # parent[site]: None if unusable, else the site that reached it; unreached sites are absent.
     parent = dict.fromkeys(dead)
     parent[src] = src
@@ -283,9 +327,13 @@ class ShuttlePlan:
         }
 
 
-def _path_ops(layout: TrilinearLayout, path: list[SiteCoord], durations: Durations) -> list:
+def _round_trip(layout: TrilinearLayout, path: list[SiteCoord], op: MicroOp,
+                durations: Durations) -> list[MicroOp]:
+    """The moves along `path`, then `op`, then the moves back along it."""
     moves = _moves(layout, durations)
-    return [moves[edge] for edge in zip(path, path[1:])]
+    back = path[::-1]
+    return [*map(moves.__getitem__, zip(path, path[1:])), op,
+            *map(moves.__getitem__, zip(back, back[1:]))]
 
 
 def _require_single_row(layout: TrilinearLayout) -> None:
@@ -308,15 +356,15 @@ def gate_shuttle_plan(
     Shape: transfer into the Middle row at the mover's own axis, shuttle
     to the partner's axis (detouring around defects), gate against the
     partner from the adjacent site, retrace, transfer home. The path avoids
-    `blocked` less the mover's home plus the partner's, worked out in a copy:
-    the caller's `blocked` is never changed.
+    `blocked` less the mover's home plus the partner's. The caller's `blocked`
+    is never changed, and it is copied only if the straight Middle-row walk is
+    cut and the search runs: the walk meets Middle sites only, and no home is
+    one.
     """
     _require_single_row(layout)
-    mover_site = layout.grid_to_site(mover)
-    partner_site = layout.grid_to_site(partner)
-    blocked = set(blocked)
-    blocked.discard(mover_site)
-    blocked.add(partner_site)
+    mover_site, partner_site = _site_of(layout, mover), _site_of(layout, partner)
+    blocked = _Adjusted(blocked if isinstance(blocked, (set, frozenset)) else frozenset(blocked),
+                        mover_site, partner_site)
     if defects.is_dead(mover_site) or defects.is_dead(partner_site):
         raise Partitioned(f"gate endpoint site is dead ({mover}, {partner})")
 
@@ -335,8 +383,7 @@ def gate_shuttle_plan(
     path = [mover_site] + shortest_shuttle_path(layout, entry, gate_pos, defects, blocked)
     gate = MicroOp(MicroOpKind.TWO_QUBIT_GATE, (gate_pos, partner_site),
                    durations.two_qubit_gate)
-    ops = tuple(_path_ops(layout, path, durations) + [gate]
-                + _path_ops(layout, path[::-1], durations))
+    ops = tuple(_round_trip(layout, path, gate, durations))
     return ShuttlePlan(qubit=mover, ops=ops, shuttle_steps=2 * (len(path) - 2))
 
 
@@ -355,8 +402,8 @@ def plan_two_qubit(
     non-adjacent pair.
     """
     _require_single_row(layout)
-    sa, sb = layout.grid_to_site(q_a), layout.grid_to_site(q_b)
-    if layout.adjacent(sa, sb) and not defects.barrier_dead(sa, sb):
+    sa, sb = _site_of(layout, q_a), _site_of(layout, q_b)
+    if sb in layout.neighbors[sa] and not defects.barrier_dead(sa, sb):
         gate = MicroOp(MicroOpKind.TWO_QUBIT_GATE, (sa, sb), durations.two_qubit_gate)
         return ShuttlePlan(qubit=q_a, ops=(gate,), shuttle_steps=0)
     try:

@@ -28,15 +28,18 @@ Scheduling model (greedy list scheduling, deliberately non-optimal):
 Admission is one queue of (tick, job): a job enters it once the previous
 jobs of its qubits have all started, at the latest of their ends, and a
 popped job starts or goes back in at its head's first fit or, if a wait of
-its tail clashes, at the next tick. The holds keep movers from ever colliding,
-and whenever nothing is active the first unstarted job can start and run
-back to back, so the sum of the op durations bounds the makespan. Each site
-a plan passes keeps its committed holds as one sorted tick list, so a clash
-check costs a binary search per hold, and the lists follow the circuit, not
-the array. The budget is checked in place on clash bytes per signal set,
-updated over each started job's span only. The independent validator
-re-derives all rules from the schedule alone; it numbers the sites it meets
-per call too, so its cost also follows the schedule.
+its tail clashes, at the next tick (for the wait right after the head, at the
+first tick that wait could clear; `_place` has the proof). The holds keep
+movers from ever colliding, and whenever nothing is active the first
+unstarted job can start and run back to back, so the sum of the op durations
+bounds the makespan. Each site a plan passes keeps its committed holds as one
+sorted tick list, so a clash check costs a binary search per hold, and the
+lists follow the circuit, not the array. A mover's stay at a site across the
+pieces of its job (the end of one piece, the wait, the start of the next) is
+committed as one hold. The budget is checked in place on clash bytes per
+signal set, updated over each started job's span only. The independent
+validator re-derives all rules from the schedule alone; it numbers the sites
+it meets per call too, so its cost also follows the schedule.
 
 Waveform accounting: a signal is the name the schedule JSON prints for it.
 All conveyor movement in one direction shares one fixed set of four phased
@@ -70,6 +73,7 @@ from .router import (
     _GATE,
     _HORIZONTAL,
     _VERTICAL,
+    _site_of,
     move_direction,
     plan_two_qubit,
     reconfigure_for_defects,
@@ -135,6 +139,9 @@ class MuxConfig:
             raise CircuitError(f"n_ac_inputs: expected an integer >= 1, got {count!r}")
         if count < 1:
             raise CircuitError("mux input counts must be positive")
+        coexist = self.readout_coexists_with_shuttle
+        if type(coexist) is not bool:  # "false" is true, so it would let readout shuttle
+            raise CircuitError(f"readout_coexists_with_shuttle: expected a bool, got {coexist!r}")
 
 
 DEFAULT_MUX = MuxConfig()
@@ -313,7 +320,8 @@ class Schedule:
         return sum(1 for s in self.ops if s.op.kind is _HORIZONTAL)
 
 
-# Keys of what `waveform_usage` and the writer keep in `layout.memos`.
+# Keys of what `waveform_usage` (and compile, which reads and fills its set
+# bits) and the writer keep in `layout.memos`.
 _BITS, _TEXTS = "waveform_usage bits", "schedule_to_json texts"
 
 
@@ -321,8 +329,9 @@ def waveform_usage(schedule: Schedule, layout: TrilinearLayout) -> tuple[frozens
     """The signals driven at each tick, from each micro-op by `signals_for_op`;
     the largest set's size is the schedule's AC-input requirement.
     Raises CircuitError for an op that runs outside ticks 0 to the makespan."""
-    # (kind, sites) -> set bit, kept with the layout. An op's signals follow
-    # from the values of these alone, so equal keys of other types share a bit.
+    # (kind, sites) -> set bit, kept with the layout; compile's `_pieces`
+    # shares it. An op's signals follow from the values of these alone, so
+    # equal keys of other types share a bit.
     bits = layout.memos.setdefault(_BITS, {})
     makespan = schedule.makespan
     per_tick = [0] * makespan  # the set bits live at each tick
@@ -357,40 +366,46 @@ def waveform_usage(schedule: Schedule, layout: TrilinearLayout) -> tuple[frozens
 _Piece = tuple[int, list[MicroOp], list[tuple[int, int, int]], list[tuple[int, int, int]], int]
 
 
-def _pieces(ops: list[MicroOp], layout: TrilinearLayout, homes: set[SiteCoord],
+def _pieces(ops: tuple[MicroOp, ...], layout: TrilinearLayout, homes: set[SiteCoord],
             slot: _Memo) -> list[_Piece]:
     """A job's pieces: the head, then one per run from a shuttled gate on."""
     # The qubit holds the site it is at, and a move holds both of its sites,
     # so each site it passes is held from the start of the move in to the end
     # of the move out; a stay that spans pieces is split between them, and
-    # compile adds the wait between them. Plans keep off every home but
-    # their mover's own, and a home's jobs run in its qubit's program order,
-    # so holds on homes (the partner's, held for the whole job, among them)
-    # clash with no other job's holds and are left out.
+    # compile adds the wait between them and commits the stay as one hold.
+    # Plans keep off every home but their mover's own, and a home's jobs run
+    # in its qubit's program order, so holds on homes (the partner's, held
+    # for the whole job, among them) clash with no other job's holds and are
+    # left out. Each op's set bit comes from the memo `waveform_usage` keeps.
+    bits = layout.memos.setdefault(_BITS, {})
     pieces: list[_Piece] = []
     tail = False  # from a shuttled gate on, each run is a piece of its own
     at, since, park = ops[0].sites[0], 0, -1
     piece_ops, runs, holds, tick = [], [], [], 0
+    run, run_bit = 0, 0  # the first tick and set bit of the run being built
     for op in ops:
-        bit = _SET_BIT[signals_for_op(layout, op)]
-        tail = tail or (op.kind is _GATE and len(ops) > 1)
-        if tail and bit != runs[-1][2]:
-            if at not in homes:
-                holds.append((slot[at], since, tick))
-            pieces.append((park, piece_ops, runs, holds, tick))
-            park, since = slot[at], 0
-            piece_ops, runs, holds, tick = [], [], [], 0
+        kind, sites, duration, _, _ = op
+        key = (kind, sites)
+        bit = bits.get(key) or bits.setdefault(key, _SET_BIT[signals_for_op(layout, op)])
+        if bit != run_bit:  # the op starts a run
+            if run_bit:
+                runs.append((run, tick, run_bit))
+            tail = tail or (kind is _GATE and len(ops) > 1)
+            if tail and run_bit:
+                if at not in homes:
+                    holds.append((slot[at], since, tick))
+                pieces.append((park, piece_ops, runs, holds, tick))
+                park, since = slot[at], 0
+                piece_ops, runs, holds, tick = [], [], [], 0
+            run, run_bit = tick, bit
         piece_ops.append(op)
-        end = tick + op.duration_ticks
-        if runs and runs[-1][2] == bit:
-            runs[-1] = (runs[-1][0], end, bit)
-        else:
-            runs.append((tick, end, bit))
-        if op.kind is _HORIZONTAL or op.kind is _VERTICAL:
+        end = tick + duration
+        if kind is _HORIZONTAL or kind is _VERTICAL:
             if at not in homes:
                 holds.append((slot[at], since, end))
-            at, since = op.sites[1], tick
+            at, since = sites[1], tick
         tick = end
+    runs.append((run, tick, run_bit))
     if at not in homes:
         holds.append((slot[at], since, tick))
     pieces.append((park, piece_ops, runs, holds, tick))
@@ -454,8 +469,17 @@ def _place(pieces: list[_Piece], t: int, clashes: dict[int, bytearray],
     Each piece starts at the first tick from the end of the piece before it
     (the head: from t) at which its signals fit and its holds miss every
     committed hold; in between, the mover waits where that piece left it.
-    If the job cannot start at t, [the tick to try it again]: one no later
-    than the head's first fit, or t + 1 if a wait would clash."""
+
+    If the job cannot start at t, [the tick to try it again], no later than
+    the first tick at which it can: the head's first fit, or, if a wait meets
+    a committed hold [h0, h1), t + 1; for the first wait, the one between the
+    head ending at e and the next piece starting at s, t + min(h1, s) - e.
+    Proof of the last: commitments only grow and every fit is the first one
+    from its lower bound, so for a start t' > t the head ends at e' = e + t'
+    - t and the next piece starts at s' >= s. While e' < min(h1, s), the wait
+    [e', s') takes in the tick max(h0, e') of [h0, h1) (as h0 < s), and that
+    hold, ending after t', is still committed. A later wait has no such bound:
+    the pieces before it may move by any amount."""
     starts = [t]
     for park, _, runs, holds, ticks in pieces:
         end = start = starts[-1]
@@ -466,8 +490,12 @@ def _place(pieces: list[_Piece], t: int, clashes: dict[int, bytearray],
             start = _hold_fit(holds, fit, held)
             if start == fit:
                 break
-        if start > end and _hold_fit([(park, end, start)], 0, held):
-            return [t + 1]
+        if start > end:  # the mover waits at park from end to start
+            site_holds = held[park]
+            k = bisect_right(site_holds, end)  # odd: the wait opens inside a committed hold
+            if k & 1 or (k < len(site_holds) and site_holds[k] < start):
+                h1 = site_holds[k] if k & 1 else site_holds[k + 1]
+                return [t + min(h1, start) - end if len(starts) == 2 else t + 1]
         starts[-1:] = start, start + ticks
     return starts
 
@@ -491,7 +519,7 @@ def compile(  # noqa: A001 - mirrors re.compile naming
     circuit.validate_against(layout, recon.sacrificed_qubits)
 
     cells = circuit.cells()
-    homes = {cell: layout.grid_to_site(cell) for cell in cells}
+    homes = {cell: _site_of(layout, cell) for cell in cells}
     occupied = set(homes.values())
     # One slot per site a hold falls on, numbered in the order the call first meets it.
     slot = _Memo(lambda site: len(slot))
@@ -505,23 +533,26 @@ def compile(  # noqa: A001 - mirrors re.compile naming
                            freq_class=site_class(site).value, param=cop.rotation)
                    if isinstance(cop, OneQubit) else
                    MicroOp(MicroOpKind.READOUT, (site,), durations.readout))
-            jobs.append(((cop.cell,), _pieces([mop], layout, occupied, slot)))
+            jobs.append(((cop.cell,), _pieces((mop,), layout, occupied, slot)))
         else:
             # The router leaves the mover's home out of `occupied` itself.
             plan = plan_two_qubit(layout, cop.cell_a, cop.cell_b, defects, durations, occupied)
             mover = plan.qubit
             partner = cop.cell_b if mover == cop.cell_a else cop.cell_a
-            jobs.append(((mover, partner), _pieces(list(plan.ops), layout, occupied, slot)))
+            jobs.append(((mover, partner), _pieces(plan.ops, layout, occupied, slot)))
 
     held: list[list[int]] = [[] for _ in slot]  # per slot: its holds, as `_hold_fit` reads them
 
     tables = _clash_tables(mux)
-    for _, piece_ops, runs, _, _ in (piece for _, pieces in jobs for piece in pieces):
-        for _, _, bit in runs:
-            if tables[bit][0][0]:  # the run's signal set alone breaks the budget
-                op = next(op for op in piece_ops if _SET_BIT[signals_for_op(layout, op)] == bit)
-                raise MuxInfeasible(f"micro-op {op.kind.value} needs {len(_set_signals(bit))} "
-                                    f"waveforms, only {mux.n_ac_inputs} AC inputs available")
+    if any(clash[0] for clash, _ in tables.values()):  # some signal set alone breaks the budget
+        for _, piece_ops, runs, _, _ in (piece for _, pieces in jobs for piece in pieces):
+            for _, _, bit in runs:
+                if tables[bit][0][0]:  # the run's signal set alone breaks the budget
+                    op = next(op for op in piece_ops
+                              if _SET_BIT[signals_for_op(layout, op)] == bit)
+                    raise MuxInfeasible(f"micro-op {op.kind.value} needs "
+                                        f"{len(_set_signals(bit))} waveforms, only "
+                                        f"{mux.n_ac_inputs} AC inputs available")
 
     # A job is queued once every participant's previous job has started, at
     # the latest end among them: `owed` counts the participants whose
@@ -541,10 +572,11 @@ def compile(  # noqa: A001 - mirrors re.compile naming
 
     # Admission pops (tick, job) in order, so the jobs queued at one tick are
     # tried in program order. A job that cannot start at the popped tick goes
-    # back on the queue at a lower bound of its start: its head's first fit
-    # with what is committed now (commitments only grow, so no earlier start
-    # can fit), or the next tick if a wait of its tail clashes. Every job
-    # started at t ends after t, so popped ticks never decrease.
+    # back on the queue at a lower bound of its start (`_place`): its head's
+    # first fit with what is committed now (commitments only grow, so no
+    # earlier start can fit), or, if a wait of its tail clashes, the next tick
+    # or, for the first wait, the first tick it could clear. Every job started
+    # at t ends after t, so popped ticks never decrease.
     committed = bytearray()              # the signal sets live at each tick
     clashes = {bit: bytearray() for bit in tables}  # per set bit: 1 where it breaks the budget
     buckets: dict[int, list[ScheduledOp]] = defaultdict(list)  # start tick -> ops
@@ -572,17 +604,22 @@ def compile(  # noqa: A001 - mirrors re.compile naming
             for a, b, bit in runs:  # add each run's set to its ticks
                 committed[first + a:first + b] = committed[first + a:first + b].translate(
                     tables[bit][1])
-            # The piece's holds and, if the mover waits for it, its wait.
+            # The piece's holds and, if the mover waits for it, its wait. The
+            # mover's stay at park, from the previous piece through the wait,
+            # goes on as one hold.
             for i, a, b in holds if first == prev else [(park, prev - first, 0), *holds]:
                 site_holds = held[i]
                 if site_holds and site_holds[1] <= t:  # ended holds clash with nothing
                     del site_holds[:bisect_right(site_holds, t) & ~1]
                 k = bisect_right(site_holds, first + a)  # its place among the site's holds
-                site_holds[k:k] = (first + a, first + b)
+                if i == park and k and site_holds[k - 1] == first + a:  # the stay goes on
+                    site_holds[k - 1] = first + b
+                else:
+                    site_holds[k:k] = (first + a, first + b)
             prev = first + ticks
         # Popped ticks never pass the makespan (a retry tick is a fit within
-        # what is committed, or t + 1, before the end of the hold a wait
-        # clashed with), so this appends fresh ticks.
+        # what is committed, or before the end of the hold a wait clashed
+        # with), so this appends fresh ticks.
         span = committed[t:end]
         for bit, ticks in clashes.items():
             ticks[t:end] = span.translate(tables[bit][0])

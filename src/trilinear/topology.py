@@ -144,6 +144,8 @@ class TrilinearLayout:
     def __post_init__(self) -> None:
         if self.grid.cols < 2:
             raise InvalidGrid("trilinear mapping needs at least 2 columns")
+        if type(self.loop) is not bool:  # "false" is true, so a loop
+            raise InvalidGrid(f"loop must be a bool, got {self.loop!r}")
         if not 0 < self.pitch_nm < math.inf:  # NaN fails both comparisons
             raise InvalidGrid(f"pitch must be positive and finite, got {self.pitch_nm}")
         if type(self.m_rows) is not int or not 1 <= self.m_rows <= self.grid.cols:
@@ -267,9 +269,10 @@ class TrilinearLayout:
 
     @cached_property
     def memos(self) -> dict:
-        """What other modules keep with the layout: the router's moves, the
-        signal set bit of each op and the schedule writer's texts. Each
-        grows with the distinct values that calls on the layout meet."""
+        """What other modules keep with the layout: the router's moves and
+        the site of each cell planned, the signal set bit of each op and the
+        schedule writer's texts. Each grows with the distinct values that
+        calls on the layout meet."""
         return {}
 
     def site_neighbors(self, site: SiteCoord) -> tuple[SiteCoord, ...]:

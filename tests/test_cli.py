@@ -680,6 +680,85 @@ def test_schedule_outputs_match_golden_digests(name, tmp_path):
     assert digests == GOLDEN_SCHEDULES[name]
 
 
+def _mixed_circuit(rng, cells, n_ops):
+    """n_ops ops in exact 1q:2q:meas = 1:2:1 shares, shuffled; a 2q op pairs a
+    cell with another on its own grid row or a neighbouring one."""
+    kinds = ["1q"] * (n_ops // 4) + ["2q"] * (n_ops // 2)
+    kinds += ["meas"] * (n_ops - len(kinds))
+    rng.shuffle(kinds)
+    ops = []
+    for kind in kinds:
+        a = rng.choice(cells)
+        if kind == "2q":
+            b = rng.choice([c for c in cells if c != a and abs(c[0] - a[0]) <= 1])
+            ops.append({"op": "2q", "cells": [list(a), list(b)]})
+        else:
+            ops.append({"op": kind, "cells": [list(a)]} | ({"param": "x"} if kind == "1q" else {}))
+    return {"ops": ops}
+
+
+def _workload_inputs(name):
+    """(config, [(circuit, defects or None), ...]): two 400-op circuits on the
+    32x32 line, or 60 circuits of 20 ops on the 8x8 loop at 5 AC inputs, each
+    with its own defect map: none, a dead Middle site or a dead Middle
+    barrier, then 0-2 dead outer sites and maybe a dead outer-Middle barrier."""
+    rng = random.Random(f"golden {name}")
+    if name == "wide32":
+        cells = [(r, c) for r in range(32) for c in range(32)]
+        return {"grid": {"rows": 32, "cols": 32}}, [(_mixed_circuit(rng, cells, 400), None)
+                                                   for _ in range(2)]
+    config = {"grid": {"rows": 8, "cols": 8}, "loop": True,
+              "mux": {"n_ac_inputs": 5, "readout_coexists_with_shuttle": False}}
+    layout = tl.map_to_trilinear(tl.GridSpec(8, 8), loop=True)
+    outer = [[row, axis] for row in ("U", "L") for axis in range(layout.length)]
+    runs = []
+    for i in range(60):
+        axis = rng.randrange(layout.length)
+        sites = [[["M", axis]], [], []][i % 3]
+        barriers = [[], [], [[["M", axis], ["M", (axis + 1) % layout.length]]]][i % 3]
+        sites += rng.sample(outer, rng.randrange(3))
+        if rng.random() < 0.5:
+            row, axis = rng.choice(outer)
+            barriers.append([[row, axis], ["M", axis]])
+        defects = {"sites": sites, "barriers": barriers}
+        lost = tl.reconfigure_for_defects(layout, tl.topology.defects_from_obj(defects))
+        cells = [cell for cell in layout.grid.cells() if cell not in lost.sacrificed_qubits]
+        runs.append((_mixed_circuit(rng, cells, 20), defects))
+    return config, runs
+
+
+# sha256 of the schedule JSONs and of the summary CSVs, each run's bytes
+# after the last's, on the benchmark's kinds of input: long circuits on a
+# wide array, and short ones whose defects force detours and whose AC budget
+# binds. Recorded before compile was made cheaper per job; every later change
+# that promises byte-identical schedules must keep them.
+GOLDEN_WORKLOADS = {
+    "wide32": ("6c66792f951c5c25d18a6b0c37fe584f6f56ea34c217357e36d4fe63d3a8762d",
+               "34599b98513b2256a7ac5fcf1aa6f1722ae4ffce09756b6c6aff229cadd0b2c8"),
+    "defects8": ("fae61f19e1eab24a8dc258618676aaca2ac5829d465d65d0b1a3f887400a2eeb",
+                 "3d508d468423c44c120e1e38290f9d0f45ef8be7934163b2c585fdc2385afcbf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WORKLOADS))
+def test_workload_schedules_match_golden_digests(name, tmp_path):
+    config, runs = _workload_inputs(name)
+    cfg_path, circ_path = tmp_path / "config.json", tmp_path / "circuit.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    schedules, summaries = hashlib.sha256(), hashlib.sha256()
+    for circuit, defects in runs:
+        circ_path.write_text(json.dumps(circuit), encoding="utf-8")
+        argv = ["schedule", "--config", str(cfg_path), "--circuit", str(circ_path),
+                "--out", str(tmp_path / "sched.json")]
+        if defects is not None:
+            (tmp_path / "defects.json").write_text(json.dumps(defects), encoding="utf-8")
+            argv += ["--defects", str(tmp_path / "defects.json")]
+        assert main(argv) == 0
+        schedules.update((tmp_path / "sched.json").read_bytes())
+        summaries.update((tmp_path / "sched.summary.csv").read_bytes())
+    assert (schedules.hexdigest(), summaries.hexdigest()) == GOLDEN_WORKLOADS[name]
+
+
 # sha256 of the simulate event log and report on a fixed input: an 8x8
 # loop, 200 seeded x90/meas ops in a 3:1 mix on qubit-hosting cells, and
 # non-zero hop phases so the virtual-Z frames are exercised.

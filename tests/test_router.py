@@ -215,6 +215,18 @@ def test_blocked_set_unchanged_when_the_partner_moves(lay44):
     assert blocked == before
 
 
+@pytest.mark.parametrize("first", ["float", "int"])
+def test_cell_sites_kept_with_the_layout_are_type_exact(first):
+    """Plans keep the site of each cell with the layout, but only for a cell
+    of two exact ints: (0, 1.0) maps to (U,1.0), which equals (U,1), so a
+    kept site of one would stand in for the other in the in-place gate."""
+    lay = tl.map_to_trilinear(tl.GridSpec(4, 4))
+    for cell in [(0, 1.0), (0, 1)] if first == "float" else [(0, 1), (0, 1.0)]:
+        (gate,) = tl.router.plan_two_qubit(lay, cell, (0, 2)).ops
+        assert gate.sites[0] == SiteCoord(Row.UPPER, 1)
+        assert type(gate.sites[0].axis) is type(cell[1])
+
+
 # ----------------------------------------------------------------------
 # Vertical gate plans
 

@@ -86,3 +86,25 @@ def test_one_dead_middle_site_on_a_million_qubit_loop():
     assert violations == []
     assert recon.repurposed_sites == {SiteCoord(Row.UPPER, 700), SiteCoord(Row.LOWER, 700)}
     assert recon.sacrificed_qubits == {(0, 700), (1, 200)}
+
+
+def test_straight_gate_plan_among_every_home_copies_nothing():
+    """On a 256x256 line with all 65,536 homes in `blocked`, a warm plan of
+    (0,0)-(1,100), whose path is the straight Middle-row walk, allocates
+    under 256 KB traced and leaves the caller's set as it was. The walk meets
+    Middle sites only, and no home is one, so the plan reads `blocked` in
+    place; copying it for every plan allocated 4.1 MB."""
+    layout = tl.map_to_trilinear(tl.GridSpec(256, 256))
+    homes = {layout.grid_to_site(cell) for cell in layout.grid.cells()}
+    blocked = set(homes)
+    plan = tl.router.plan_two_qubit(layout, (0, 0), (1, 100), blocked=blocked)
+    tracemalloc.start()
+    try:
+        again = tl.router.plan_two_qubit(layout, (0, 0), (1, 100), blocked=blocked)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**10, f"traced peak {peak / 2**10:.0f} KB"
+    assert again == plan
+    assert blocked == homes and len(homes) == 65536
+    assert plan.horizontal_steps == 2 * 228 and plan.vertical_transfers == 2

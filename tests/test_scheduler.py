@@ -1150,6 +1150,16 @@ def test_mux_budget_that_is_not_an_integer_is_rejected(count):
     assert str(info.value) == f"n_ac_inputs: expected an integer >= 1, got {count!r}"
 
 
+@pytest.mark.parametrize("coexist", ["false", "true", 0, 1, None])
+def test_readout_rule_that_is_not_a_bool_is_rejected(coexist):
+    """"false" was read for truth: on the 4x4 line, 2q (0,2)-(1,2) and a
+    readout of (2,0) compiled in 10 ticks (18 under False), with the readout
+    beside the shuttling, which breaks the rule under False."""
+    with pytest.raises(tl.CircuitError) as info:
+        MuxConfig(readout_coexists_with_shuttle=coexist)
+    assert str(info.value) == f"readout_coexists_with_shuttle: expected a bool, got {coexist!r}"
+
+
 @pytest.mark.parametrize("count", [0, -1])
 def test_mux_budget_below_one_is_rejected(count):
     with pytest.raises(tl.CircuitError, match="^mux input counts must be positive$"):

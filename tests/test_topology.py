@@ -114,6 +114,15 @@ def test_m_rows_that_is_not_an_integer_in_range_is_rejected(m):
     assert str(info.value) == f"m_rows must be an integer in [1, cols], got {m!r} for 4 cols"
 
 
+@pytest.mark.parametrize("loop", ["false", "true", 0, 1, None])
+def test_loop_flag_that_is_not_a_bool_is_rejected(loop):
+    """"false" was read for truth: it built the 4x4 loop (length 8, where the
+    line is 10), and layout_to_json wrote "loop": "false"."""
+    with pytest.raises(tl.InvalidGrid) as info:
+        tl.map_to_trilinear(tl.GridSpec(4, 4), loop=loop)
+    assert str(info.value) == f"loop must be a bool, got {loop!r}"
+
+
 grids = st.tuples(st.integers(1, 12), st.integers(2, 12))
 
 
